@@ -4,12 +4,18 @@
 //! activities that restart forever; the scheduler needs the opposite —
 //! **finite** jobs (so many compute bytes, so many communication bytes)
 //! co-located on one node, each finishing at some instant. `NodeWorld`
-//! closes that gap with a fluid simulation directly on the progressive-
-//! filling solver: between stream starts/stops every active stream moves
-//! at the rate [`Fabric::solve_into`] assigns it, the earliest phase
-//! completion is the next event, and the multiset of streams shrinks as
-//! phases drain. A node hosting `k` jobs therefore costs at most `2k`
-//! solves — one per phase completion.
+//! closes that gap with a fluid simulation on the progressive-filling
+//! fixed point: between stream starts/stops every active stream moves at
+//! the rate the solver assigns it, the earliest phase completion is the
+//! next event, and the multiset of streams shrinks as phases drain.
+//!
+//! Rates come from a [`DeltaSolver`] the node owns: a run adds every
+//! stream to one [`ActiveSet`] and each phase completion removes its own,
+//! so a phase boundary is a state-cache lookup whenever an earlier run on
+//! this node reached the same multiset (cached rates are bit-identical to
+//! fresh ones). A node hosting `k` jobs asks for rates at most `2k` times
+//! per run ([`NodeRun::solves`]); [`NodeWorld::solver_stats`] counts how
+//! many of those requests ran a full progressive-filling solve.
 //!
 //! Each job is the scheduler-level view of the paper's workload: a
 //! memory-bound compute phase (`cores` non-temporal writers on
@@ -20,7 +26,8 @@
 
 use mc_topology::{NumaId, Platform, PoolId};
 
-use crate::fabric::{Fabric, FabricScratch, SolveResult, StreamSpec};
+use crate::delta::{ActiveSet, DeltaSolver, DeltaStats};
+use crate::fabric::{Fabric, StreamSpec};
 
 /// One finite job placed on the node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,27 +73,31 @@ pub struct NodeRun {
     pub jobs: Vec<JobFinish>,
     /// Time the last phase drained (0 for an empty or all-empty set).
     pub makespan: f64,
-    /// Progressive-filling solves performed (≤ 2 × jobs).
+    /// Phase-boundary rate evaluations (≤ 2 × jobs): one per event-loop
+    /// segment, whether the solver answered it from its memo or ran
+    /// progressive filling.
     pub solves: usize,
 }
 
-/// One simulated cluster node: a platform's fabric plus reusable solver
-/// scratch. Cheap to keep per fleet entry; `run` is `&mut self` only for
-/// the scratch.
+/// One simulated cluster node: a platform's fabric plus a memoizing
+/// delta solver. Cheap to keep per fleet entry; `run` is `&mut self` for
+/// the solver's state cache. Not `Send`: cached states are `Rc`-shared.
 #[derive(Debug)]
 pub struct NodeWorld {
     fabric: Fabric,
-    scratch: FabricScratch,
-    result: SolveResult,
+    solver: DeltaSolver,
 }
 
-/// Remaining work of one job inside the event loop.
+/// One phase of a job inside the event loop: `streams` copies of `spec`
+/// draining `left` bytes.
 #[derive(Debug, Clone, Copy)]
-struct Residual {
-    compute: f64,
-    comm: f64,
-    compute_done: f64,
-    comm_done: f64,
+struct Phase {
+    spec: StreamSpec,
+    streams: usize,
+    left: f64,
+    /// Bytes/s over all the phase's streams in the current segment.
+    rate: f64,
+    done: f64,
 }
 
 impl NodeWorld {
@@ -94,8 +105,7 @@ impl NodeWorld {
     pub fn new(platform: &Platform) -> Self {
         NodeWorld {
             fabric: Fabric::new(platform),
-            scratch: FabricScratch::default(),
-            result: SolveResult::default(),
+            solver: DeltaSolver::new(),
         }
     }
 
@@ -104,73 +114,62 @@ impl NodeWorld {
         self.fabric.platform()
     }
 
+    /// Cumulative delta-solver counters over every run on this node:
+    /// `requests` equals the sum of [`NodeRun::solves`], `full_solves`
+    /// counts the progressive-filling runs the memo could not avoid.
+    pub fn solver_stats(&self) -> DeltaStats {
+        self.solver.stats()
+    }
+
     /// Run `jobs` from a common start to completion and report when each
-    /// phase drains. Deterministic: same jobs, same answer, bit for bit.
+    /// phase drains. Deterministic: same jobs, same answer, bit for bit,
+    /// whatever ran on the node before.
     pub fn run(&mut self, jobs: &[JobLoad]) -> NodeRun {
-        let mut residual: Vec<Residual> = jobs
-            .iter()
-            .map(|j| Residual {
-                compute: if j.cores > 0 { j.compute_bytes } else { 0.0 },
-                comm: j.comm_bytes,
-                compute_done: 0.0,
-                comm_done: 0.0,
-            })
-            .collect();
+        let phase = |spec, streams, left| Phase {
+            spec,
+            streams,
+            left,
+            rate: 0.0,
+            done: 0.0,
+        };
+        // Two phases per job, compute then communication.
+        let mut phases: Vec<Phase> = Vec::with_capacity(2 * jobs.len());
+        for j in jobs {
+            let compute = if j.cores > 0 { j.compute_bytes } else { 0.0 };
+            let comm = match j.comm_pool {
+                None => StreamSpec::DmaRecv { numa: j.comm_numa },
+                Some(pool) => StreamSpec::CxlRead {
+                    numa: j.comm_numa,
+                    pool,
+                },
+            };
+            let cpu = StreamSpec::CpuWrite { numa: j.comp_numa };
+            phases.push(phase(cpu, j.cores, compute));
+            phases.push(phase(comm, 1, j.comm_bytes));
+        }
+        let mut set = ActiveSet::new();
+        for p in phases.iter().filter(|p| p.left > 0.0) {
+            for _ in 0..p.streams {
+                set.add(p.spec);
+            }
+        }
         let mut now = 0.0f64;
         let mut solves = 0usize;
-        let mut streams: Vec<StreamSpec> = Vec::new();
-        // Stream ownership, parallel to `streams`: (job index, is_comm).
-        let mut owner: Vec<(usize, bool)> = Vec::new();
-        loop {
-            streams.clear();
-            owner.clear();
-            for (i, (job, res)) in jobs.iter().zip(residual.iter()).enumerate() {
-                if res.compute > 0.0 {
-                    for _ in 0..job.cores {
-                        streams.push(StreamSpec::CpuWrite {
-                            numa: job.comp_numa,
-                        });
-                        owner.push((i, false));
-                    }
-                }
-                if res.comm > 0.0 {
-                    streams.push(match job.comm_pool {
-                        None => StreamSpec::DmaRecv {
-                            numa: job.comm_numa,
-                        },
-                        Some(pool) => StreamSpec::CxlRead {
-                            numa: job.comm_numa,
-                            pool,
-                        },
-                    });
-                    owner.push((i, true));
-                }
-            }
-            if streams.is_empty() {
-                break;
-            }
-            self.fabric
-                .solve_into(&streams, 1.0, &mut self.scratch, &mut self.result);
+        while !set.is_empty() {
+            let state = self.solver.solve(&self.fabric, &mut set);
             solves += 1;
-            // Aggregate per-phase rates (bytes/s); the solver reports GB/s
-            // per stream and a job's compute phase is the sum of its cores.
-            let mut comp_rate = vec![0.0f64; jobs.len()];
-            let mut comm_rate = vec![0.0f64; jobs.len()];
-            for (&(job, is_comm), &rate) in owner.iter().zip(self.result.rates.iter()) {
-                if is_comm {
-                    comm_rate[job] += rate * 1e9;
-                } else {
-                    comp_rate[job] += rate * 1e9;
-                }
-            }
-            // Earliest phase completion is the next event.
+            // The solver reports GB/s per stream; a phase's rate is the
+            // sum over its streams, accumulated stream by stream. The
+            // earliest phase completion is the next event.
             let mut dt = f64::INFINITY;
-            for (i, res) in residual.iter().enumerate() {
-                if res.compute > 0.0 && comp_rate[i] > 0.0 {
-                    dt = dt.min(res.compute / comp_rate[i]);
+            for p in phases.iter_mut().filter(|p| p.left > 0.0) {
+                let rate = state.rate_of(p.spec).expect("active phase has streams");
+                p.rate = 0.0;
+                for _ in 0..p.streams {
+                    p.rate += rate * 1e9;
                 }
-                if res.comm > 0.0 && comm_rate[i] > 0.0 {
-                    dt = dt.min(res.comm / comm_rate[i]);
+                if p.rate > 0.0 {
+                    dt = dt.min(p.left / p.rate);
                 }
             }
             if !dt.is_finite() {
@@ -180,28 +179,22 @@ impl NodeWorld {
                 break;
             }
             now += dt;
-            for (i, res) in residual.iter_mut().enumerate() {
-                if res.compute > 0.0 {
-                    res.compute -= comp_rate[i] * dt;
-                    if res.compute <= res.compute.abs().max(1.0) * 1e-12 {
-                        res.compute = 0.0;
-                        res.compute_done = now;
-                    }
-                }
-                if res.comm > 0.0 {
-                    res.comm -= comm_rate[i] * dt;
-                    if res.comm <= res.comm.abs().max(1.0) * 1e-12 {
-                        res.comm = 0.0;
-                        res.comm_done = now;
+            for p in phases.iter_mut().filter(|p| p.left > 0.0) {
+                p.left -= p.rate * dt;
+                if p.left <= p.left.abs().max(1.0) * 1e-12 {
+                    p.left = 0.0;
+                    p.done = now;
+                    for _ in 0..p.streams {
+                        set.remove(p.spec);
                     }
                 }
             }
         }
-        let jobs_out: Vec<JobFinish> = residual
-            .iter()
-            .map(|r| JobFinish {
-                compute_done: r.compute_done,
-                comm_done: r.comm_done,
+        let jobs_out: Vec<JobFinish> = phases
+            .chunks_exact(2)
+            .map(|p| JobFinish {
+                compute_done: p[0].done,
+                comm_done: p[1].done,
             })
             .collect();
         let makespan = jobs_out.iter().map(JobFinish::finish).fold(0.0, f64::max);

@@ -808,8 +808,11 @@ impl World {
             }
         }
         if !finished.is_empty() {
+            // `finished` lists transfers in `transfers` order, so one
+            // ordered pass removes them all.
+            let mut next = finished.iter().peekable();
             self.transfers
-                .retain(|tr| !finished.iter().any(|&(s, _)| s == tr.send_req));
+                .retain(|tr| next.next_if(|&&(s, _)| s == tr.send_req).is_none());
             for (s, r) in finished {
                 self.statuses.insert(s, RequestStatus::Complete(now));
                 self.statuses.insert(r, RequestStatus::Complete(now));

@@ -75,9 +75,13 @@ mod tests {
     fn linux_reports_positive_rss() {
         let peak = peak_rss_kb().expect("/proc/self/status should be readable");
         let current = current_rss_kb().expect("/proc/self/status should be readable");
-        assert!(peak > 0 && current > 0);
-        // The high-water mark bounds the instantaneous residency.
-        assert!(current <= peak, "VmRSS {current} > VmHWM {peak}");
+        // Only positivity is stable: the two values come from separate
+        // reads while other test threads allocate, and Linux updates
+        // VmHWM lazily, so VmRSS can momentarily read above it.
+        assert!(
+            peak > 0 && current > 0,
+            "VmHWM {peak} kB, VmRSS {current} kB"
+        );
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! co-location divided by the job's finish time with the node to
 //! itself. Node evaluations are memoized by (platform, job set) — the
 //! search layers revisit the same sets constantly, so an exhaustive
-//! small-case sweep or a long anneal costs few distinct simulations.
+//! small-case sweep or a long anneal costs few distinct simulations —
+//! and each platform's [`NodeWorld`] memoizes the solver states its
+//! simulations reach, so a distinct set rarely runs a full solve.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use mc_memsim::{JobLoad, NodeWorld};
+use mc_memsim::{DeltaStats, JobLoad, NodeWorld};
 use mc_topology::NumaId;
 
 use crate::fleet::{Fleet, FleetNode};
@@ -39,6 +41,19 @@ pub struct Score {
 }
 
 impl Score {
+    /// The cluster score of per-node `(makespan, violations)` pairs:
+    /// the largest makespan and the total violation count. Both are
+    /// exact whatever order the nodes were scored in.
+    pub fn combine(nodes: &[(f64, usize)]) -> Score {
+        let (makespan, violations) = nodes
+            .iter()
+            .fold((0.0f64, 0usize), |(m, v), &(nm, nv)| (m.max(nm), v + nv));
+        Score {
+            violations,
+            makespan,
+        }
+    }
+
     /// Total order: fewer violations, then smaller makespan.
     pub fn order(&self, other: &Score) -> std::cmp::Ordering {
         self.violations
@@ -137,7 +152,8 @@ pub struct Evaluator<'a> {
     worlds: Vec<NodeWorld>,
     /// Fleet node index → world index.
     node_world: Vec<usize>,
-    cache: HashMap<(usize, Vec<u32>), Rc<NodeEval>>,
+    /// Node evaluations per world, keyed by sorted job set.
+    cache: Vec<HashMap<Box<[u32]>, Rc<NodeEval>>>,
     sims: usize,
 }
 
@@ -165,9 +181,9 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             jobs,
             fleet,
+            cache: worlds.iter().map(|_| HashMap::new()).collect(),
             worlds,
             node_world,
-            cache: HashMap::new(),
             sims: 0,
         }
     }
@@ -177,12 +193,27 @@ impl<'a> Evaluator<'a> {
         self.sims
     }
 
+    /// Delta-solver counters summed over every platform's world: the
+    /// phase-boundary rate requests of all simulations so far and the
+    /// full progressive-filling solves they needed.
+    pub fn solver_stats(&self) -> DeltaStats {
+        self.worlds
+            .iter()
+            .map(NodeWorld::solver_stats)
+            .fold(DeltaStats::default(), |a, b| DeltaStats {
+                requests: a.requests + b.requests,
+                reuse_hits: a.reuse_hits + b.reuse_hits,
+                state_hits: a.state_hits + b.state_hits,
+                full_solves: a.full_solves + b.full_solves,
+            })
+    }
+
     /// Evaluate one node's job set (`set` must be sorted ascending).
     /// Memoized per (platform, set).
     pub fn node_eval(&mut self, node: usize, set: &[u32]) -> Rc<NodeEval> {
         debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set must be sorted");
         let world = self.node_world[node];
-        if let Some(hit) = self.cache.get(&(world, set.to_vec())) {
+        if let Some(hit) = self.cache[world].get(set) {
             return Rc::clone(hit);
         }
         let allocs = alloc_for(&self.fleet.nodes[node], self.jobs, set);
@@ -193,7 +224,7 @@ impl<'a> Evaluator<'a> {
             finish: run.jobs.iter().map(|j| j.finish()).collect(),
             makespan: run.makespan,
         });
-        self.cache.insert((world, set.to_vec()), Rc::clone(&eval));
+        self.cache[world].insert(set.into(), Rc::clone(&eval));
         eval
     }
 
@@ -202,27 +233,28 @@ impl<'a> Evaluator<'a> {
         self.node_eval(node, &[job]).makespan
     }
 
+    /// Slowdown of `job` finishing at `finish` on `node`.
+    fn slowdown(&mut self, node: usize, job: u32, finish: f64) -> f64 {
+        let solo = self.solo_finish(node, job);
+        if solo > 0.0 {
+            // Co-location can only add streams, so a ratio below 1 is
+            // event-ordering rounding noise, not a speedup.
+            (finish / solo).max(1.0)
+        } else {
+            1.0
+        }
+    }
+
     /// Slowdown each member of `set` suffers on `node` (parallel to the
     /// set), plus the node makespan.
     pub fn slowdowns(&mut self, node: usize, set: &[u32]) -> (Vec<f64>, f64) {
         let eval = self.node_eval(node, set);
-        let makespan = eval.makespan;
-        let finishes: Vec<f64> = eval.finish.clone();
         let out = set
             .iter()
-            .zip(finishes)
-            .map(|(&j, f)| {
-                let solo = self.solo_finish(node, j);
-                if solo > 0.0 {
-                    // Co-location can only add streams, so a ratio below
-                    // 1 is event-ordering rounding noise, not a speedup.
-                    (f / solo).max(1.0)
-                } else {
-                    1.0
-                }
-            })
+            .zip(&eval.finish)
+            .map(|(&j, &f)| self.slowdown(node, j, f))
             .collect();
-        (out, makespan)
+        (out, eval.makespan)
     }
 
     /// Per-node sorted job sets of an assignment.
@@ -234,28 +266,34 @@ impl<'a> Evaluator<'a> {
         sets
     }
 
+    /// One node's share of the objective: its makespan and how many of
+    /// its co-located jobs exceed `max_slowdown` (an empty set or a job
+    /// alone never violates).
+    pub fn node_score(&mut self, node: usize, set: &[u32], max_slowdown: f64) -> (f64, usize) {
+        if set.is_empty() {
+            return (0.0, 0);
+        }
+        let eval = self.node_eval(node, set);
+        let mut violations = 0;
+        if set.len() > 1 {
+            for (&j, &f) in set.iter().zip(&eval.finish) {
+                if self.slowdown(node, j, f) > max_slowdown * (1.0 + 1e-9) {
+                    violations += 1;
+                }
+            }
+        }
+        (eval.makespan, violations)
+    }
+
     /// Objective value of an assignment under `max_slowdown`.
     pub fn score(&mut self, assignment: &[usize], max_slowdown: f64) -> Score {
         let sets = self.sets_of(assignment);
-        let mut makespan = 0.0f64;
-        let mut violations = 0usize;
-        for (d, set) in sets.iter().enumerate() {
-            if set.is_empty() {
-                continue;
-            }
-            let (slow, node_ms) = self.slowdowns(d, set);
-            makespan = makespan.max(node_ms);
-            if set.len() > 1 {
-                violations += slow
-                    .iter()
-                    .filter(|&&s| s > max_slowdown * (1.0 + 1e-9))
-                    .count();
-            }
-        }
-        Score {
-            violations,
-            makespan,
-        }
+        let nodes: Vec<(f64, usize)> = sets
+            .iter()
+            .enumerate()
+            .map(|(d, set)| self.node_score(d, set, max_slowdown))
+            .collect();
+        Score::combine(&nodes)
     }
 
     /// Expand an assignment into the full per-job plan.

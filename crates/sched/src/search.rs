@@ -93,6 +93,11 @@ pub fn default_iters(jobs: usize, nodes: usize) -> usize {
 /// Boltzmann probability on a linearly cooling temperature. Returns the
 /// best assignment *evaluated* anywhere along the walk. Deterministic
 /// in (start, seed, iters).
+///
+/// A proposal moves jobs between two nodes only, so the walk keeps the
+/// current assignment's per-node scores and re-scores just those two
+/// nodes; [`Score::combine`] makes the result identical to a full
+/// [`Evaluator::score`] of the proposal.
 pub fn anneal(
     ev: &mut Evaluator<'_>,
     max_slowdown: f64,
@@ -104,7 +109,13 @@ pub fn anneal(
     let nodes = ev.fleet.nodes.len();
     let mut rng = Xorshift::new(seed);
     let mut cur = start.to_vec();
-    let mut cur_score = ev.score(&cur, max_slowdown);
+    let mut cur_nodes: Vec<(f64, usize)> = ev
+        .sets_of(&cur)
+        .iter()
+        .enumerate()
+        .map(|(d, set)| ev.node_score(d, set, max_slowdown))
+        .collect();
+    let mut cur_score = Score::combine(&cur_nodes);
     let mut best = cur.clone();
     let mut best_score = cur_score;
     if nodes < 2 || jobs == 0 {
@@ -115,9 +126,15 @@ pub fn anneal(
     let base = best_score.makespan.max(1e-9);
     let energy = |s: &Score| s.makespan + s.violations as f64 * 100.0 * base;
     let t0 = 0.5 * base;
+    let mut next = cur.clone();
+    let mut next_nodes = cur_nodes.clone();
+    let mut set: Vec<u32> = Vec::with_capacity(jobs);
     for i in 0..iters {
         let temp = t0 * (1.0 - i as f64 / iters as f64) + 1e-12;
-        let mut next = cur.clone();
+        next.copy_from_slice(&cur);
+        next_nodes.copy_from_slice(&cur_nodes);
+        // The job whose old and new nodes are the two that change.
+        let moved;
         if rng.below(3) == 0 && jobs >= 2 {
             // Swap two jobs on different nodes (fall back to a move when
             // the draw lands on the same node).
@@ -128,24 +145,32 @@ pub fn anneal(
             } else {
                 next[a] = (next[a] + 1 + rng.below(nodes - 1)) % nodes;
             }
+            moved = a;
         } else {
             let j = rng.below(jobs);
             next[j] = (next[j] + 1 + rng.below(nodes - 1)) % nodes;
+            moved = j;
         }
-        let next_score = ev.score(&next, max_slowdown);
+        for node in [cur[moved], next[moved]] {
+            set.clear();
+            set.extend((0..jobs as u32).filter(|&j| next[j as usize] == node));
+            next_nodes[node] = ev.node_score(node, &set, max_slowdown);
+        }
+        let next_score = Score::combine(&next_nodes);
         match next_score.order(&best_score) {
             std::cmp::Ordering::Less => {
-                best = next.clone();
+                best.copy_from_slice(&next);
                 best_score = next_score;
             }
             std::cmp::Ordering::Equal if assignment_lt(&next, &best) => {
-                best = next.clone();
+                best.copy_from_slice(&next);
             }
             _ => {}
         }
         let delta = energy(&next_score) - energy(&cur_score);
         if delta <= 0.0 || rng.unit() < (-delta / temp).exp() {
-            cur = next;
+            std::mem::swap(&mut cur, &mut next);
+            std::mem::swap(&mut cur_nodes, &mut next_nodes);
             cur_score = next_score;
         }
     }
@@ -198,6 +223,96 @@ mod tests {
         let b = anneal(&mut ev, 1.5, &start, 7, 500);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1.makespan.to_bits(), b.1.makespan.to_bits());
+    }
+
+    /// The walk before incremental scoring: every proposal is scored in
+    /// full by `Evaluator::score`. The oracle for `anneal`.
+    fn anneal_full_score(
+        ev: &mut Evaluator<'_>,
+        max_slowdown: f64,
+        start: &[usize],
+        seed: u64,
+        iters: usize,
+    ) -> (Vec<usize>, Score) {
+        let jobs = ev.jobs.len();
+        let nodes = ev.fleet.nodes.len();
+        let mut rng = Xorshift::new(seed);
+        let mut cur = start.to_vec();
+        let mut cur_score = ev.score(&cur, max_slowdown);
+        let mut best = cur.clone();
+        let mut best_score = cur_score;
+        if nodes < 2 || jobs == 0 {
+            return (best, best_score);
+        }
+        let base = best_score.makespan.max(1e-9);
+        let energy = |s: &Score| s.makespan + s.violations as f64 * 100.0 * base;
+        let t0 = 0.5 * base;
+        for i in 0..iters {
+            let temp = t0 * (1.0 - i as f64 / iters as f64) + 1e-12;
+            let mut next = cur.clone();
+            if rng.below(3) == 0 && jobs >= 2 {
+                let a = rng.below(jobs);
+                let b = rng.below(jobs);
+                if next[a] != next[b] {
+                    next.swap(a, b);
+                } else {
+                    next[a] = (next[a] + 1 + rng.below(nodes - 1)) % nodes;
+                }
+            } else {
+                let j = rng.below(jobs);
+                next[j] = (next[j] + 1 + rng.below(nodes - 1)) % nodes;
+            }
+            let next_score = ev.score(&next, max_slowdown);
+            match next_score.order(&best_score) {
+                std::cmp::Ordering::Less => {
+                    best = next.clone();
+                    best_score = next_score;
+                }
+                std::cmp::Ordering::Equal if assignment_lt(&next, &best) => {
+                    best = next.clone();
+                }
+                _ => {}
+            }
+            let delta = energy(&next_score) - energy(&cur_score);
+            if delta <= 0.0 || rng.unit() < (-delta / temp).exp() {
+                cur = next;
+                cur_score = next_score;
+            }
+        }
+        (best, best_score)
+    }
+
+    #[test]
+    fn incremental_anneal_matches_the_full_score_oracle() {
+        let reg = ModelRegistry::new(4);
+        let henri = platforms::henri();
+        let mixed =
+            Fleet::build(vec![henri.clone(), platforms::dahu(), henri.clone()], &reg).unwrap();
+        let even = Fleet::build(vec![henri; 4], &reg).unwrap();
+        let cases: [(&Fleet, usize, f64, u64, usize); 4] = [
+            (&mixed, 5, 1.5, 7, 600),
+            (&mixed, 9, 1.25, 11, 1500),
+            (&even, 12, 1.25, 3, 2500),
+            (&even, 7, 3.0, 42, 1000),
+        ];
+        for (fleet, n_jobs, max_slowdown, seed, iters) in cases {
+            let (jobs, _) = fixture(n_jobs);
+            let nodes = fleet.nodes.len();
+            for start in [
+                vec![0usize; n_jobs],
+                (0..n_jobs).map(|j| j % nodes).collect(),
+            ] {
+                let mut fast = Evaluator::new(&jobs, fleet);
+                let mut full = Evaluator::new(&jobs, fleet);
+                let (a, sa) = anneal(&mut fast, max_slowdown, &start, seed, iters);
+                let (b, sb) = anneal_full_score(&mut full, max_slowdown, &start, seed, iters);
+                let case = format!("{n_jobs} jobs on {nodes} nodes, seed {seed}");
+                assert_eq!(a, b, "{case}");
+                assert_eq!(sa.violations, sb.violations, "{case}");
+                assert_eq!(sa.makespan.to_bits(), sb.makespan.to_bits(), "{case}");
+                assert_eq!(fast.sims(), full.sims(), "{case}");
+            }
+        }
     }
 
     #[test]
