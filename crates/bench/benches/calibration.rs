@@ -34,7 +34,7 @@ fn sweep_and_calibrate(c: &mut Criterion) {
         );
     }
 
-    // Event-driven sweep through the runner's persistent solve cache: the
+    // Event-driven sweep through the runner's persistent solver memo: the
     // workload the memoization tentpole targets.
     group.bench_function("event_driven_placement_sweep", |b| {
         let mut cfg = BenchConfig::event_driven();

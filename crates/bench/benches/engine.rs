@@ -82,7 +82,7 @@ fn parallel_phase_warm_cache(c: &mut Criterion) {
             &acts,
             |b, acts| {
                 let engine = Engine::new(&fabric);
-                engine.run(acts, 0.05, 0.3); // warm the solve cache
+                engine.run(acts, 0.05, 0.3); // warm the solver memo
                 b.iter(|| engine.run(black_box(acts), 0.05, 0.3));
             },
         );

@@ -27,7 +27,6 @@
 
 pub mod args;
 pub mod commands;
-pub mod json;
 pub mod net;
 pub mod serve;
 

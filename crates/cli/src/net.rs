@@ -50,11 +50,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use mc_json::{obj, Json};
 use mc_model::{McError, ModelRegistry};
 use mc_obs::{tags, TagValue};
 
 use crate::args::{Args, CliError};
-use crate::json::{obj, Json};
 use crate::serve;
 
 /// Default per-tenant credit budget: enough to keep a well-behaved

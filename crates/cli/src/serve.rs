@@ -48,6 +48,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use mc_json::{obj, Json};
 use mc_membench::{
     calibration_placements, calibration_sweeps, sweep_platform_parallel, BenchConfig,
 };
@@ -61,7 +62,6 @@ use mc_replay::{ReplayConfig, Trace};
 use mc_topology::{platforms, NumaId, Platform};
 
 use crate::args::{Args, CliError, EXIT_INVALID_DATA, EXIT_IO};
-use crate::json::{obj, Json};
 
 /// Default registry capacity: comfortably above the built-in platform
 /// count so a service scanning every machine still gets all hits.

@@ -10,7 +10,8 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use mc_memsim::engine::{Activity, ActivityKind, Engine, SolveCache, SolverStats};
+use mc_memsim::delta::DeltaSolver;
+use mc_memsim::engine::{Activity, ActivityKind, Engine, SolverStats};
 use mc_memsim::fabric::{Fabric, StreamSpec};
 use mc_memsim::noise::Noise;
 use mc_netsim::nic_model::NicModel;
@@ -29,9 +30,10 @@ mod phase {
 
 /// Measures bandwidths on one simulated platform.
 ///
-/// The runner keeps one [`SolveCache`] for its lifetime: every engine run
-/// it performs (any phase, any core count) shares it, so a placement sweep
-/// re-solves each distinct machine state only once.
+/// The runner keeps one [`DeltaSolver`] for its lifetime: every engine
+/// run it performs (any phase, any core count and CPU demand scale) runs
+/// on it, so a placement sweep re-solves each distinct machine state only
+/// once.
 #[derive(Debug, Clone)]
 pub struct BenchRunner {
     platform: Arc<Platform>,
@@ -39,7 +41,7 @@ pub struct BenchRunner {
     nic: NicModel,
     config: BenchConfig,
     noise: Noise,
-    solve_cache: RefCell<SolveCache>,
+    solver: RefCell<DeltaSolver>,
 }
 
 impl BenchRunner {
@@ -62,7 +64,7 @@ impl BenchRunner {
             nic,
             config,
             noise,
-            solve_cache: RefCell::new(SolveCache::new()),
+            solver: RefCell::new(DeltaSolver::new()),
         }
     }
 
@@ -75,7 +77,7 @@ impl BenchRunner {
     /// performed (how many solves actually ran vs were answered from the
     /// memoization cache).
     pub fn solver_stats(&self) -> SolverStats {
-        self.solve_cache.borrow().stats()
+        self.solver.borrow().stats().into()
     }
 
     /// The benchmark configuration.
@@ -272,13 +274,15 @@ impl BenchRunner {
     }
 
     fn engine_run(&self, acts: &[Activity], n: usize) -> mc_memsim::engine::RunReport {
-        Engine::with_cpu_scale(&self.fabric, self.cpu_scale(n))
-            .with_solve_cache(&self.solve_cache)
-            .run(
-                acts,
-                self.config.warmup,
-                self.config.warmup + self.config.window,
-            )
+        let engine =
+            Engine::with_cpu_scale(&self.fabric, self.cpu_scale(n)).with_solver(self.solver.take());
+        let report = engine.run(
+            acts,
+            self.config.warmup,
+            self.config.warmup + self.config.window,
+        );
+        self.solver.replace(engine.into_solver());
+        report
     }
 }
 

@@ -115,7 +115,7 @@ pub fn sweep_platform_parallel(platform: &Platform, config: BenchConfig) -> Plat
                 // with it. A dead worker instead leaves its points
                 // unmeasured, which the caller detects and repairs.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // One runner per worker: its solve cache persists over
+                    // One runner per worker: its solver memo persists over
                     // all the points this worker measures.
                     let runner = BenchRunner::from_arc(Arc::clone(shared_platform), *config);
                     let mut points_measured = 0_u64;

@@ -28,8 +28,9 @@
 //! Progressive filling is symmetric — equal specs always receive equal
 //! rates — so one rate per *unique* spec fully describes the solution,
 //! and any caller can recover its stream's rate by spec
-//! ([`SolvedState::rate_of`]) regardless of the order it would have
-//! passed streams to [`Fabric::solve`].
+//! ([`SolvedState::rate_of`]). The canonical order is what *defines* a
+//! multiset's rates: the solver sums floors and loads in flow order, so
+//! another expansion of the same multiset can differ in the last bit.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -49,6 +50,8 @@ pub struct SolvedState {
     /// Rate of each unique spec in GB/s (every stream with that spec
     /// receives exactly this rate, by max-min symmetry).
     rates: Box<[f64]>,
+    /// CPU demand scale the state was solved at — part of its key.
+    cpu_scale: f64,
 }
 
 impl SolvedState {
@@ -173,16 +176,16 @@ impl DeltaStats {
 
 /// The incremental solver: shared state cache, scratch buffers, and
 /// counters. One instance serves any number of [`ActiveSet`]s over the
-/// *same* fabric and CPU demand scale.
-#[derive(Debug)]
+/// *same* fabric, at any CPU demand scales (the scale is part of every
+/// cached state's key).
+#[derive(Debug, Clone, Default)]
 pub struct DeltaSolver {
     /// Solved states keyed by the hash of (canonical multiset,
     /// scale bits); buckets resolve hash collisions exactly.
     states: HashMap<u64, Vec<Rc<SolvedState>>>,
     /// Memoized single-stream solves (the uncontended baseline's
-    /// "alone" rates).
-    alone: HashMap<StreamSpec, f64>,
-    cpu_scale: f64,
+    /// "alone" rates), keyed by spec and scale bits.
+    alone: HashMap<(StreamSpec, u64), f64>,
     stats: DeltaStats,
     scratch: FabricScratch,
     result: SolveResult,
@@ -190,32 +193,10 @@ pub struct DeltaSolver {
     expanded: Vec<StreamSpec>,
 }
 
-impl Default for DeltaSolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DeltaSolver {
-    /// A solver for non-temporal `memset` kernels (unit CPU demand
-    /// scale).
+    /// An empty solver.
     pub fn new() -> Self {
-        Self::with_cpu_scale(1.0)
-    }
-
-    /// A solver whose CPU streams issue `cpu_scale` times the traffic of
-    /// a non-temporal `memset`.
-    pub fn with_cpu_scale(cpu_scale: f64) -> Self {
-        assert!(cpu_scale > 0.0, "cpu_scale must be positive");
-        DeltaSolver {
-            states: HashMap::new(),
-            alone: HashMap::new(),
-            cpu_scale,
-            stats: DeltaStats::default(),
-            scratch: FabricScratch::default(),
-            result: SolveResult::default(),
-            expanded: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Cumulative counters since creation.
@@ -235,19 +216,28 @@ impl DeltaSolver {
         self.alone.clear();
     }
 
-    /// The solution for the set's current multiset: the previous solution
-    /// when nothing changed, a cached state after a transition to a known
-    /// multiset, or a full progressive-filling run otherwise (the
-    /// fallback rule). The returned rates are bit-identical to
-    /// `fabric.solve(..)` on any expansion of the multiset.
-    pub fn solve(&mut self, fabric: &Fabric, set: &mut ActiveSet) -> Rc<SolvedState> {
+    /// The solution for the set's current multiset with CPU streams
+    /// issuing `cpu_scale` times the traffic of a non-temporal `memset`:
+    /// the previous solution when nothing changed, a cached state after a
+    /// transition to a known multiset, or a full progressive-filling run
+    /// otherwise (the fallback rule). The returned rates are
+    /// bit-identical to `fabric.solve_with(..)` on the canonical (sorted)
+    /// expansion of the multiset.
+    pub fn solve(
+        &mut self,
+        fabric: &Fabric,
+        set: &mut ActiveSet,
+        cpu_scale: f64,
+    ) -> Rc<SolvedState> {
         self.stats.requests += 1;
+        let scale_bits = cpu_scale.to_bits();
         if let Some(sol) = &set.solution {
-            self.stats.reuse_hits += 1;
-            return Rc::clone(sol);
+            if sol.cpu_scale.to_bits() == scale_bits {
+                self.stats.reuse_hits += 1;
+                return Rc::clone(sol);
+            }
         }
 
-        let scale_bits = self.cpu_scale.to_bits();
         let mut hasher = DefaultHasher::new();
         set.counts.hash(&mut hasher);
         scale_bits.hash(&mut hasher);
@@ -255,7 +245,8 @@ impl DeltaSolver {
 
         if let Some(bucket) = self.states.get(&key) {
             for state in bucket {
-                if state.specs.len() == set.counts.len()
+                if state.cpu_scale.to_bits() == scale_bits
+                    && state.specs.len() == set.counts.len()
                     && state
                         .specs
                         .iter()
@@ -270,8 +261,32 @@ impl DeltaSolver {
             }
         }
 
-        // Fallback: the bottleneck set may have changed — run the tiered
-        // progressive filling from scratch over the canonical expansion.
+        let state = self.full_solve(fabric, set, cpu_scale);
+        self.states.entry(key).or_default().push(Rc::clone(&state));
+        state
+    }
+
+    /// Like [`DeltaSolver::solve`] but always runs progressive filling and
+    /// caches nothing: the reference the memoized path is tested against.
+    pub fn solve_uncached(
+        &mut self,
+        fabric: &Fabric,
+        set: &mut ActiveSet,
+        cpu_scale: f64,
+    ) -> Rc<SolvedState> {
+        self.stats.requests += 1;
+        self.full_solve(fabric, set, cpu_scale)
+    }
+
+    /// The fallback: the bottleneck set may have changed, so run the
+    /// tiered progressive filling from scratch over the canonical
+    /// expansion.
+    fn full_solve(
+        &mut self,
+        fabric: &Fabric,
+        set: &mut ActiveSet,
+        cpu_scale: f64,
+    ) -> Rc<SolvedState> {
         self.stats.full_solves += 1;
         self.expanded.clear();
         for &(spec, count) in &set.counts {
@@ -280,7 +295,7 @@ impl DeltaSolver {
         }
         fabric.solve_into(
             &self.expanded,
-            self.cpu_scale,
+            cpu_scale,
             &mut self.scratch,
             &mut self.result,
         );
@@ -294,30 +309,32 @@ impl DeltaSolver {
             specs: set.counts.iter().map(|e| e.0).collect(),
             counts: set.counts.iter().map(|e| e.1).collect(),
             rates: rates.into_boxed_slice(),
+            cpu_scale,
         });
-        self.states.entry(key).or_default().push(Rc::clone(&state));
         set.solution = Some(Rc::clone(&state));
         state
     }
 
     /// The rate a single stream of `spec` gets with the fabric to itself
-    /// — the uncontended baseline. Memoized; bit-identical to
-    /// `fabric.solve(&[spec]).rates[0]`.
-    pub fn alone_rate(&mut self, fabric: &Fabric, spec: StreamSpec) -> f64 {
+    /// at CPU demand scale `cpu_scale` — the uncontended baseline.
+    /// Memoized; bit-identical to
+    /// `fabric.solve_with(&[spec], cpu_scale).rates[0]`.
+    pub fn alone_rate(&mut self, fabric: &Fabric, spec: StreamSpec, cpu_scale: f64) -> f64 {
         self.stats.requests += 1;
-        if let Some(&rate) = self.alone.get(&spec) {
+        let key = (spec, cpu_scale.to_bits());
+        if let Some(&rate) = self.alone.get(&key) {
             self.stats.reuse_hits += 1;
             return rate;
         }
         self.stats.full_solves += 1;
         fabric.solve_into(
             std::slice::from_ref(&spec),
-            self.cpu_scale,
+            cpu_scale,
             &mut self.scratch,
             &mut self.result,
         );
         let rate = self.result.rates[0];
-        self.alone.insert(spec, rate);
+        self.alone.insert(key, rate);
         rate
     }
 }
@@ -347,8 +364,8 @@ mod tests {
         let mut set = ActiveSet::new();
         set.add(cpu(0));
         set.add(dma(0));
-        let a = solver.solve(&fabric, &mut set);
-        let b = solver.solve(&fabric, &mut set);
+        let a = solver.solve(&fabric, &mut set, 1.0);
+        let b = solver.solve(&fabric, &mut set, 1.0);
         assert!(Rc::ptr_eq(&a, &b));
         let stats = solver.stats();
         assert_eq!(stats.full_solves, 1);
@@ -363,13 +380,13 @@ mod tests {
         let mut set = ActiveSet::new();
         // Cycle: {cpu} -> {cpu, dma} -> {cpu} -> {cpu, dma}.
         set.add(cpu(0));
-        solver.solve(&fabric, &mut set);
+        solver.solve(&fabric, &mut set, 1.0);
         set.add(dma(0));
-        solver.solve(&fabric, &mut set);
+        solver.solve(&fabric, &mut set, 1.0);
         set.remove(dma(0));
-        solver.solve(&fabric, &mut set);
+        solver.solve(&fabric, &mut set, 1.0);
         set.add(dma(0));
-        solver.solve(&fabric, &mut set);
+        solver.solve(&fabric, &mut set, 1.0);
         let stats = solver.stats();
         assert_eq!(stats.full_solves, 2, "{stats:?}");
         assert_eq!(stats.state_hits, 2, "{stats:?}");
@@ -390,8 +407,8 @@ mod tests {
             }
             set.add(dma(1));
         }
-        let sa = solver.solve(&fabric, &mut a);
-        let sb = solver.solve(&fabric, &mut b);
+        let sa = solver.solve(&fabric, &mut a, 1.0);
+        let sb = solver.solve(&fabric, &mut b, 1.0);
         assert!(Rc::ptr_eq(&sa, &sb));
         assert_eq!(solver.stats().full_solves, 1);
         assert_eq!(solver.stats().state_hits, 1);
@@ -406,7 +423,7 @@ mod tests {
         for s in streams {
             set.add(s);
         }
-        let state = solver.solve(&fabric, &mut set);
+        let state = solver.solve(&fabric, &mut set, 1.0);
         // Reference: full solve over the canonical (sorted) expansion.
         let mut sorted = streams.to_vec();
         sorted.sort_unstable();
@@ -422,12 +439,46 @@ mod tests {
     }
 
     #[test]
+    fn the_cpu_scale_is_part_of_the_state_key() {
+        let fabric = Fabric::new(&platforms::henri());
+        let mut solver = DeltaSolver::new();
+        let mut set = ActiveSet::new();
+        let streams = [cpu(0), cpu(0), cpu(1), dma(0), cpu(0)];
+        for s in streams {
+            set.add(s);
+        }
+        let mut sorted = streams.to_vec();
+        sorted.sort_unstable();
+        // Same multiset, same set, two scales: no reuse across scales.
+        let scales = [1.0, 0.6];
+        let states = scales.map(|scale| solver.solve(&fabric, &mut set, scale));
+        assert_eq!(solver.stats().full_solves, 2);
+        assert_eq!(solver.states_cached(), 2);
+        assert_ne!(states[0], states[1]);
+        for (state, scale) in states.iter().zip(scales) {
+            let reference = fabric.solve_with(&sorted, scale);
+            for (spec, rate) in sorted.iter().zip(&reference.rates) {
+                assert_eq!(
+                    state.rate_of(*spec).unwrap().to_bits(),
+                    rate.to_bits(),
+                    "{spec:?} at scale {scale}"
+                );
+            }
+        }
+        // Back to the first scale: answered from the state cache.
+        let again = solver.solve(&fabric, &mut set, 1.0);
+        assert!(Rc::ptr_eq(&again, &states[0]));
+        assert_eq!(solver.stats().full_solves, 2);
+        assert_eq!(solver.stats().state_hits, 1);
+    }
+
+    #[test]
     fn alone_rates_match_single_stream_solves() {
         let fabric = Fabric::new(&platforms::henri());
         let mut solver = DeltaSolver::new();
         for spec in [cpu(0), cpu(1), dma(0), dma(1)] {
-            let a = solver.alone_rate(&fabric, spec);
-            let b = solver.alone_rate(&fabric, spec);
+            let a = solver.alone_rate(&fabric, spec, 1.0);
+            let b = solver.alone_rate(&fabric, spec, 1.0);
             assert_eq!(a.to_bits(), b.to_bits());
             assert_eq!(
                 a.to_bits(),
@@ -486,7 +537,7 @@ mod tests {
                 if live.is_empty() {
                     continue;
                 }
-                let state = solver.solve(&fabric, &mut set);
+                let state = solver.solve(&fabric, &mut set, 1.0);
                 let mut sorted = live.clone();
                 sorted.sort_unstable();
                 let reference = fabric.solve(&sorted);

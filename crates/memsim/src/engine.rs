@@ -4,9 +4,10 @@
 //! phases (kernel-launch overhead, rendezvous handshake, inter-message gap)
 //! and *streaming* phases where they move bytes through the fabric. While
 //! streaming, their instantaneous rate comes from the tiered max-min solver
-//! ([`crate::fabric::Fabric::solve`]); rates are re-solved whenever the set
-//! of streaming activities changes (an event). Between events all rates are
-//! constant, so byte counters integrate exactly.
+//! ([`crate::fabric::Fabric::solve`]), memoized by a
+//! [`DeltaSolver`] over the multiset of streaming activities; rates are
+//! re-evaluated at every phase change (an event). Between events all rates
+//! are constant, so byte counters integrate exactly.
 //!
 //! The engine runs all activities repeatedly until a time horizon and
 //! reports, per activity, the bytes moved inside a measurement window —
@@ -17,13 +18,11 @@
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use mc_topology::NumaId;
 
-use crate::fabric::{Fabric, FabricScratch, SolveResult, StreamSpec};
+use crate::delta::{ActiveSet, DeltaSolver, DeltaStats};
+use crate::fabric::{Fabric, StreamSpec};
 
 /// What an activity does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,6 +105,10 @@ struct ActState {
 }
 
 impl ActState {
+    fn is_streaming(&self) -> bool {
+        matches!(self.phase, Phase::Streaming(_))
+    }
+
     fn stream_spec(&self) -> StreamSpec {
         match self.kind {
             ActivityKind::Compute { numa, .. } => StreamSpec::CpuWrite { numa },
@@ -178,61 +181,12 @@ pub struct SolverStats {
     pub cache_hits: u64,
 }
 
-/// Memoized steady-state solves.
-///
-/// Keyed on the canonical (sorted) stream multiset plus the `cpu_scale`
-/// bits: progressive filling is symmetric, so identical [`StreamSpec`]s
-/// always receive identical rates and the solution is a pure function of
-/// the multiset. Cached rates are therefore exact — bit-identical to an
-/// uncached solve — which the engine property tests assert.
-///
-/// A cache is only valid for the [`Fabric`] whose solves populated it;
-/// share one across [`Engine`]s (via [`Engine::with_solve_cache`]) only
-/// when they wrap the same fabric.
-#[derive(Debug, Clone, Default)]
-pub struct SolveCache {
-    map: HashMap<u64, Vec<CacheEntry>>,
-    invocations: u64,
-    hits: u64,
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    /// The canonical key: the stream multiset, sorted.
-    specs: Box<[StreamSpec]>,
-    scale_bits: u64,
-    /// Rate per *sorted* position; equal specs hold equal rates, so a
-    /// binary search by spec recovers the rate of any original position.
-    rates: Box<[f64]>,
-}
-
-impl SolveCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct (stream multiset, cpu_scale) states cached.
-    pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Cumulative solver counters since the cache was created.
-    pub fn stats(&self) -> SolverStats {
+impl From<DeltaStats> for SolverStats {
+    fn from(d: DeltaStats) -> Self {
         SolverStats {
-            invocations: self.invocations,
-            cache_hits: self.hits,
+            invocations: d.full_solves,
+            cache_hits: d.reuse_hits + d.state_hits,
         }
-    }
-
-    /// Drop all entries (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -333,33 +287,7 @@ pub struct Engine<'f> {
     fabric: &'f Fabric,
     cpu_scale: f64,
     memoize: bool,
-    cache: CacheSlot<'f>,
-    scratch: RefCell<EngineScratch>,
-}
-
-/// The engine either owns its solve cache or borrows one that outlives it
-/// (letting callers persist memoized solves across many runs/engines).
-enum CacheSlot<'f> {
-    Owned(RefCell<SolveCache>),
-    Shared(&'f RefCell<SolveCache>),
-}
-
-/// Buffers reused across events and runs: after warmup an event that hits
-/// the solve cache allocates nothing at all.
-#[derive(Debug, Default)]
-struct EngineScratch {
-    /// Indices of the currently streaming activities.
-    streaming: Vec<usize>,
-    /// Their stream specs, same order.
-    specs: Vec<StreamSpec>,
-    /// `specs`, sorted — the canonical cache key.
-    sorted: Vec<StreamSpec>,
-    /// (spec, rate) pairs staged while inserting a cache entry.
-    pairs: Vec<(StreamSpec, f64)>,
-    /// Rate per streaming activity, same order as `streaming`.
-    rates: Vec<f64>,
-    fabric: FabricScratch,
-    solve: SolveResult,
+    solver: RefCell<DeltaSolver>,
 }
 
 impl<'f> Engine<'f> {
@@ -377,121 +305,30 @@ impl<'f> Engine<'f> {
             fabric,
             cpu_scale,
             memoize: true,
-            cache: CacheSlot::Owned(RefCell::new(SolveCache::new())),
-            scratch: RefCell::new(EngineScratch::default()),
+            solver: RefCell::new(DeltaSolver::new()),
         }
     }
 
-    /// Use a caller-owned solve cache instead of the engine's private one,
-    /// so memoized solves persist across engines (e.g. one per core count)
-    /// over the same fabric. The cache must only ever be used with this
-    /// engine's fabric.
-    pub fn with_solve_cache(mut self, cache: &'f RefCell<SolveCache>) -> Self {
-        self.cache = CacheSlot::Shared(cache);
+    /// Run on `solver` instead of a fresh one, so memoized solves persist
+    /// across engines (e.g. one per core count); take it back with
+    /// [`Engine::into_solver`]. The solver must only ever be used with
+    /// this engine's fabric.
+    pub fn with_solver(mut self, solver: DeltaSolver) -> Self {
+        self.solver = RefCell::new(solver);
         self
     }
 
-    /// Disable solve memoization: every event runs the solver. The
+    /// The engine's solver, with every state it memoized.
+    pub fn into_solver(self) -> DeltaSolver {
+        self.solver.into_inner()
+    }
+
+    /// Disable solve memoization: every event runs the solver on the
+    /// canonical (sorted) expansion of the streaming multiset. The
     /// reference behaviour memoized runs are property-tested against.
     pub fn uncached(mut self) -> Self {
         self.memoize = false;
         self
-    }
-
-    /// Cumulative solver counters of the engine's cache (owned or shared).
-    pub fn solver_stats(&self) -> SolverStats {
-        self.with_cache(|c| c.stats())
-    }
-
-    fn with_cache<R>(&self, f: impl FnOnce(&mut SolveCache) -> R) -> R {
-        match &self.cache {
-            CacheSlot::Owned(c) => f(&mut c.borrow_mut()),
-            CacheSlot::Shared(c) => f(&mut c.borrow_mut()),
-        }
-    }
-
-    /// Fill `scratch.rates` with the steady-state rate of each spec in
-    /// `scratch.specs`, via the solve cache when memoization is on.
-    fn solve_rates(&self, scratch: &mut EngineScratch) {
-        if !self.memoize {
-            self.with_cache(|c| c.invocations += 1);
-            self.fabric.solve_into(
-                &scratch.specs,
-                self.cpu_scale,
-                &mut scratch.fabric,
-                &mut scratch.solve,
-            );
-            scratch.rates.clear();
-            scratch.rates.extend_from_slice(&scratch.solve.rates);
-            return;
-        }
-
-        // Canonical key: the sorted multiset plus the scale bits.
-        scratch.sorted.clear();
-        scratch.sorted.extend_from_slice(&scratch.specs);
-        scratch.sorted.sort_unstable();
-        let scale_bits = self.cpu_scale.to_bits();
-        let mut hasher = DefaultHasher::new();
-        scratch.sorted.hash(&mut hasher);
-        scale_bits.hash(&mut hasher);
-        let key = hasher.finish();
-
-        let sorted = &scratch.sorted;
-        let specs = &scratch.specs;
-        let rates = &mut scratch.rates;
-        let hit = self.with_cache(|cache| {
-            if let Some(bucket) = cache.map.get(&key) {
-                for entry in bucket {
-                    if entry.scale_bits == scale_bits && entry.specs[..] == sorted[..] {
-                        cache.hits += 1;
-                        rates.clear();
-                        for s in specs {
-                            let j = entry
-                                .specs
-                                .binary_search(s)
-                                .expect("looked-up spec is part of the cached key");
-                            rates.push(entry.rates[j]);
-                        }
-                        return true;
-                    }
-                }
-            }
-            false
-        });
-        if hit {
-            return;
-        }
-
-        self.fabric.solve_into(
-            &scratch.specs,
-            self.cpu_scale,
-            &mut scratch.fabric,
-            &mut scratch.solve,
-        );
-        scratch.rates.clear();
-        scratch.rates.extend_from_slice(&scratch.solve.rates);
-
-        // Stage the entry's rates in sorted-spec order. Equal specs get
-        // equal rates (solver symmetry), so sorting the pairs by spec
-        // alone is enough.
-        scratch.pairs.clear();
-        scratch.pairs.extend(
-            scratch
-                .specs
-                .iter()
-                .copied()
-                .zip(scratch.rates.iter().copied()),
-        );
-        scratch.pairs.sort_unstable_by_key(|p| p.0);
-        let entry = CacheEntry {
-            specs: scratch.sorted.as_slice().into(),
-            scale_bits,
-            rates: scratch.pairs.iter().map(|p| p.1).collect(),
-        };
-        self.with_cache(|cache| {
-            cache.invocations += 1;
-            cache.map.entry(key).or_default().push(entry);
-        });
     }
 
     /// Run `activities` repeatedly from t = 0 to `horizon`, measuring
@@ -545,31 +382,39 @@ impl<'f> Engine<'f> {
             })
             .collect();
 
+        // Multiset of the streaming activities' specs, kept in step with
+        // the phase changes at the end of each event.
+        let mut set = ActiveSet::new();
+        for s in states.iter().filter(|s| s.is_streaming()) {
+            set.add(s.stream_spec());
+        }
+        // Indices of the streaming activities and their rates, per event.
+        let mut streaming: Vec<usize> = Vec::new();
+        let mut rates: Vec<f64> = Vec::new();
+
         let mut now = 0.0_f64;
         let mut events = 0_u64;
-        let stats_before = self.solver_stats();
-        let scratch = &mut *self.scratch.borrow_mut();
+        let solver = &mut *self.solver.borrow_mut();
+        let stats_before = SolverStats::from(solver.stats());
 
         while now < horizon - EPS {
-            // Active streaming set → solve rates (reusing the scratch
-            // buffers; memoized when the set was seen before).
-            scratch.streaming.clear();
-            for (i, s) in states.iter().enumerate() {
-                if matches!(s.phase, Phase::Streaming(_)) {
-                    scratch.streaming.push(i);
+            streaming.clear();
+            rates.clear();
+            if !set.is_empty() {
+                let solution = if self.memoize {
+                    solver.solve(self.fabric, &mut set, self.cpu_scale)
+                } else {
+                    solver.solve_uncached(self.fabric, &mut set, self.cpu_scale)
+                };
+                for (i, s) in states.iter().enumerate().filter(|(_, s)| s.is_streaming()) {
+                    streaming.push(i);
+                    rates.push(
+                        solution
+                            .rate_of(s.stream_spec())
+                            .expect("a streaming activity's spec is in the active set"),
+                    );
                 }
             }
-            scratch.specs.clear();
-            scratch
-                .specs
-                .extend(scratch.streaming.iter().map(|&i| states[i].stream_spec()));
-            if scratch.specs.is_empty() {
-                scratch.rates.clear();
-            } else {
-                self.solve_rates(scratch);
-            }
-            let streaming = &scratch.streaming;
-            let rates = &scratch.rates;
             events += 1;
             if let Some(trace) = trace.as_deref_mut() {
                 let mut compute = 0.0;
@@ -626,17 +471,24 @@ impl<'f> Engine<'f> {
             }
             now = next;
 
-            // Advance activities whose phase completed.
+            // Advance activities whose phase completed, moving their
+            // streams in or out of the active set.
             for s in states.iter_mut() {
+                let was_streaming = s.is_streaming();
                 match s.phase {
                     Phase::Streaming(left) if left <= 1.0 => s.advance(now),
                     Phase::TimedUntil(t) if t <= now + EPS => s.advance(now),
+                    _ => continue,
+                }
+                match (was_streaming, s.is_streaming()) {
+                    (false, true) => set.add(s.stream_spec()),
+                    (true, false) => set.remove(s.stream_spec()),
                     _ => {}
                 }
             }
         }
 
-        let stats_after = self.solver_stats();
+        let stats_after = SolverStats::from(solver.stats());
         let run_stats = SolverStats {
             invocations: stats_after.invocations - stats_before.invocations,
             cache_hits: stats_after.cache_hits - stats_before.cache_hits,
@@ -829,7 +681,7 @@ mod tests {
     #[test]
     fn steady_state_memoization_slashes_solver_invocations() {
         // The steady state revisits a tiny set of machine states, so the
-        // solve cache answers almost every event; physical results do not
+        // solver memo answers almost every event; physical results do not
         // change. (The ≥10× drop is a headline acceptance criterion.)
         let p = platforms::henri();
         let f = Fabric::new(&p);

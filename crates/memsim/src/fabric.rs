@@ -25,9 +25,10 @@ pub use mc_topology::graph::ResourceKind;
 
 /// One active stream, as seen by the fabric.
 ///
-/// The derived ordering is what the engine's solve cache sorts by to
+/// The derived ordering is what [`crate::delta::ActiveSet`] sorts by to
 /// canonicalise a stream multiset — any total order works, it only has to
-/// be consistent.
+/// be consistent, but it fixes the canonical expansion a multiset is
+/// solved on and therefore the last bits of its rates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum StreamSpec {
     /// One computing core on socket 0 issuing non-temporal stores to

@@ -49,7 +49,7 @@ pub mod solver;
 pub use cache::LlcSpec;
 pub use delta::{ActiveSet, DeltaSolver, DeltaStats, SolvedState};
 pub use engine::{
-    Activity, ActivityKind, ActivityReport, Engine, RunReport, SolveCache, SolverStats, TraceSample,
+    Activity, ActivityKind, ActivityReport, Engine, RunReport, SolverStats, TraceSample,
 };
 pub use fabric::{Fabric, FabricScratch, ResourceKind, SolveResult, StreamSpec};
 pub use faults::{inject, inject_all, EngineFault};

@@ -156,7 +156,7 @@ impl NodeWorld {
         let mut now = 0.0f64;
         let mut solves = 0usize;
         while !set.is_empty() {
-            let state = self.solver.solve(&self.fabric, &mut set);
+            let state = self.solver.solve(&self.fabric, &mut set, 1.0);
             solves += 1;
             // The solver reports GB/s per stream; a phase's rate is the
             // sum over its streams, accumulated stream by stream. The

@@ -649,7 +649,7 @@ impl World {
         if !self.contended {
             // Baseline mode: each stream solved in isolation gets its
             // alone bandwidth — no sharing anywhere.
-            return self.solver.alone_rate(&self.fabric, spec);
+            return self.solver.alone_rate(&self.fabric, spec, 1.0);
         }
         if self.node_stamp[node] != self.epoch {
             self.node_stamp[node] = self.epoch;
@@ -658,7 +658,7 @@ impl World {
         let set = &mut self.node_sets[node];
         let solution = match set.solution() {
             Some(sol) => sol.clone(),
-            None => self.solver.solve(&self.fabric, set),
+            None => self.solver.solve(&self.fabric, set, 1.0),
         };
         solution
             .rate_of(spec)

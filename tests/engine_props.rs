@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use memory_contention::memsim::{
-    allocate, allocate_into, Activity, ActivityKind, Allocation, Engine, Fabric, FlowReq, FlowSet,
-    SolverScratch,
+    allocate, allocate_into, Activity, ActivityKind, Allocation, DeltaSolver, Engine, Fabric,
+    FlowReq, FlowSet, RunReport, SolverScratch,
 };
 use memory_contention::prelude::*;
 
@@ -31,6 +31,35 @@ fn comm_activity(numa: u16, msg_bytes: f64) -> Activity {
         },
         start: 0.0,
     }
+}
+
+fn send_activity(numa: u16, msg_bytes: f64) -> Activity {
+    Activity {
+        kind: ActivityKind::CommSend {
+            numa: NumaId::new(numa),
+            msg_bytes,
+            handshake: 2e-6,
+            gap: 1.5e-6,
+        },
+        start: 0.0,
+    }
+}
+
+/// Every measured quantity of a run, as bits, plus the event count.
+fn measured_bits(report: &RunReport) -> (Vec<[u64; 4]>, u64) {
+    let per_activity = report
+        .activities
+        .iter()
+        .map(|a| {
+            [
+                a.measured_bytes.to_bits(),
+                a.total_bytes.to_bits(),
+                a.bandwidth.to_bits(),
+                a.units_done,
+            ]
+        })
+        .collect();
+    (per_activity, report.events)
 }
 
 proptest! {
@@ -130,41 +159,64 @@ proptest! {
 
     #[test]
     fn memoized_engine_run_equals_uncached(
-        n_compute in 0usize..10,
-        comp_numa in 0u16..2,
-        comm_numa in 0u16..2,
-        msg_mb in 1u64..32,
+        platform_idx in 0usize..6,
+        n_compute0 in 0usize..10,
+        n_compute1 in 0usize..10,
+        comms in proptest::collection::vec((0u8..2, 0u16..2, 1u64..32), 1..11),
+        order in proptest::collection::vec(0u32..1000, 30),
         scale_pct in 50u32..150,
+        other_scale_pct in 50u32..150,
     ) {
-        let platform = platforms::henri();
+        let platform = platforms::all().swap_remove(platform_idx);
         let fabric = Fabric::new(&platform);
-        let mut acts: Vec<Activity> = (0..n_compute)
-            .map(|i| compute_activity(comp_numa, 1e8, i as f64 * 1e-5))
+        // Compute on both NUMA nodes, a mix of receives and sends, listed
+        // in shuffled order.
+        let mut acts: Vec<Activity> = (0..n_compute0)
+            .map(|i| compute_activity(0, 1e8, i as f64 * 1e-5))
+            .chain((0..n_compute1).map(|i| compute_activity(1, 1e8, i as f64 * 1.7e-5)))
             .collect();
-        acts.push(comm_activity(comm_numa, (msg_mb << 20) as f64));
-        let scale = scale_pct as f64 / 100.0;
-        let memoized = Engine::with_cpu_scale(&fabric, scale);
-        let uncached = Engine::with_cpu_scale(&fabric, scale).uncached();
-        let a = memoized.run(&acts, 0.01, 0.06);
-        let b = uncached.run(&acts, 0.01, 0.06);
-        // Identical measurements, bit-for-bit.
-        prop_assert_eq!(a.activities.len(), b.activities.len());
-        for (x, y) in a.activities.iter().zip(&b.activities) {
-            prop_assert_eq!(x.measured_bytes.to_bits(), y.measured_bytes.to_bits());
-            prop_assert_eq!(x.total_bytes.to_bits(), y.total_bytes.to_bits());
-            prop_assert_eq!(x.bandwidth.to_bits(), y.bandwidth.to_bits());
-            prop_assert_eq!(x.units_done, y.units_done);
+        for &(send, numa, msg_mb) in &comms {
+            let msg_bytes = (msg_mb << 20) as f64;
+            acts.push(if send == 1 {
+                send_activity(numa, msg_bytes)
+            } else {
+                comm_activity(numa, msg_bytes)
+            });
         }
-        prop_assert_eq!(a.events, b.events);
-        // The uncached engine never consults the cache; the memoized one
-        // never does more solver work than it.
-        prop_assert_eq!(b.stats.cache_hits, 0);
-        prop_assert!(a.stats.invocations <= b.stats.invocations);
-        // Repeating the run on the memoized engine is answered from the
-        // cache alone and still matches.
-        let c = memoized.run(&acts, 0.01, 0.06);
-        prop_assert_eq!(c.stats.invocations, 0);
-        prop_assert_eq!(&a, &c);
+        let mut keyed: Vec<(u32, Activity)> = order.iter().copied().zip(acts).collect();
+        keyed.sort_by_key(|e| e.0);
+        let acts: Vec<Activity> = keyed.into_iter().map(|e| e.1).collect();
+        let reversed: Vec<Activity> = acts.iter().rev().cloned().collect();
+        let scales = [scale_pct as f64 / 100.0, other_scale_pct as f64 / 100.0];
+
+        // One solver shared across both scales, warmed on the reversed
+        // list.
+        let mut shared = DeltaSolver::new();
+        for &scale in &scales {
+            let engine = Engine::with_cpu_scale(&fabric, scale).with_solver(shared);
+            engine.run(&reversed, 0.01, 0.06);
+            shared = engine.into_solver();
+        }
+        for &scale in &scales {
+            let uncached = Engine::with_cpu_scale(&fabric, scale).uncached().run(&acts, 0.01, 0.06);
+            let memoized = Engine::with_cpu_scale(&fabric, scale);
+            let cold = memoized.run(&acts, 0.01, 0.06);
+            let warmed = Engine::with_cpu_scale(&fabric, scale).with_solver(shared);
+            let warm = warmed.run(&acts, 0.01, 0.06);
+            shared = warmed.into_solver();
+            // Identical measurements, bit-for-bit, whatever ran before.
+            prop_assert_eq!(measured_bits(&cold), measured_bits(&uncached));
+            prop_assert_eq!(measured_bits(&warm), measured_bits(&uncached));
+            // The uncached engine never consults the memo; the memoized
+            // one never does more solver work than it.
+            prop_assert_eq!(uncached.stats.cache_hits, 0);
+            prop_assert!(cold.stats.invocations <= uncached.stats.invocations);
+            // Repeating the run on the memoized engine is answered from
+            // the memo alone and still matches.
+            let again = memoized.run(&acts, 0.01, 0.06);
+            prop_assert_eq!(again.stats.invocations, 0);
+            prop_assert_eq!(&cold, &again);
+        }
     }
 
     #[test]
