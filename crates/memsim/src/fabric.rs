@@ -344,11 +344,6 @@ impl Fabric {
         &self.platform
     }
 
-    /// The shared handle to the platform (cheap to clone).
-    pub fn platform_arc(&self) -> &Arc<Platform> {
-        &self.platform
-    }
-
     /// The declarative resource graph the fabric was built from.
     pub fn graph(&self) -> &ResourceGraph {
         &self.graph
@@ -357,11 +352,6 @@ impl Fabric {
     /// Number of resources in the fabric.
     pub fn resource_count(&self) -> usize {
         self.graph.len()
-    }
-
-    /// Kind of resource `i`.
-    pub fn resource_kind(&self, i: usize) -> ResourceKind {
-        self.graph.nodes()[i].kind
     }
 
     /// Index of a resource kind, if present.
