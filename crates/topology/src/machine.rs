@@ -311,12 +311,6 @@ impl MachineTopology {
         v
     }
 
-    /// Hop distance between sockets: 0 for same socket, 1 otherwise (all
-    /// paper machines are dual-socket, fully connected).
-    pub fn socket_distance(&self, a: SocketId, b: SocketId) -> u32 {
-        u32::from(a != b)
-    }
-
     /// Human-readable one-line summary in the style of Table I.
     pub fn summary(&self) -> String {
         let total_mem: u32 = self.numa_nodes.iter().map(|n| n.memory_gb).sum();
