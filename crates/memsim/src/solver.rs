@@ -79,18 +79,6 @@ pub struct Allocation {
     pub resource_load: Vec<f64>,
 }
 
-impl Allocation {
-    /// Total rate granted to flows of a class.
-    pub fn total_for(&self, flows: &[FlowReq], class: FlowClass) -> f64 {
-        self.rates
-            .iter()
-            .zip(flows)
-            .filter(|(_, f)| f.class == class)
-            .map(|(r, _)| r)
-            .sum()
-    }
-}
-
 const EPS: f64 = 1e-9;
 
 /// Progressive-filling max-min within `remaining` capacities.
