@@ -38,11 +38,6 @@ impl NicModel {
         }
     }
 
-    /// Model with an explicit protocol configuration.
-    pub fn with_protocol(protocol: ProtocolConfig) -> Self {
-        NicModel { protocol }
-    }
-
     /// The protocol configuration in use.
     pub fn protocol(&self) -> &ProtocolConfig {
         &self.protocol
