@@ -145,6 +145,35 @@ fn trace_format_flag_mistakes_exit_2() {
 }
 
 #[test]
+fn misspelt_yes_no_values_exit_2() {
+    // A typo once meant "off", which also slipped past the check that
+    // --stream and --search exclude each other.
+    let out = memcontend(&[
+        "replay",
+        "--generate",
+        "halo2d",
+        "--platform",
+        "henri",
+        "--ranks",
+        "4",
+        "--iters",
+        "1",
+        "--stream",
+        "yse",
+        "--search",
+        "yes",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--stream value 'yse'"),
+        "{}",
+        stderr(&out)
+    );
+    let out = memcontend(&["calibrate", "--platform", "henri", "--sparse", "maybe"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+}
+
+#[test]
 fn report_flag_writes_self_contained_html() {
     let dir = tmp("report");
     let report = dir.join("report.html");
