@@ -1,7 +1,8 @@
 //! # mc-bench — reproduction harness
 //!
 //! Regenerates every table and figure of the paper's evaluation against the
-//! simulated platforms, and hosts the criterion performance benches.
+//! simulated platforms, runs the repository's own studies (the `bench`
+//! binary's [`scenario`]s), and hosts the criterion performance benches.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -9,6 +10,8 @@
 pub mod ablation;
 pub mod dualsocket;
 pub mod figures;
+pub mod loadgen;
 pub mod msgsize;
+pub mod scenario;
 pub mod sensitivity;
 pub mod tables;

@@ -15,7 +15,7 @@
 /// comparing two phases *within one process* attributes the first
 /// phase's peak to every later phase — an in-process eager-vs-stream
 /// comparison run eager-first would report the eager peak for both.
-/// Either run one phase per process (the `bench3` protocol) or diff
+/// Either run one phase per process (the `bench replay` protocol) or diff
 /// [`current_rss_kb`] around each phase instead.
 pub fn peak_rss_kb() -> Option<u64> {
     proc_status_kb("VmHWM:")

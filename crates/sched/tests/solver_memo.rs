@@ -1,4 +1,4 @@
-//! Work counters of the scheduler's evaluation path on `bench4`'s
+//! Work counters of the scheduler's evaluation path on `bench schedule`'s
 //! adversarial mixed queue (32 jobs on 12 henri nodes, all three
 //! policies): node simulations and phase-boundary rate evaluations are
 //! fixed by the search, while the node worlds' solver memo keeps full
@@ -8,8 +8,8 @@ use mc_model::{ModelRegistry, PhaseProfile};
 use mc_sched::{policy_by_name, policy_names, Evaluator, Fleet, JobSpec};
 use mc_topology::platforms;
 
-/// `bench4`'s queue: comm-heavy shuffles alternating with compute-heavy
-/// solvers in three size tiers.
+/// `bench schedule`'s queue: comm-heavy shuffles alternating with
+/// compute-heavy solvers in three size tiers.
 fn mixed_queue(jobs: usize) -> Vec<JobSpec> {
     (0..jobs)
         .map(|i| {
