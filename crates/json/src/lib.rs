@@ -4,10 +4,26 @@
 //! the workspace's no-external-crates policy rules out `serde_json` (the
 //! `serde` in the tree is an offline marker shim). The grammar needed is
 //! small — requests are flat objects, trace events are flat objects,
-//! responses are objects of numbers and strings — so a recursive-descent
-//! parser of ~150 lines keeps the dependency set unchanged. Object key
-//! order is preserved, which makes the writer deterministic and
-//! golden-transcript-friendly.
+//! responses are objects of numbers and strings — so one recursive-descent
+//! parser serves every reader, with two ways to consume a document:
+//!
+//! * [`Json::parse`] builds a [`Json`] tree. Object key order is
+//!   preserved, which makes the writer deterministic and
+//!   golden-transcript-friendly. The serve protocol reads requests this
+//!   way.
+//! * [`visit_members`] walks the top-level object and hands each member
+//!   to a callback as a [`Scalar`] — a number, a string borrowed from the
+//!   input, or `Other` — without building anything. The trace readers
+//!   use it, so a trace line costs no allocation.
+//!
+//! Both run on the same scanner, so they accept the same texts and fail
+//! with the same [`JsonError`]. The scan is linear: a string is copied
+//! run by run up to the next `"`, `\` or control byte, and an integer of
+//! up to 15 digits is converted exactly without the general `f64`
+//! parser. [`Lines`] is the line cursor under [`parse_lines`]: it skips
+//! blank and `#` lines and lends each content line out of one reused
+//! buffer. [`write_num`] is the number writer behind [`Json::render`],
+//! public so that writers which skip the tree produce the same bytes.
 //!
 //! Two safety properties hold by construction:
 //!
@@ -21,7 +37,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::io::BufRead;
 
 /// Deepest nesting [`Json::parse`] accepts. Far beyond anything the serve
 /// protocol or a trace line legitimately contains, far below what
@@ -87,18 +105,7 @@ impl Json {
     /// `max_depth` containers deep fails with
     /// [`JsonErrorKind::TooDeep`].
     pub fn parse_with_depth(text: &str, max_depth: usize) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth_left: max_depth,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters"));
-        }
-        Ok(value)
+        Parser::new(text, max_depth).document(Parser::value)
     }
 
     /// Member lookup on an object; `None` for absent keys or non-objects.
@@ -129,7 +136,7 @@ impl Json {
     /// holding one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -183,7 +190,11 @@ impl Json {
     }
 }
 
-fn write_num(out: &mut String, n: f64) {
+/// Append `n` as JSON: an integer of magnitude at most 2^53 without a
+/// fraction, any other finite value in Rust's shortest round-trip form,
+/// a non-finite value as `null`. [`Json::render`] writes every number
+/// this way; writers that skip the tree call it to stay byte-identical.
+pub fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
@@ -211,14 +222,109 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// `n` as a non-negative integer, if it holds one exactly (at most 2^53).
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+}
+
+/// One member value as [`visit_members`] hands it over.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// A number.
+    Num(f64),
+    /// A string: borrowed from the input unless it contains escapes.
+    Str(Cow<'a, str>),
+    /// `null`, `true`, `false`, an array or an object (already checked,
+    /// not built).
+    Other,
+}
+
+impl Scalar<'_> {
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number as a non-negative integer, with the meaning of
+    /// [`Json::as_u64`].
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::Num(n) => exact_u64(*n),
+            _ => None,
+        }
+    }
+}
+
+/// Walk one JSON document and hand each member of its top-level object
+/// to `visit`, in input order and duplicates included, so the last call
+/// for a key carries the value [`Json::get`] would return. This runs on
+/// the parser behind [`Json::parse_with_depth`] and accepts and rejects
+/// exactly the same texts with the same errors, but builds no tree:
+/// keys and strings without escapes are borrowed from `text`, nested
+/// containers are checked and skipped. A valid document that is not an
+/// object visits no members. A failed document may have visited some
+/// members before the error.
+pub fn visit_members<'a>(
+    text: &'a str,
+    max_depth: usize,
+    mut visit: impl FnMut(Cow<'a, str>, Scalar<'a>),
+) -> Result<(), JsonError> {
+    Parser::new(text, max_depth).document(|p| {
+        if p.peek() == Some(b'{') {
+            p.object(|p, key| {
+                visit(key, p.scalar()?);
+                Ok(())
+            })
+        } else {
+            p.scalar().map(drop)
+        }
+    })
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Remaining container levels this parse may still open.
     depth_left: usize,
 }
 
+/// A value that opens no container.
+enum Leaf<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Cow<'a, str>),
+}
+
 impl<'a> Parser<'a> {
+    fn new(text: &'a str, max_depth: usize) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth_left: max_depth,
+        }
+    }
+
+    /// Parse the whole input as one value with `value`; only whitespace
+    /// may surround it.
+    fn document<T>(
+        mut self,
+        value: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        self.skip_ws();
+        let value = value(&mut self)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: &'static str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -264,7 +370,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &str, value: Leaf<'a>) -> Result<Leaf<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -273,29 +379,78 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse one value into a [`Json`] tree.
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.object(|p, key| {
+                    members.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(members))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            _ => Ok(match self.leaf()? {
+                Leaf::Null => Json::Null,
+                Leaf::Bool(b) => Json::Bool(b),
+                Leaf::Num(n) => Json::Num(n),
+                Leaf::Str(s) => Json::Str(s.into_owned()),
+            }),
+        }
+    }
+
+    /// Parse one value without building containers: they are checked
+    /// and reported as [`Scalar::Other`].
+    fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
+        Ok(match self.peek() {
+            Some(b'{') => {
+                self.object(|p, _| p.scalar().map(drop))?;
+                Scalar::Other
+            }
+            Some(b'[') => {
+                self.array(|p| p.scalar().map(drop))?;
+                Scalar::Other
+            }
+            _ => match self.leaf()? {
+                Leaf::Num(n) => Scalar::Num(n),
+                Leaf::Str(s) => Scalar::Str(s),
+                Leaf::Null | Leaf::Bool(_) => Scalar::Other,
+            },
+        })
+    }
+
+    fn leaf(&mut self) -> Result<Leaf<'a>, JsonError> {
+        match self.peek() {
+            Some(b'"') => self.string().map(Leaf::Str),
+            Some(b't') => self.literal("true", Leaf::Bool(true)),
+            Some(b'f') => self.literal("false", Leaf::Bool(false)),
+            Some(b'n') => self.literal("null", Leaf::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Leaf::Num),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    /// Parse an object; `member` parses the value after each key.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.descend()?;
         self.expect(b'{', "expected '{'")?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.ascend();
-            return Ok(Json::Obj(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -303,102 +458,143 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':', "expected ':'")?;
             self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     self.ascend();
-                    return Ok(Json::Obj(members));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    /// Parse an array; `item` parses each element.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.descend()?;
         self.expect(b'[', "expected '['")?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.ascend();
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     self.ascend();
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Parse a string in one linear pass: each run of bytes up to a `"`,
+    /// `\` or control byte is taken whole, and a string without escapes
+    /// is borrowed from the input.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            // Consume one UTF-8 scalar; the input is a &str so boundaries
-            // are trustworthy.
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| self.err("invalid UTF-8"))?;
-            let mut chars = rest.chars();
-            let c = chars
-                .next()
-                .ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += c.len_utf8();
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = chars
-                        .next()
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += esc.len_utf8();
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are out of scope for this
-                            // protocol; lone surrogates map to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            let start = self.pos;
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            // The run ends at an ASCII byte or the end of input, so it
+            // is a whole UTF-8 slice.
+            let run = &self.text[start..self.pos];
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
                         }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                    });
                 }
-                c if (c as u32) < 0x20 => return Err(self.err("control character in string")),
-                c => out.push(c),
+                Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.pos += 1;
+                    self.escape(out)?;
+                }
+                Some(_) => {
+                    self.pos += 1;
+                    return Err(self.err("control character in string"));
+                }
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Decode the escape after a `\` onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let esc = self.text[self.pos..]
+            .chars()
+            .next()
+            .ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += esc.len_utf8();
+        match esc {
+            '"' => out.push('"'),
+            '\\' => out.push('\\'),
+            '/' => out.push('/'),
+            'b' => out.push('\u{8}'),
+            'f' => out.push('\u{c}'),
+            'n' => out.push('\n'),
+            'r' => out.push('\r'),
+            't' => out.push('\t'),
+            'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                self.pos += 4;
+                // Surrogate pairs are out of scope for this protocol;
+                // lone surrogates map to U+FFFD.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(self.err("unknown escape")),
+        }
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
+        }
+        let digits_start = self.pos;
+        let mut int = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            self.pos += 1;
+        }
+        // Fast path: a plain integer of at most 15 digits is below 2^53,
+        // so it converts exactly and equals what `str::parse` gives.
+        let digits = self.pos - digits_start;
+        if (1..=15).contains(&digits)
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            let n = int as f64;
+            return Ok(if negative { -n } else { n });
         }
         while matches!(
             self.peek(),
@@ -406,7 +602,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        let text = &self.text[start..self.pos];
         let n: f64 = text.parse().map_err(|_| JsonError {
             offset: start,
             message: "invalid number",
@@ -422,7 +618,7 @@ impl<'a> Parser<'a> {
                 kind: JsonErrorKind::Syntax,
             });
         }
-        Ok(Json::Num(n))
+        Ok(n)
     }
 }
 
@@ -465,37 +661,70 @@ impl std::fmt::Display for LineError {
 
 impl std::error::Error for LineError {}
 
-/// Iterator over the JSON documents of a line-oriented stream; see
-/// [`parse_lines`].
-pub struct ParsedLines<R> {
+/// A cursor over the content lines of a line-oriented stream: each
+/// [`next_line`](Lines::next_line) reads forward past blank and `#`
+/// comment lines and lends out the next line, trimmed, with its 1-based
+/// number. One buffer is reused, so memory stays bounded by the longest
+/// line. [`ParsedLines`] parses each line as a JSON document; readers
+/// with their own line grammar walk the cursor directly.
+pub struct Lines<R> {
     reader: R,
     line: usize,
     buf: String,
-    max_depth: usize,
 }
 
-impl<R: std::io::BufRead> Iterator for ParsedLines<R> {
-    type Item = Result<(usize, Json), LineError>;
+impl<R: BufRead> Lines<R> {
+    /// Start before the first line of `reader`.
+    pub fn new(reader: R) -> Self {
+        Lines {
+            reader,
+            line: 0,
+            buf: String::new(),
+        }
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The next content line and its 1-based number, `None` at the end
+    /// of the stream. A failed read is [`LineError::Io`]; a later call
+    /// reads on from where the stream left off.
+    pub fn next_line(&mut self) -> Option<Result<(usize, &str), LineError>> {
         loop {
             self.buf.clear();
             self.line += 1;
-            let line = self.line;
             match self.reader.read_line(&mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {}
-                Err(error) => return Some(Err(LineError::Io { line, error })),
+                Err(error) => {
+                    return Some(Err(LineError::Io {
+                        line: self.line,
+                        error,
+                    }))
+                }
             }
-            let trimmed = self.buf.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
+            let end = self.buf.trim_end().len();
+            let start = end - self.buf[..end].trim_start().len();
+            if start < end && self.buf.as_bytes()[start] != b'#' {
+                return Some(Ok((self.line, &self.buf[start..end])));
             }
-            return Some(match Json::parse_with_depth(trimmed, self.max_depth) {
-                Ok(v) => Ok((line, v)),
-                Err(error) => Err(LineError::Json { line, error }),
-            });
         }
+    }
+}
+
+/// Iterator over the JSON documents of a line-oriented stream; see
+/// [`parse_lines`].
+pub struct ParsedLines<R> {
+    lines: Lines<R>,
+    max_depth: usize,
+}
+
+impl<R: BufRead> Iterator for ParsedLines<R> {
+    type Item = Result<(usize, Json), LineError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(self.lines.next_line()?.and_then(|(line, text)| {
+            Json::parse_with_depth(text, self.max_depth)
+                .map(|v| (line, v))
+                .map_err(|error| LineError::Json { line, error })
+        }))
     }
 }
 
@@ -506,16 +735,14 @@ impl<R: std::io::BufRead> Iterator for ParsedLines<R> {
 /// typed ([`LineError::Json`] keeps the [`JsonErrorKind`], so depth
 /// bombs stay [`JsonErrorKind::TooDeep`]); iteration can continue past
 /// a failed line.
-pub fn parse_lines<R: std::io::BufRead>(reader: R) -> ParsedLines<R> {
+pub fn parse_lines<R: BufRead>(reader: R) -> ParsedLines<R> {
     parse_lines_with_depth(reader, MAX_DEPTH)
 }
 
 /// [`parse_lines`] with an explicit per-line nesting limit.
-pub fn parse_lines_with_depth<R: std::io::BufRead>(reader: R, max_depth: usize) -> ParsedLines<R> {
+pub fn parse_lines_with_depth<R: BufRead>(reader: R, max_depth: usize) -> ParsedLines<R> {
     ParsedLines {
-        reader,
-        line: 0,
-        buf: String::new(),
+        lines: Lines::new(reader),
         max_depth,
     }
 }
@@ -668,6 +895,137 @@ mod tests {
     }
 
     #[test]
+    fn integer_fast_path_matches_str_parse_bit_for_bit() {
+        let mut rng = proptest::TestRng::new(15);
+        let mut cases = vec![
+            "0".to_string(),
+            "000000000000000".into(),
+            "999999999999999".into(),
+        ];
+        for len in 1..=15 {
+            for _ in 0..64 {
+                cases.push(
+                    (0..len)
+                        .map(|_| char::from(b'0' + rng.below(10) as u8))
+                        .collect(),
+                );
+            }
+        }
+        // Past the fast path: 16+ digits and values above 2^53 round.
+        cases.extend(
+            [
+                "9007199254740993",
+                "1234567890123456",
+                "18446744073709551616",
+            ]
+            .map(String::from),
+        );
+        for digits in cases {
+            for text in [digits.clone(), format!("-{digits}")] {
+                let want = text.parse::<f64>().unwrap();
+                match Json::parse(&text) {
+                    Ok(Json::Num(n)) => assert_eq!(n.to_bits(), want.to_bits(), "{text}"),
+                    other => panic!("{text}: {other:?}"),
+                }
+            }
+        }
+        // A digit run followed by a number character is not an integer.
+        for (text, want) in [
+            ("1e3", 1000.0),
+            ("4.0", 4.0),
+            ("-2.5", -2.5),
+            ("1E+2", 100.0),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), Json::Num(want), "{text}");
+        }
+        for text in ["1-2", "-", "1e", "--1"] {
+            let e = Json::parse(text).unwrap_err();
+            assert_eq!((e.offset, e.message), (0, "invalid number"), "{text}");
+        }
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut seen = Vec::new();
+        visit_members(
+            r#"{"plain":"a b","r\u0061nk":"x\ty","":""}"#,
+            MAX_DEPTH,
+            |k, v| {
+                seen.push((k, v));
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            &seen[0],
+            (Cow::Borrowed("plain"), Scalar::Str(Cow::Borrowed("a b")))
+        ));
+        assert!(matches!(&seen[1].0, Cow::Owned(k) if k == "rank"));
+        assert!(matches!(&seen[1].1, Scalar::Str(Cow::Owned(v)) if v == "x\ty"));
+        assert!(matches!(
+            &seen[2],
+            (Cow::Borrowed(""), Scalar::Str(Cow::Borrowed("")))
+        ));
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        for (text, offset, message) in [
+            ("\"ab", 3, "unterminated string"),
+            ("\"a\u{1}b\"", 3, "control character in string"),
+            ("\"é\u{1f}\"", 4, "control character in string"),
+            ("\"a\\", 3, "unterminated escape"),
+            ("\"a\\q\"", 4, "unknown escape"),
+            ("\"a\\é\"", 5, "unknown escape"),
+            ("\"a\\u12\"", 4, "bad \\u escape"),
+            ("\"a\\u12g4\"", 4, "bad \\u escape"),
+        ] {
+            let e = Json::parse(text).unwrap_err();
+            assert_eq!((e.offset, e.message), (offset, message), "{text:?}");
+        }
+        assert_eq!(Json::parse("\"\\u+041\"").unwrap(), Json::Str("A".into()));
+    }
+
+    #[test]
+    fn visitor_sees_members_in_order_and_skips_containers() {
+        let text = r#" {"a":1,"b":[{"c":2}],"a":"x","d":null,"e":{}} "#;
+        let mut seen = Vec::new();
+        visit_members(text, MAX_DEPTH, |k, v| seen.push((k.into_owned(), v))).unwrap();
+        let want = [
+            ("a", Scalar::Num(1.0)),
+            ("b", Scalar::Other),
+            ("a", Scalar::Str("x".into())),
+            ("d", Scalar::Other),
+            ("e", Scalar::Other),
+        ];
+        assert_eq!(seen.len(), want.len());
+        for ((k, v), (wk, wv)) in seen.iter().zip(&want) {
+            assert_eq!((k.as_str(), v), (*wk, wv));
+        }
+        // Non-objects visit nothing; errors are those of the tree parser.
+        for text in ["42", "[1,{\"a\":2}]", "\"s\"", "null"] {
+            let mut calls = 0;
+            visit_members(text, MAX_DEPTH, |_, _| calls += 1).unwrap();
+            assert_eq!(calls, 0, "{text}");
+        }
+        let deep = format!("{{\"a\":{}", "[".repeat(200));
+        let e = visit_members(&deep, MAX_DEPTH, |_, _| {}).unwrap_err();
+        assert_eq!(e, Json::parse(&deep).unwrap_err());
+        assert_eq!(e.kind, JsonErrorKind::TooDeep);
+    }
+
+    #[test]
+    fn line_cursor_lends_trimmed_content_lines() {
+        let mut lines = Lines::new(&b"# c\n\n  {\"a\":1}\r\n\xff\n \t#x\nlast"[..]);
+        assert_eq!(lines.next_line().unwrap().unwrap(), (3, "{\"a\":1}"));
+        match lines.next_line() {
+            Some(Err(LineError::Io { line: 4, .. })) => {}
+            other => panic!("expected an I/O error on line 4, got {other:?}"),
+        }
+        assert_eq!(lines.next_line().unwrap().unwrap(), (6, "last"));
+        assert!(lines.next_line().is_none());
+    }
+
+    #[test]
     fn depth_limit_is_exact() {
         // depth d value: d nested arrays around a scalar.
         let nested = |d: usize| format!("{}1{}", "[".repeat(d), "]".repeat(d));
@@ -748,6 +1106,46 @@ mod proptests {
             prop_assert_eq!(&back, &value, "render: {}", text);
             // Rendering is a fixed point: render∘parse∘render == render.
             prop_assert_eq!(back.render(), text);
+        }
+
+        #[test]
+        fn visitor_agrees_with_the_tree_parser(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let value = Json::Obj((0..rng.below(5)).map(|i| (format!("k{}", i % 3), build(&mut rng, 3))).collect());
+            let mut text = value.render();
+            // Mutate: cut the text or splice in a byte that breaks it.
+            match rng.below(4) {
+                0 => {}
+                1 => text.truncate(rng.below(text.len() + 1)),
+                _ => {
+                    const BYTES: &[u8] = b"\"\\{}[],:-.e0 \x01";
+                    text.insert(rng.below(text.len() + 1), BYTES[rng.below(BYTES.len())] as char);
+                }
+            }
+            let depth = 1 + rng.below(4);
+            let mut seen = Vec::new();
+            let visited = visit_members(&text, depth, |k, v| seen.push((k.into_owned(), v)));
+            match Json::parse_with_depth(&text, depth) {
+                Ok(tree) => {
+                    prop_assert_eq!(visited, Ok(()));
+                    let want: Vec<(String, Scalar<'_>)> = match &tree {
+                        Json::Obj(members) => members
+                            .iter()
+                            .map(|(k, v)| {
+                                let v = match v {
+                                    Json::Num(n) => Scalar::Num(*n),
+                                    Json::Str(s) => Scalar::Str(Cow::Borrowed(s.as_str())),
+                                    _ => Scalar::Other,
+                                };
+                                (k.clone(), v)
+                            })
+                            .collect(),
+                        _ => Vec::new(),
+                    };
+                    prop_assert_eq!(seen, want, "text: {}", text);
+                }
+                Err(e) => prop_assert_eq!(visited, Err(e), "text: {}", text),
+            }
         }
     }
 }

@@ -19,7 +19,7 @@ use std::io::{self, Write};
 use mc_topology::NumaId;
 
 use crate::stream::EventSource;
-use crate::trace::{render_event_line, CollectiveOp, EventKind, Trace, TraceError};
+use crate::trace::{write_event_line, CollectiveOp, EventKind, Trace, TraceError};
 
 /// Knobs shared by every generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,12 +206,15 @@ impl LazyGen {
     /// read-ahead. Returns the number of event lines written.
     pub fn write_interleaved<W: Write>(&self, out: &mut W) -> io::Result<usize> {
         writeln!(out, "{{\"ranks\":{}}}", self.ranks())?;
+        let mut line = String::new();
         let mut written = 0;
         for iter in 0..self.iters {
             for rank in 0..self.ranks() {
                 for pos in 0..self.blocks[rank].len() {
-                    let ev = self.event(rank, iter, pos);
-                    writeln!(out, "{}", render_event_line(rank, &ev))?;
+                    line.clear();
+                    write_event_line(&mut line, rank, &self.event(rank, iter, pos));
+                    line.push('\n');
+                    out.write_all(line.as_bytes())?;
                     written += 1;
                 }
             }

@@ -34,9 +34,9 @@
 use std::collections::VecDeque;
 use std::io::BufRead;
 
-use mc_json::{parse_lines, LineError, ParsedLines};
+use mc_json::Lines;
 
-use crate::trace::{header_ranks, parse_event_line, EventKind, Trace, TraceError};
+use crate::trace::{line_error, EventKind, Trace, TraceError, TraceLine};
 
 /// A per-rank cursor over an event program, the replay engine's input
 /// abstraction. `peek` returns rank `r`'s next event without consuming
@@ -88,16 +88,6 @@ impl EventSource for TraceSource<'_> {
     }
 }
 
-fn convert(e: LineError) -> TraceError {
-    match e {
-        LineError::Io { line, error } => TraceError::Io {
-            line,
-            message: error.to_string(),
-        },
-        LineError::Json { line, error } => TraceError::Json { line, error },
-    }
-}
-
 /// Streaming [`EventSource`] over a JSON-lines trace on any [`BufRead`]
 /// (a file, a pipe, a decompressor). Events are parsed line by line;
 /// each rank has a compact queue holding only the events read ahead of
@@ -108,7 +98,7 @@ fn convert(e: LineError) -> TraceError {
 /// later ranks — [`peak_buffered`](TraceReader::peak_buffered) reports
 /// the high-water mark so tests and benches can assert boundedness.
 pub struct TraceReader<R> {
-    lines: ParsedLines<R>,
+    lines: Lines<R>,
     ranks: usize,
     queues: Vec<VecDeque<EventKind>>,
     eof: bool,
@@ -122,17 +112,19 @@ impl<R: BufRead> TraceReader<R> {
     /// `{"ranks":N}` header line (comments and blank lines may precede
     /// it).
     pub fn new(reader: R) -> Result<Self, TraceError> {
-        let mut lines = parse_lines(reader);
-        let (line, v) = match lines.next() {
+        let mut lines = Lines::new(reader);
+        let (line, text) = match lines.next_line() {
             None => return Err(TraceError::Empty),
-            Some(r) => r.map_err(convert)?,
+            Some(r) => r.map_err(line_error)?,
         };
-        let ranks = header_ranks(&v).ok_or_else(|| TraceError::Schema {
-            line,
-            message: "streaming replay needs a {\"ranks\":N} header as the first line \
-                      (regenerate the trace with --stream, or replay without --stream)"
-                .into(),
-        })?;
+        let ranks = TraceLine::parse(text, line)?
+            .header()?
+            .ok_or_else(|| TraceError::Schema {
+                line,
+                message: "streaming replay needs a {\"ranks\":N} header as the first line \
+                          (regenerate the trace with --stream, or replay without --stream)"
+                    .into(),
+            })?;
         if ranks < 2 {
             return Err(TraceError::TooFewRanks(ranks));
         }
@@ -161,14 +153,14 @@ impl<R: BufRead> TraceReader<R> {
     /// Read lines until `rank`'s queue is non-empty or the stream ends.
     fn fill(&mut self, rank: usize) -> Result<(), TraceError> {
         while self.queues[rank].is_empty() && !self.eof {
-            let (line, v) = match self.lines.next() {
+            let (line, text) = match self.lines.next_line() {
                 None => {
                     self.eof = true;
                     return Ok(());
                 }
-                Some(r) => r.map_err(convert)?,
+                Some(r) => r.map_err(line_error)?,
             };
-            let (r, ev) = parse_event_line(&v, line)?;
+            let (r, ev) = TraceLine::parse(text, line)?.event()?;
             if r >= self.ranks {
                 return Err(TraceError::Schema {
                     line,
@@ -264,6 +256,10 @@ mod tests {
         assert!(e.to_string().contains("header"), "{e}");
         assert_eq!(open(b""), TraceError::Empty);
         assert_eq!(open(b"{\"ranks\":1}\n"), TraceError::TooFewRanks(1));
+        // A hostile rank count is a schema error, not an allocation.
+        let e = open(b"{\"ranks\":4000000000000}\n{\"rank\":0,\"event\":\"wait\"}\n");
+        assert!(matches!(e, TraceError::Schema { line: 1, .. }), "{e}");
+        assert!(e.to_string().contains("implausible rank count"), "{e}");
     }
 
     #[test]

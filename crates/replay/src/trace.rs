@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use mc_json::{obj, Json, JsonError};
+use mc_json::{visit_members, write_num, JsonError, LineError, Lines, Scalar, MAX_DEPTH};
 use mc_model::ErrorCategory;
 use mc_topology::NumaId;
 
@@ -222,160 +222,233 @@ fn schema(line: usize, message: impl Into<String>) -> TraceError {
     }
 }
 
-fn member_u64(v: &Json, key: &str, line: usize) -> Result<u64, TraceError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| schema(line, format!("missing or non-integer `{key}`")))
-}
+/// Rank-count ceiling: a header may declare at most this many ranks, and
+/// an event line naming a rank at or above it is implausible. It keeps a
+/// hostile header from sizing per-rank state beyond memory.
+const MAX_RANKS: usize = 1 << 20;
 
-fn member_numa(v: &Json, line: usize) -> Result<NumaId, TraceError> {
-    let n = member_u64(v, "numa", line)?;
-    u16::try_from(n)
-        .map(NumaId::new)
-        .map_err(|_| schema(line, format!("`numa` {n} out of range")))
-}
-
-/// Is this parsed line the optional `{"ranks":N}` stream header?
-/// (An object declaring the rank count, with no `event` member.)
-pub(crate) fn header_ranks(v: &Json) -> Option<usize> {
-    if v.get("event").is_some() || v.get("rank").is_some() {
-        return None;
+/// A failed line read, as the trace error it surfaces as.
+pub(crate) fn line_error(e: LineError) -> TraceError {
+    match e {
+        LineError::Io { line, error } => TraceError::Io {
+            line,
+            message: error.to_string(),
+        },
+        LineError::Json { line, error } => TraceError::Json { line, error },
     }
-    v.get("ranks").and_then(Json::as_u64).map(|n| n as usize)
 }
 
-/// Parse one already-JSON-parsed trace line into `(rank, event)`,
-/// enforcing the per-line schema. Shared by the whole-file parser and
-/// the streaming [`crate::stream::TraceReader`].
-pub(crate) fn parse_event_line(v: &Json, line: usize) -> Result<(usize, EventKind), TraceError> {
-    let rank = member_u64(v, "rank", line)? as usize;
-    if rank >= 1 << 20 {
-        return Err(schema(line, format!("implausible rank {rank}")));
+/// The trace-line schema, read straight off the JSON text: the members
+/// the schema knows are collected by [`mc_json::visit_members`] without
+/// building a tree, the last of duplicate keys winning as with
+/// [`mc_json::Json::get`]; unknown members are ignored. Shared by the
+/// whole-file parser and the streaming [`crate::stream::TraceReader`].
+#[derive(Default)]
+pub(crate) struct TraceLine<'a> {
+    line: usize,
+    rank: Option<Scalar<'a>>,
+    ranks: Option<Scalar<'a>>,
+    event: Option<Scalar<'a>>,
+    op: Option<Scalar<'a>>,
+    numa: Option<Scalar<'a>>,
+    cores: Option<Scalar<'a>>,
+    bytes: Option<Scalar<'a>>,
+    peer: Option<Scalar<'a>>,
+    tag: Option<Scalar<'a>>,
+}
+
+impl<'a> TraceLine<'a> {
+    /// Collect the members of line number `line`; only JSON errors fail
+    /// here, the schema is checked by [`header`](Self::header) and
+    /// [`event`](Self::event).
+    pub(crate) fn parse(text: &'a str, line: usize) -> Result<Self, TraceError> {
+        let mut m = TraceLine {
+            line,
+            ..TraceLine::default()
+        };
+        visit_members(text, MAX_DEPTH, |key, value| {
+            let slot = match &*key {
+                "rank" => &mut m.rank,
+                "ranks" => &mut m.ranks,
+                "event" => &mut m.event,
+                "op" => &mut m.op,
+                "numa" => &mut m.numa,
+                "cores" => &mut m.cores,
+                "bytes" => &mut m.bytes,
+                "peer" => &mut m.peer,
+                "tag" => &mut m.tag,
+                _ => return,
+            };
+            *slot = Some(value);
+        })
+        .map_err(|error| TraceError::Json { line, error })?;
+        Ok(m)
     }
-    let event = v
-        .get("event")
-        .and_then(Json::as_str)
-        .ok_or_else(|| schema(line, "missing or non-string `event`"))?;
-    let kind = match event {
-        "compute" => {
-            let cores = member_u64(v, "cores", line)? as usize;
-            if cores == 0 {
-                return Err(schema(line, "`cores` must be >= 1"));
-            }
-            EventKind::Compute {
-                numa: member_numa(v, line)?,
-                cores,
-                bytes: member_u64(v, "bytes", line)?,
-            }
+
+    /// Is this line the optional `{"ranks":N}` stream header (an object
+    /// declaring the rank count, with no `event` or `rank` member)? A
+    /// header declaring more than [`MAX_RANKS`] is a schema error.
+    pub(crate) fn header(&self) -> Result<Option<usize>, TraceError> {
+        if self.event.is_some() || self.rank.is_some() {
+            return Ok(None);
         }
-        "send" | "recv" => {
-            let peer = member_u64(v, "peer", line)? as usize;
-            if peer == rank {
-                return Err(schema(line, format!("rank {rank} messages itself")));
-            }
-            let numa = member_numa(v, line)?;
-            let bytes = member_u64(v, "bytes", line)?;
-            let tag = u32::try_from(member_u64(v, "tag", line)?)
-                .map_err(|_| schema(line, "`tag` out of u32 range"))?;
-            if event == "send" {
-                EventKind::Send {
-                    peer,
-                    numa,
-                    bytes,
-                    tag,
+        match self.ranks.as_ref().and_then(Scalar::as_u64) {
+            Some(n) if n > MAX_RANKS as u64 => Err(schema(
+                self.line,
+                format!("implausible rank count {n} (at most {MAX_RANKS})"),
+            )),
+            n => Ok(n.map(|n| n as usize)),
+        }
+    }
+
+    /// The line as one rank's event, enforcing the per-line schema.
+    pub(crate) fn event(&self) -> Result<(usize, EventKind), TraceError> {
+        let rank = self.int(&self.rank, "rank")? as usize;
+        if rank >= MAX_RANKS {
+            return Err(schema(self.line, format!("implausible rank {rank}")));
+        }
+        let event = self.text(&self.event, "event")?;
+        let kind = match event {
+            "compute" => {
+                let cores = self.int(&self.cores, "cores")? as usize;
+                if cores == 0 {
+                    return Err(schema(self.line, "`cores` must be >= 1"));
                 }
-            } else {
-                EventKind::Recv {
-                    peer,
-                    numa,
-                    bytes,
-                    tag,
+                EventKind::Compute {
+                    numa: self.numa()?,
+                    cores,
+                    bytes: self.int(&self.bytes, "bytes")?,
                 }
             }
-        }
-        "collective" => {
-            let op_name = v
-                .get("op")
-                .and_then(Json::as_str)
-                .ok_or_else(|| schema(line, "missing or non-string `op`"))?;
-            let op = CollectiveOp::from_name(op_name).ok_or_else(|| {
-                schema(
-                    line,
+            "send" | "recv" => {
+                let peer = self.int(&self.peer, "peer")? as usize;
+                if peer == rank {
+                    return Err(schema(self.line, format!("rank {rank} messages itself")));
+                }
+                let numa = self.numa()?;
+                let bytes = self.int(&self.bytes, "bytes")?;
+                let tag = u32::try_from(self.int(&self.tag, "tag")?)
+                    .map_err(|_| schema(self.line, "`tag` out of u32 range"))?;
+                if event == "send" {
+                    EventKind::Send {
+                        peer,
+                        numa,
+                        bytes,
+                        tag,
+                    }
+                } else {
+                    EventKind::Recv {
+                        peer,
+                        numa,
+                        bytes,
+                        tag,
+                    }
+                }
+            }
+            "collective" => {
+                let op_name = self.text(&self.op, "op")?;
+                let op = CollectiveOp::from_name(op_name).ok_or_else(|| {
+                    schema(
+                        self.line,
+                        format!(
+                            "unknown collective `{op_name}` \
+                             (expected barrier|allreduce|allgather|broadcast)"
+                        ),
+                    )
+                })?;
+                EventKind::Collective {
+                    op,
+                    numa: self.numa()?,
+                    bytes: self.int(&self.bytes, "bytes")?,
+                }
+            }
+            "wait" => EventKind::Wait,
+            other => {
+                return Err(schema(
+                    self.line,
                     format!(
-                        "unknown collective `{op_name}` \
-                         (expected barrier|allreduce|allgather|broadcast)"
+                        "unknown event `{other}` \
+                         (expected compute|send|recv|collective|wait)"
                     ),
-                )
-            })?;
-            EventKind::Collective {
-                op,
-                numa: member_numa(v, line)?,
-                bytes: member_u64(v, "bytes", line)?,
+                ))
             }
-        }
-        "wait" => EventKind::Wait,
-        other => {
-            return Err(schema(
-                line,
-                format!(
-                    "unknown event `{other}` \
-                     (expected compute|send|recv|collective|wait)"
-                ),
-            ))
-        }
-    };
-    Ok((rank, kind))
+        };
+        Ok((rank, kind))
+    }
+
+    fn int(&self, value: &Option<Scalar<'_>>, key: &str) -> Result<u64, TraceError> {
+        value
+            .as_ref()
+            .and_then(Scalar::as_u64)
+            .ok_or_else(|| schema(self.line, format!("missing or non-integer `{key}`")))
+    }
+
+    fn text<'s>(&self, value: &'s Option<Scalar<'_>>, key: &str) -> Result<&'s str, TraceError> {
+        value
+            .as_ref()
+            .and_then(Scalar::as_str)
+            .ok_or_else(|| schema(self.line, format!("missing or non-string `{key}`")))
+    }
+
+    fn numa(&self) -> Result<NumaId, TraceError> {
+        let n = self.int(&self.numa, "numa")?;
+        u16::try_from(n)
+            .map(NumaId::new)
+            .map_err(|_| schema(self.line, format!("`numa` {n} out of range")))
+    }
 }
 
-/// Render one event as its JSON trace line (no trailing newline). The
-/// member order is fixed, so output is byte-stable; [`Trace::to_json_lines`]
-/// and the streaming generator writer share these bytes.
-pub fn render_event_line(rank: usize, ev: &EventKind) -> String {
-    let r = ("rank", Json::Num(rank as f64));
-    let json = match ev {
-        EventKind::Compute { numa, cores, bytes } => obj(vec![
-            r,
-            ("event", Json::Str("compute".into())),
-            ("numa", Json::Num(numa.index() as f64)),
-            ("cores", Json::Num(*cores as f64)),
-            ("bytes", Json::Num(*bytes as f64)),
-        ]),
+/// Append one event's JSON trace line (no trailing newline) to `out`.
+/// The member order is fixed, so output is byte-stable;
+/// [`Trace::to_json_lines`] and the streaming generator writer share
+/// these bytes. Members are written straight into the output, numbers
+/// through [`write_num`], so the bytes are those of a rendered
+/// [`mc_json::Json`] object with the same members.
+pub fn write_event_line(out: &mut String, rank: usize, ev: &EventKind) {
+    fn num(out: &mut String, key: &str, n: f64) {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        write_num(out, n);
+    }
+    out.push_str("{\"rank\":");
+    write_num(out, rank as f64);
+    out.push_str(",\"event\":\"");
+    out.push_str(ev.kind_name());
+    out.push('"');
+    match *ev {
+        EventKind::Compute { numa, cores, bytes } => {
+            num(out, "numa", numa.index() as f64);
+            num(out, "cores", cores as f64);
+            num(out, "bytes", bytes as f64);
+        }
         EventKind::Send {
             peer,
             numa,
             bytes,
             tag,
-        } => obj(vec![
-            r,
-            ("event", Json::Str("send".into())),
-            ("peer", Json::Num(*peer as f64)),
-            ("numa", Json::Num(numa.index() as f64)),
-            ("bytes", Json::Num(*bytes as f64)),
-            ("tag", Json::Num(*tag as f64)),
-        ]),
-        EventKind::Recv {
+        }
+        | EventKind::Recv {
             peer,
             numa,
             bytes,
             tag,
-        } => obj(vec![
-            r,
-            ("event", Json::Str("recv".into())),
-            ("peer", Json::Num(*peer as f64)),
-            ("numa", Json::Num(numa.index() as f64)),
-            ("bytes", Json::Num(*bytes as f64)),
-            ("tag", Json::Num(*tag as f64)),
-        ]),
-        EventKind::Collective { op, numa, bytes } => obj(vec![
-            r,
-            ("event", Json::Str("collective".into())),
-            ("op", Json::Str(op.name().into())),
-            ("numa", Json::Num(numa.index() as f64)),
-            ("bytes", Json::Num(*bytes as f64)),
-        ]),
-        EventKind::Wait => obj(vec![r, ("event", Json::Str("wait".into()))]),
-    };
-    json.render()
+        } => {
+            num(out, "peer", peer as f64);
+            num(out, "numa", numa.index() as f64);
+            num(out, "bytes", bytes as f64);
+            num(out, "tag", f64::from(tag));
+        }
+        EventKind::Collective { op, numa, bytes } => {
+            out.push_str(",\"op\":\"");
+            out.push_str(op.name());
+            out.push('"');
+            num(out, "numa", numa.index() as f64);
+            num(out, "bytes", bytes as f64);
+        }
+        EventKind::Wait => {}
+    }
+    out.push('}');
 }
 
 impl Trace {
@@ -394,26 +467,23 @@ impl Trace {
     /// the streaming generators) declares the rank count; everything
     /// else must be one schema-conforming object.
     pub fn from_json_lines(text: &str) -> Result<Trace, TraceError> {
+        let mut lines = Lines::new(text.as_bytes());
         let mut per_rank: Vec<Vec<EventKind>> = Vec::new();
         let mut any = false;
         let mut first = true;
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let v = Json::parse(trimmed).map_err(|error| TraceError::Json { line, error })?;
+        while let Some(next) = lines.next_line() {
+            let (line, text) = next.map_err(line_error)?;
+            let members = TraceLine::parse(text, line)?;
             if first {
                 first = false;
-                if let Some(ranks) = header_ranks(&v) {
+                if let Some(ranks) = members.header()? {
                     // The header pre-declares ranks so a trailing rank
                     // with no events still counts toward the world size.
-                    per_rank.resize_with(ranks.max(per_rank.len()), Vec::new);
+                    per_rank.resize_with(ranks, Vec::new);
                     continue;
                 }
             }
-            let (rank, kind) = parse_event_line(&v, line)?;
+            let (rank, kind) = members.event()?;
             if per_rank.len() <= rank {
                 per_rank.resize_with(rank + 1, Vec::new);
             }
@@ -458,7 +528,7 @@ impl Trace {
         let mut out = String::new();
         for (rank, program) in self.events.iter().enumerate() {
             for ev in program {
-                out.push_str(&render_event_line(rank, ev));
+                write_event_line(&mut out, rank, ev);
                 out.push('\n');
             }
         }
@@ -626,6 +696,109 @@ mod tests {
             Trace::from_json_lines(text),
             Err(TraceError::Schema { line: 2, .. })
         ));
+    }
+
+    #[test]
+    fn a_header_above_the_rank_ceiling_is_rejected() {
+        for ranks in [MAX_RANKS as u64 + 1, 4_000_000_000_000] {
+            let text = format!("{{\"ranks\":{ranks}}}\n{{\"rank\":0,\"event\":\"wait\"}}\n");
+            match Trace::from_json_lines(&text) {
+                Err(TraceError::Schema { line: 1, message }) => {
+                    assert!(message.contains("implausible rank count"), "{message}");
+                }
+                other => panic!("expected a schema error on line 1, got {other:?}"),
+            }
+        }
+    }
+
+    /// The tree rendering the direct writer replaced.
+    fn tree_line(rank: usize, ev: &EventKind) -> String {
+        use mc_json::{obj, Json};
+        let r = ("rank", Json::Num(rank as f64));
+        let json = match ev {
+            EventKind::Compute { numa, cores, bytes } => obj(vec![
+                r,
+                ("event", Json::Str("compute".into())),
+                ("numa", Json::Num(numa.index() as f64)),
+                ("cores", Json::Num(*cores as f64)),
+                ("bytes", Json::Num(*bytes as f64)),
+            ]),
+            EventKind::Send {
+                peer,
+                numa,
+                bytes,
+                tag,
+            }
+            | EventKind::Recv {
+                peer,
+                numa,
+                bytes,
+                tag,
+            } => obj(vec![
+                r,
+                ("event", Json::Str(ev.kind_name().into())),
+                ("peer", Json::Num(*peer as f64)),
+                ("numa", Json::Num(numa.index() as f64)),
+                ("bytes", Json::Num(*bytes as f64)),
+                ("tag", Json::Num(*tag as f64)),
+            ]),
+            EventKind::Collective { op, numa, bytes } => obj(vec![
+                r,
+                ("event", Json::Str("collective".into())),
+                ("op", Json::Str(op.name().into())),
+                ("numa", Json::Num(numa.index() as f64)),
+                ("bytes", Json::Num(*bytes as f64)),
+            ]),
+            EventKind::Wait => obj(vec![r, ("event", Json::Str("wait".into()))]),
+        };
+        json.render()
+    }
+
+    #[test]
+    fn direct_writer_matches_the_tree_rendering_at_boundaries() {
+        let counts = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX];
+        let numas = [n(0), n(u16::MAX)];
+        let tags = [0, u32::MAX];
+        let mut events = vec![EventKind::Wait];
+        for &bytes in &counts {
+            let wide = bytes as usize;
+            for &numa in &numas {
+                events.push(EventKind::Compute {
+                    numa,
+                    cores: wide.max(1),
+                    bytes,
+                });
+                for op in [
+                    CollectiveOp::Barrier,
+                    CollectiveOp::Allreduce,
+                    CollectiveOp::Allgather,
+                    CollectiveOp::Broadcast,
+                ] {
+                    events.push(EventKind::Collective { op, numa, bytes });
+                }
+                for &tag in &tags {
+                    events.push(EventKind::Send {
+                        peer: wide,
+                        numa,
+                        bytes,
+                        tag,
+                    });
+                    events.push(EventKind::Recv {
+                        peer: wide,
+                        numa,
+                        bytes,
+                        tag,
+                    });
+                }
+            }
+        }
+        for rank in counts.map(|c| c as usize) {
+            for ev in &events {
+                let mut line = String::new();
+                write_event_line(&mut line, rank, ev);
+                assert_eq!(line, tree_line(rank, ev), "{ev:?}");
+            }
+        }
     }
 
     #[test]
