@@ -263,6 +263,16 @@ fn reqs_done(world: &World, st: &RankState) -> Result<bool, ReplayError> {
     Ok(true)
 }
 
+/// Have all of the rank's compute jobs completed?
+fn jobs_done(world: &World, st: &RankState) -> Result<bool, ReplayError> {
+    for (job, _) in &st.jobs {
+        if world.job_status(*job)?.is_none() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 /// Reap every outstanding request and job of `st` into spans; returns
 /// the latest completion time (or `floor` if nothing was outstanding).
 /// Reaped entities are forgotten so the world's bookkeeping stays
@@ -307,15 +317,7 @@ fn pump<S: EventSource>(
             match &st.blocked {
                 Some(Blocked::Wait { since }) => {
                     let since = *since;
-                    let all_reqs = reqs_done(world, st)?;
-                    let all_jobs = st
-                        .jobs
-                        .iter()
-                        .map(|(job, _)| world.job_status(*job).map(|s| s.is_some()))
-                        .collect::<Result<Vec<_>, _>>()?
-                        .into_iter()
-                        .all(|done| done);
-                    if !(all_reqs && all_jobs) {
+                    if !(reqs_done(world, st)? && jobs_done(world, st)?) {
                         break;
                     }
                     let end = reap(world, st, since)?;
