@@ -32,12 +32,11 @@
 //! multiset's rates: the solver sums floors and loads in flow order, so
 //! another expansion of the same multiset can differ in the last bit.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use crate::fabric::{Fabric, FabricScratch, SolveResult, StreamSpec};
+use crate::fxhash::{FxHasher, FxMap};
 
 /// One solved machine state: the canonical stream multiset and the rate
 /// granted to each unique spec.
@@ -182,10 +181,10 @@ impl DeltaStats {
 pub struct DeltaSolver {
     /// Solved states keyed by the hash of (canonical multiset,
     /// scale bits); buckets resolve hash collisions exactly.
-    states: HashMap<u64, Vec<Rc<SolvedState>>>,
+    states: FxMap<u64, Vec<Rc<SolvedState>>>,
     /// Memoized single-stream solves (the uncontended baseline's
     /// "alone" rates), keyed by spec and scale bits.
-    alone: HashMap<(StreamSpec, u64), f64>,
+    alone: FxMap<(StreamSpec, u64), f64>,
     stats: DeltaStats,
     scratch: FabricScratch,
     result: SolveResult,
@@ -238,7 +237,7 @@ impl DeltaSolver {
             }
         }
 
-        let mut hasher = DefaultHasher::new();
+        let mut hasher = FxHasher::default();
         set.counts.hash(&mut hasher);
         scale_bits.hash(&mut hasher);
         let key = hasher.finish();

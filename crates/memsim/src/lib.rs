@@ -42,6 +42,7 @@ pub mod delta;
 pub mod engine;
 pub mod fabric;
 pub mod faults;
+pub mod fxhash;
 pub mod node;
 pub mod noise;
 pub mod solver;

@@ -10,10 +10,9 @@
 //! so memory contention on either end slows the wire transfer — exactly the
 //! phenomenon the paper models.
 
-use std::collections::{BTreeMap, HashMap};
-
 use mc_memsim::delta::{ActiveSet, DeltaSolver, DeltaStats};
 use mc_memsim::fabric::{Fabric, StreamSpec};
+use mc_memsim::fxhash::FxMap;
 use mc_netsim::protocol::ProtocolConfig;
 use mc_topology::{NumaId, Platform, PoolId};
 
@@ -188,16 +187,18 @@ pub struct World {
     n: usize,
     time: f64,
     next_id: u64,
-    statuses: BTreeMap<RequestId, RequestStatus>,
-    jobs: BTreeMap<JobId, JobState>,
+    /// Request and job tables. Only point-queried, never iterated, so
+    /// the hash order cannot reach a result.
+    statuses: FxMap<RequestId, RequestStatus>,
+    jobs: FxMap<JobId, JobState>,
     /// Jobs still streaming, compacted on completion.
     active_jobs: Vec<JobId>,
     transfers: Vec<Transfer>,
     /// Unmatched operations keyed by `(posting rank, peer rank)`;
     /// matching only ever pairs identical keys (mirrored), so per-key
     /// FIFO order preserves MPI's non-overtaking guarantee.
-    pending_sends: HashMap<(Rank, Rank), Vec<PendingOp>>,
-    pending_recvs: HashMap<(Rank, Rank), Vec<PendingOp>>,
+    pending_sends: FxMap<(Rank, Rank), Vec<PendingOp>>,
+    pending_recvs: FxMap<(Rank, Rank), Vec<PendingOp>>,
     transfer_history: Vec<TransferRecord>,
     job_history: Vec<JobRecord>,
     record_history: bool,
@@ -234,12 +235,12 @@ impl World {
             n,
             time: 0.0,
             next_id: 0,
-            statuses: BTreeMap::new(),
-            jobs: BTreeMap::new(),
+            statuses: FxMap::default(),
+            jobs: FxMap::default(),
             active_jobs: Vec::new(),
             transfers: Vec::new(),
-            pending_sends: HashMap::new(),
-            pending_recvs: HashMap::new(),
+            pending_sends: FxMap::default(),
+            pending_recvs: FxMap::default(),
             transfer_history: Vec::new(),
             job_history: Vec::new(),
             record_history: true,
@@ -1178,5 +1179,23 @@ mod tests {
             "baseline {baseline} vs single-core alone {expected}"
         );
         assert!(contended > 1.15 * baseline, "{contended} vs {baseline}");
+    }
+
+    /// The replay engine's bounded-memory promise rests on `forget_*`
+    /// emptying the request and job tables once everything is reaped.
+    #[test]
+    fn forgetting_reaped_work_drains_the_tables() {
+        let mut w = World::homogeneous(&platforms::henri(), 8);
+        let job = w.start_compute(3, n0(), 4, 64 << 20).unwrap();
+        assert!(!w.forget_job(job), "a running job stays tracked");
+        crate::collectives::allreduce_ring(&mut w, n0(), MB64).unwrap();
+        w.wait_job(job).unwrap();
+        assert!(w.forget_job(job));
+        assert!(!w.forget_job(job), "a job is forgotten once");
+        assert_eq!(w.job_status(job), Err(MpiError::UnknownJob(job)));
+        assert!(w.statuses.is_empty(), "{} statuses left", w.statuses.len());
+        assert!(w.jobs.is_empty(), "{} jobs left", w.jobs.len());
+        assert!(w.pending_sends.values().all(Vec::is_empty));
+        assert!(w.pending_recvs.values().all(Vec::is_empty));
     }
 }
