@@ -2,7 +2,7 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation against the
 //! simulated platforms, runs the repository's own studies (the `bench`
-//! binary's [`scenario`]s), and hosts the criterion performance benches.
+//! binary's [`scenario`]s).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
