@@ -1,6 +1,8 @@
 //! Prints the solver-invocation and cache-hit counters of a steady-state
 //! engine run and of a full event-driven placement sweep — the numbers
-//! recorded in `BENCH_1.json`. Run with `--release` for realistic timing.
+//! `tests/solver_counters.rs` pins (`BENCH_1.json` records the sweep's
+//! counts from before the runner reused alone phases). Run with
+//! `--release` for realistic timing.
 use memory_contention::membench::{BenchConfig, BenchRunner};
 use memory_contention::memsim::{Activity, ActivityKind, Engine, Fabric};
 use memory_contention::topology::{platforms, NumaId};
@@ -49,7 +51,7 @@ fn main() {
     let runner = BenchRunner::new(&p, cfg);
     runner.run_placement(NumaId::new(0), NumaId::new(0));
     let s = runner.solver_stats();
-    println!("event-driven placement sweep (henri, 17 core counts x 3 phases):");
+    println!("event-driven placement sweep (henri, 17 core counts, comm alone run once):");
     println!(
         "  solver invocations {}  cache hits {}",
         s.invocations, s.cache_hits

@@ -57,6 +57,11 @@ fn metrics_cover_every_pipeline_stage() {
         .map(|(_, h)| h.count)
         .sum();
     assert_eq!(point_seconds, points);
+    // Every point's three phases are either an engine run or a reused
+    // alone-phase result.
+    let reused = registry.counter_total("sweep.alone_reused");
+    assert!(reused > 0);
+    assert_eq!(registry.counter_total("engine.runs") + reused, 3 * points);
     // Spans: sweep, calibrate and evaluate stages all traced.
     for stage in ["sweep", "calibrate", "evaluate"] {
         assert!(
