@@ -1,41 +1,42 @@
-//! `repro` — regenerate every table and figure of the paper.
-//!
-//! ```text
-//! repro all                 # everything, into ./out/
-//! repro table1 table2       # just the tables (stdout + files)
-//! repro fig2 fig3 ... fig8  # figures (SVG + CSV into ./out/)
-//! repro ablation            # model-vs-baselines ablation table
-//! repro sensitivity         # kernel/pattern sensitivity study (henri)
-//! repro calibrate           # print the calibrated parameters per platform
-//! repro evaluate-csv FILE   # score a measured-sweep CSV (see --sweep-csv)
-//! repro --out DIR ...       # choose the output directory
-//! repro --event-driven ...  # measure with the discrete-event engine
-//! repro --exact ...         # disable measurement noise
-//! repro --metrics FILE ...  # export pipeline metrics as JSON lines
-//! repro --trace FILE ...    # export pipeline spans as JSON lines
-//! repro --sweep-csv FILE    # sweep CSV for the evaluate-csv target
-//! ```
-//!
-//! Exit codes follow the `memcontend` contract: 0 success, 2 usage
-//! mistakes, 3 invalid or degenerate input data, 4 file I/O failures.
+//! `repro` — regenerate every table and figure of the paper, e.g.
+//! `repro table1,fig3 --exact yes`. [`USAGE`] lists the targets and
+//! declares the options. Exit codes follow the `memcontend` contract: 0
+//! success, 2 usage mistakes, 3 invalid or degenerate input data, 4 file
+//! I/O failures.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use mc_bench::figures::{figure1, figure2, placement_grid, predictions_csv, FIGURE_PLATFORMS};
 use mc_bench::tables::{table1, table2};
-use mc_cli::CliError;
+use mc_cli::exports::Exports;
+use mc_cli::{Args, CliError};
 use mc_membench::{Backend, BenchConfig, PlatformSweep};
 use mc_model::McError;
 use mc_topology::platforms;
 
-fn usage() -> &'static str {
-    "usage: repro [--out DIR] [--event-driven] [--exact] [--metrics FILE] [--trace FILE] \
-     [--sweep-csv FILE] \
-     [all|table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|ablation|sensitivity|calibrate|timeline|msgsize|heatmap|gantt|dualsocket|evaluate-csv]..."
-}
+/// Usage text. Its synopsis (`  repro TARGET...` and the lines it
+/// continues with `\`) declares the options.
+const USAGE: &str = "\
+usage: repro [TARGET[,TARGET]...] [--option value]...
+
+  repro TARGET[,TARGET]... [--out DIR] [--event-driven yes] [--exact yes] \\
+                           [--sweep-csv FILE] [--metrics FILE] [--trace FILE] \\
+                           [--trace-format jsonl|chrome]
+
+targets, comma-joined (all when none is given): all table1 table2 fig1
+  fig2 fig3 fig4 fig5 fig6 fig7 fig8 ablation sensitivity calibrate
+  timeline msgsize heatmap gantt dualsocket evaluate-csv (scores the
+  measured sweep CSV that --sweep-csv names)
+
+--out defaults to ./out; --event-driven yes measures with the
+discrete-event engine; --exact yes disables measurement noise; the
+metrics and trace exports work as on memcontend.
+
+exit codes: 0 success, 2 usage error, 3 invalid or degenerate input data,
+            4 file I/O failure
+";
 
 fn write(out_dir: &Path, name: &str, content: &str) -> Result<(), CliError> {
     let path = out_dir.join(name);
@@ -96,56 +97,18 @@ fn evaluate_csv(path: &str, out_dir: &Path) -> Result<(), CliError> {
     write(out_dir, "evaluate_csv.txt", &out)
 }
 
-struct Flags {
-    out_dir: PathBuf,
-    config: BenchConfig,
-    metrics: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    sweep_csv: Option<String>,
-    targets: Vec<String>,
-    help: bool,
-}
-
-fn parse_flags(mut argv: impl Iterator<Item = String>) -> Result<Flags, CliError> {
-    let mut flags = Flags {
-        out_dir: PathBuf::from("out"),
-        config: BenchConfig::default(),
-        metrics: None,
-        trace: None,
-        sweep_csv: None,
-        targets: Vec::new(),
-        help: false,
-    };
-    while let Some(arg) = argv.next() {
-        let mut value = |key: &str| -> Result<String, CliError> {
-            argv.next()
-                .ok_or_else(|| CliError::MissingValue(key.into()))
-        };
-        match arg.as_str() {
-            "--out" => flags.out_dir = PathBuf::from(value("out")?),
-            "--metrics" => flags.metrics = Some(PathBuf::from(value("metrics")?)),
-            "--trace" => flags.trace = Some(PathBuf::from(value("trace")?)),
-            "--sweep-csv" => flags.sweep_csv = Some(value("sweep-csv")?),
-            "--event-driven" => flags.config.backend = Backend::EventDriven,
-            "--exact" => flags.config.noisy = false,
-            "-h" | "--help" => flags.help = true,
-            t if !t.starts_with('-') => flags.targets.push(t.to_string()),
-            other => return Err(CliError::UnknownCommand(other.to_string())),
-        }
+fn run(args: &Args) -> Result<(), CliError> {
+    let out_dir = Path::new(args.get("out").unwrap_or("out"));
+    let mut config = BenchConfig::default();
+    if args.flag("event-driven")? {
+        config.backend = Backend::EventDriven;
     }
-    if flags.targets.is_empty() {
-        flags.targets.push("all".into());
-    }
-    Ok(flags)
-}
-
-fn run(flags: &Flags) -> Result<(), CliError> {
-    let out_dir = &flags.out_dir;
-    let config = flags.config;
+    config.noisy = !args.flag("exact")?;
     fs::create_dir_all(out_dir).map_err(|e| McError::io(out_dir.display().to_string(), e))?;
 
-    let all = flags.targets.iter().any(|t| t == "all");
-    let wants = |t: &str| all || flags.targets.iter().any(|x| x == t);
+    let targets: Vec<&str> = args.command.split(',').collect();
+    let all = targets.contains(&"all");
+    let wants = |t: &str| all || targets.contains(&t);
 
     if wants("table1") {
         let t = table1();
@@ -253,68 +216,33 @@ fn run(flags: &Flags) -> Result<(), CliError> {
         write(out_dir, "calibration.txt", &out)?;
     }
     if wants("evaluate-csv") {
-        let path = flags
-            .sweep_csv
-            .as_deref()
-            .ok_or(CliError::MissingOption("sweep-csv"))?;
-        evaluate_csv(path, out_dir)?;
-    }
-    Ok(())
-}
-
-/// Write the recorder's exports, if requested. Runs even when the targets
-/// failed, so a partial run still leaves its metrics behind.
-fn export_observability(flags: &Flags, registry: &mc_obs::Registry) -> Result<(), CliError> {
-    if let Some(path) = &flags.metrics {
-        fs::write(path, registry.metrics_json_lines())
-            .map_err(|e| McError::io(path.display().to_string(), e))?;
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = &flags.trace {
-        fs::write(path, registry.trace_json_lines())
-            .map_err(|e| McError::io(path.display().to_string(), e))?;
-        println!("wrote {}", path.display());
+        evaluate_csv(args.require("sweep-csv")?, out_dir)?;
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let flags = match parse_flags(std::env::args().skip(1)) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("repro: {e}\n{}", usage());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    if flags.help {
-        println!("{}", usage());
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    if matches!(argv.first().map(String::as_str), Some("-h" | "--help")) {
+        println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-
-    let registry = (flags.metrics.is_some() || flags.trace.is_some()).then(|| {
-        let registry = Arc::new(mc_obs::Registry::new());
-        mc_obs::set_recorder(registry.clone());
-        registry
-    });
-
-    let result = run(&flags);
-    let export = match &registry {
-        Some(r) => export_observability(&flags, r),
-        None => Ok(()),
-    };
-    mc_obs::clear_recorder();
-
-    for e in [&result, &export]
-        .into_iter()
-        .filter_map(|r| r.as_ref().err())
-    {
-        eprintln!("repro: {e}");
-        if e.is_usage() {
-            eprintln!("{}", usage());
-        }
+    if argv.is_empty() {
+        argv.push("all".into());
     }
-    match result.and(export) {
+    let result = Args::parse(argv).and_then(|mut args| {
+        let exports = Exports::take(&mut args)?;
+        args.only_as_in(USAGE, "repro")?;
+        exports.around(false, || run(&args))
+    });
+    match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => ExitCode::from(e.exit_code()),
+        Err(e) => {
+            eprintln!("repro: {e}");
+            if e.is_usage() {
+                eprintln!("{USAGE}");
+            }
+            ExitCode::from(e.exit_code())
+        }
     }
 }

@@ -236,17 +236,6 @@ fn admin_request(addr: &str, request: &str) -> Option<Json> {
 
 /// Run the load against `--addr` and summarise it.
 pub fn run(args: &Args) -> Result<Json, CliError> {
-    args.only(&[
-        "addr",
-        "conns",
-        "tenants",
-        "zipf",
-        "rate",
-        "duration-s",
-        "batch",
-        "seed",
-        "shutdown",
-    ])?;
     let addr = args.require("addr")?;
     let conns = args.count_or("conns", 8)?;
     let tenants = args.count_or("tenants", 8)?;

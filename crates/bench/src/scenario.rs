@@ -19,31 +19,35 @@ use mc_replay::{replay, run_source, CommMode, ReplayConfig, ReplayOutcome, Trace
 use mc_sched::{policy_by_name, policy_names, Evaluator, Fleet, JobSpec, SchedulePlan};
 use mc_topology::{platforms, NumaId, Platform};
 
-/// Usage text of the `bench` binary.
+/// Usage text of the `bench` binary. Its synopsis lines (`  bench
+/// SCENARIO ...` and the lines they continue with `\`) declare each
+/// scenario's options: [`run`] rejects any other option.
 pub const USAGE: &str = "\
 usage: bench SCENARIO [--option value]...
 
 scenarios:
-  replay    --pattern P --ranks N [--iters N] [--compute-mb N] [--comm-mb N]
-            [--eager yes] [--platform NAME]
-            one BENCH_3 point: a synthetic pattern replayed contended and
-            alone; run one point per process so peak RSS is its own
-  schedule  [--jobs N] [--nodes N] [--platform NAME] [--max-slowdown X]
-            [--seed N]
-            one BENCH_4 row: a mixed queue under all three policies
-  cxl       [--platform NAME] [--cores N] [--comm-mb N] [--compute-mb N]
-            the BENCH_5 crossover: messaging vs message-free CXL.mem
-  loadgen   --addr HOST:PORT [--conns N] [--tenants N] [--zipf S]
-            [--rate RPS] [--duration-s S] [--batch N] [--seed N]
-            [--shutdown yes]
-            BENCH_2: open-loop Zipf-skewed load on memcontend serve --listen
+  bench replay   --pattern P --ranks N [--iters N] [--compute-mb N] \\
+                 [--comm-mb N] [--eager yes] [--platform NAME]
+                 one BENCH_3 point: a synthetic pattern replayed contended and
+                 alone; run one point per process so peak RSS is its own
+  bench schedule [--jobs N] [--nodes N] [--platform NAME] \\
+                 [--max-slowdown X] [--seed N]
+                 one BENCH_4 row: a mixed queue under all three policies
+  bench cxl      [--platform NAME] [--cores N] [--comm-mb N] [--compute-mb N]
+                 the BENCH_5 crossover: messaging vs message-free CXL.mem
+  bench loadgen  --addr HOST:PORT [--conns N] [--tenants N] [--zipf S] \\
+                 [--rate RPS] [--duration-s S] [--batch N] [--seed N] \\
+                 [--shutdown yes]
+                 BENCH_2: open-loop Zipf-skewed load on memcontend serve --listen
 
 exit codes: 0 success, 1 loadgen completed no request, 2 usage error,
             3 invalid or degenerate input data, 4 I/O failure
 ";
 
-/// Dispatch a parsed command line to its scenario.
+/// Dispatch a parsed command line to its scenario, after checking its
+/// options against the scenario's synopsis in [`USAGE`].
 pub fn run(args: &Args) -> Result<Json, CliError> {
+    args.only_as_in(USAGE, "bench")?;
     match args.command.as_str() {
         "replay" => replay_point(args),
         "schedule" => schedule(args),
@@ -76,15 +80,6 @@ fn mib(key: &'static str, mb: u64) -> Result<u64, CliError> {
 /// straight out of the lazy generator with timelines capped, the way
 /// `memcontend replay --stream yes` does.
 pub fn replay_point(args: &Args) -> Result<Json, CliError> {
-    args.only(&[
-        "pattern",
-        "ranks",
-        "iters",
-        "compute-mb",
-        "comm-mb",
-        "eager",
-        "platform",
-    ])?;
     let pattern = args.require("pattern")?;
     let ranks: usize = args.require_num("ranks")?;
     if ranks < 2 {
@@ -193,7 +188,6 @@ fn mixed_queue(jobs: usize) -> Vec<JobSpec> {
 /// makespan, throughput and threshold violations, plus the
 /// contention-aware speedup over the naive baselines.
 pub fn schedule(args: &Args) -> Result<Json, CliError> {
-    args.only(&["jobs", "nodes", "platform", "max-slowdown", "seed"])?;
     let jobs = args.count_or("jobs", 8)?;
     let nodes = args.count_or("nodes", 4)?;
     let max_slowdown = mc_cli::commands::max_slowdown(args)?;
@@ -307,7 +301,6 @@ fn outcome_json(o: &ReplayOutcome) -> Json {
 /// flows do. A platform without a pool fails the message-free replay
 /// (invalid data, exit 3).
 pub fn cxl(args: &Args) -> Result<Json, CliError> {
-    args.only(&["platform", "cores", "comm-mb", "compute-mb"])?;
     let platform = platform_or(args, "henri-cxl")?;
     let cores = args.count_or("cores", 17)?;
     let comm_mb = args.count_or("comm-mb", 64)? as u64;
@@ -364,4 +357,46 @@ pub fn cxl(args: &Args) -> Result<Json, CliError> {
         ("wall_s", Json::Num(wall)),
         ("workloads", Json::Arr(rows)),
     ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_synopsis_option_is_accepted() {
+        let mut checked = 0;
+        let mut scenario = None;
+        for line in USAGE.lines() {
+            let mut words = line.split_whitespace();
+            if words.next() == Some("bench") {
+                scenario = words.next();
+            }
+            let Some(name) = scenario else { continue };
+            for rest in line.split("--").skip(1) {
+                let option: String = rest
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect();
+                let args = Args::parse([name.to_string(), format!("--{option}"), "x".into()]);
+                assert_eq!(
+                    args.unwrap().only_as_in(USAGE, "bench"),
+                    Ok(()),
+                    "bench {name} --{option}"
+                );
+                checked += 1;
+            }
+            if !line.trim_end().ends_with('\\') {
+                scenario = None;
+            }
+        }
+        assert_eq!(checked, 25);
+    }
+
+    #[test]
+    fn an_unknown_option_is_named() {
+        let args = Args::parse(["cxl", "--core", "4"]).unwrap();
+        let e = run(&args).unwrap_err();
+        assert_eq!(e, CliError::Usage("unknown option --core".into()));
+    }
 }

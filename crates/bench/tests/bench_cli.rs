@@ -151,6 +151,9 @@ fn usage_mistakes_exit_2() {
         &["schedule", "--platform", "zzz"],
         &["schedule", "--max-slowdown", "0.5"],
         &["schedule", "--job", "4"],
+        &["replay", "--itres", "1"],
+        &["cxl", "--core", "4"],
+        &["loadgen", "--addr", "127.0.0.1:9", "--con", "4"],
         &["cxl", "--cores", "0"],
         &["cxl", "--comm-mb", "17592186044416"],
         &["loadgen", "--addr", "127.0.0.1:9", "--rate", "1e-300"],

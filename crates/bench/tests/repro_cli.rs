@@ -24,7 +24,7 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn unknown_flag_exits_2_with_usage() {
-    let out = repro(&["--frobnicate"]);
+    let out = repro(&["table1", "--frobnicate", "yes"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("usage:"));
 }
@@ -39,9 +39,14 @@ fn missing_flag_value_exits_2() {
 #[test]
 fn evaluate_csv_without_the_csv_exits_2() {
     let dir = tmp("no-csv");
-    let out = repro(&["--out", dir.to_str().unwrap(), "evaluate-csv"]);
+    let out = repro(&["evaluate-csv", "--out", dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("--sweep-csv"));
+    assert!(
+        stderr(&out).contains("missing required option --sweep-csv"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]
@@ -49,11 +54,11 @@ fn unreadable_sweep_csv_exits_4() {
     let dir = tmp("io");
     let missing = dir.join("does-not-exist.csv");
     let out = repro(&[
+        "evaluate-csv",
         "--out",
         dir.to_str().unwrap(),
         "--sweep-csv",
         missing.to_str().unwrap(),
-        "evaluate-csv",
     ]);
     assert_eq!(out.status.code(), Some(4), "{}", stderr(&out));
 }
@@ -72,11 +77,11 @@ fn incomplete_sweep_exits_3_not_panic() {
     )
     .expect("write csv");
     let out = repro(&[
+        "evaluate-csv",
         "--out",
         dir.to_str().unwrap(),
         "--sweep-csv",
         csv.to_str().unwrap(),
-        "evaluate-csv",
     ]);
     assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
     assert!(stderr(&out).contains("placement"), "{}", stderr(&out));
@@ -93,11 +98,11 @@ fn non_finite_csv_cell_exits_3_with_line_number() {
     )
     .expect("write csv");
     let out = repro(&[
+        "evaluate-csv",
         "--out",
         dir.to_str().unwrap(),
         "--sweep-csv",
         csv.to_str().unwrap(),
-        "evaluate-csv",
     ]);
     assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
     assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
@@ -114,11 +119,11 @@ fn unknown_platform_in_csv_exits_2() {
     )
     .expect("write csv");
     let out = repro(&[
+        "evaluate-csv",
         "--out",
         dir.to_str().unwrap(),
         "--sweep-csv",
         csv.to_str().unwrap(),
-        "evaluate-csv",
     ]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("alien"), "{}", stderr(&out));
@@ -130,14 +135,15 @@ fn metrics_flag_exports_pipeline_metrics() {
     let metrics = dir.join("metrics.jsonl");
     let trace = dir.join("trace.jsonl");
     let out = repro(&[
+        "fig2",
         "--exact",
+        "yes",
         "--out",
         dir.to_str().unwrap(),
         "--metrics",
         metrics.to_str().unwrap(),
         "--trace",
         trace.to_str().unwrap(),
-        "fig2",
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 
@@ -148,4 +154,48 @@ fn metrics_flag_exports_pipeline_metrics() {
     assert!(trace.contains("\"stage\":\"sweep\""), "{trace}");
     assert!(trace.contains("\"stage\":\"calibrate\""), "{trace}");
     assert!(trace.contains("\"stage\":\"repro.fig2\""), "{trace}");
+}
+
+#[test]
+fn comma_separated_targets_run_together() {
+    let dir = tmp("comma");
+    let out = repro(&["table1,fig1", "--out", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(dir.join("table1.txt").exists());
+    assert!(dir.join("fig1_topologies.txt").exists());
+}
+
+#[test]
+fn misspelt_option_exits_2_and_names_it() {
+    let out = repro(&["table1", "--exatc", "yes"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("unknown option --exatc"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stderr(&out).contains("usage:"));
+}
+
+#[test]
+fn chrome_trace_format_writes_a_trace_event_array() {
+    let dir = tmp("chrome");
+    let trace = dir.join("trace.json");
+    let out = repro(&[
+        "fig2",
+        "--exact",
+        "yes",
+        "--out",
+        dir.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+        "--trace-format",
+        "chrome",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let body = std::fs::read_to_string(&trace).expect("chrome trace exported");
+    assert!(body.starts_with("[\n"), "{}", &body[..40.min(body.len())]);
+    assert!(body.trim_end().ends_with(']'), "{body}");
+    assert!(body.contains("\"ph\":\"X\""), "{body}");
+    assert!(body.contains("repro.fig2"), "{body}");
 }

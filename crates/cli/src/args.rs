@@ -295,6 +295,41 @@ impl Args {
         }
     }
 
+    /// [`Args::only`] with the options that `usage` declares for this
+    /// command. Its synopsis is the first line whose first two words are
+    /// `program` and the command (or a placeholder that starts with a
+    /// capital, like `TARGET[,TARGET]...`), plus the lines it continues
+    /// with a trailing `\`; the `--name` tokens on them are the known
+    /// options. A command without a synopsis is a [`CliError::UnknownCommand`].
+    pub fn only_as_in(&self, usage: &str, program: &str) -> Result<(), CliError> {
+        let is_synopsis = |line: &&str| {
+            let mut words = line.split_whitespace();
+            let placeholder = |w: &str| w.starts_with(|c: char| c.is_ascii_uppercase());
+            words.next() == Some(program)
+                && words
+                    .next()
+                    .is_some_and(|w| w == self.command || placeholder(w))
+        };
+        let mut lines = usage
+            .lines()
+            .skip_while(|line| !is_synopsis(line))
+            .peekable();
+        if lines.peek().is_none() {
+            return Err(CliError::UnknownCommand(self.command.clone()));
+        }
+        let not_name = |c: char| !c.is_ascii_alphanumeric() && c != '-';
+        let mut known = Vec::new();
+        for line in lines {
+            for rest in line.split("--").skip(1) {
+                known.extend(rest.split(not_name).next());
+            }
+            if !line.trim_end().ends_with('\\') {
+                break;
+            }
+        }
+        self.only(&known)
+    }
+
     /// A required numeric option.
     pub fn require_num<T: std::str::FromStr>(&self, key: &'static str) -> Result<T, CliError> {
         let raw = self.require(key)?;
@@ -454,6 +489,106 @@ mod tests {
         let e = a.only(&["cores"]).unwrap_err();
         assert_eq!(e, CliError::Usage("unknown option --warm".into()));
         assert_eq!(e.exit_code(), EXIT_USAGE);
+    }
+
+    const DEMO_USAGE: &str = "\
+usage:
+  demo run   --alpha N [--beta-two X] \\
+             (--gamma FILE | --delta=D)
+  demo stop  [--force yes]
+  demo ALL   [--verbose yes]
+
+--extra in prose after the synopsis is not an option.
+";
+
+    fn check(argv: &[&str], usage: &str, program: &str) -> Result<(), CliError> {
+        Args::parse(argv.iter().copied())
+            .unwrap()
+            .only_as_in(usage, program)
+    }
+
+    #[test]
+    fn synopsis_continuation_lines_are_read() {
+        let argv = [
+            "run",
+            "--alpha",
+            "1",
+            "--beta-two",
+            "2",
+            "--gamma",
+            "g",
+            "--delta",
+            "d",
+        ];
+        assert_eq!(check(&argv, DEMO_USAGE, "demo"), Ok(()));
+        assert_eq!(
+            check(&["stop", "--force", "yes"], DEMO_USAGE, "demo"),
+            Ok(())
+        );
+        // Options of another command's synopsis are not this command's.
+        let e = check(&["stop", "--alpha", "1"], DEMO_USAGE, "demo").unwrap_err();
+        assert_eq!(e, CliError::Usage("unknown option --alpha".into()));
+        assert_eq!(e.exit_code(), EXIT_USAGE);
+    }
+
+    #[test]
+    fn prose_after_a_synopsis_declares_nothing() {
+        let e = check(&["run", "--extra", "1"], DEMO_USAGE, "demo").unwrap_err();
+        assert_eq!(e, CliError::Usage("unknown option --extra".into()));
+        // The same prose word stays unknown to a placeholder synopsis.
+        assert!(check(&["anything", "--extra", "1"], DEMO_USAGE, "demo").is_err());
+    }
+
+    #[test]
+    fn a_command_without_a_synopsis_is_unknown() {
+        let e = check(
+            &["frobnicate"],
+            "usage:\n  other frobnicate --x N\n",
+            "demo",
+        )
+        .unwrap_err();
+        assert_eq!(e, CliError::UnknownCommand("frobnicate".into()));
+        assert_eq!(e.exit_code(), EXIT_USAGE);
+    }
+
+    #[test]
+    fn a_capitalised_second_word_stands_for_any_command() {
+        assert_eq!(
+            check(&["table1,fig1", "--verbose", "yes"], DEMO_USAGE, "demo"),
+            Ok(())
+        );
+        assert!(check(&["table1", "--force", "yes"], DEMO_USAGE, "demo").is_err());
+    }
+
+    #[test]
+    fn every_synopsis_option_is_accepted() {
+        let usage = crate::commands::USAGE;
+        let mut checked = 0;
+        let mut command = None;
+        for line in usage.lines() {
+            let mut words = line.split_whitespace();
+            if words.next() == Some("memcontend") {
+                command = words.next();
+            }
+            let Some(name) = command else { continue };
+            for rest in line.split("--").skip(1) {
+                let option: String = rest
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect();
+                let args = Args::parse([name.to_string(), format!("--{option}"), "x".into()]);
+                assert_eq!(
+                    args.unwrap().only_as_in(usage, "memcontend"),
+                    Ok(()),
+                    "memcontend {name} --{option}"
+                );
+                checked += 1;
+            }
+            if !line.trim_end().ends_with('\\') {
+                command = None;
+            }
+        }
+        assert_eq!(checked, 49);
     }
 
     #[test]

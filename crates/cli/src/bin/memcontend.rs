@@ -1,24 +1,19 @@
 //! `memcontend` binary: parse argv, dispatch, print.
 //!
-//! Exit codes: 0 success, 2 usage error (bad flags, unknown command or
-//! platform, out-of-range NUMA node), 3 invalid or degenerate input data
-//! (a sweep that cannot calibrate, a malformed model file), 4 file I/O
-//! failure.
+//! Exit codes: 0 success, 2 usage error (bad or unknown flags, unknown
+//! command or platform, out-of-range NUMA node), 3 invalid or degenerate
+//! input data (a sweep that cannot calibrate, a malformed model file), 4
+//! file I/O failure.
 //!
-//! The global `--metrics FILE` / `--trace FILE` options install an
-//! [`mc_obs::Registry`] for the duration of the command and export its
-//! counters/histograms (JSON lines) and spans afterwards. `--trace`
-//! defaults to the JSON-lines span format; `--trace-format chrome`
-//! writes a Chrome trace_event JSON array instead (loadable in
-//! chrome://tracing and ui.perfetto.dev). The `replay` and `schedule`
+//! The global `--metrics`, `--trace` and `--trace-format` options are
+//! handled by [`mc_cli::exports`]. The `replay` and `schedule`
 //! subcommands additionally accept `--report FILE.html`; the registry is
 //! installed for them too so the report can embed the run's metrics.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
+use mc_cli::exports::Exports;
 use mc_cli::{run, Args, CliError};
-use mc_model::McError;
 
 fn fail(e: &CliError) -> ExitCode {
     if e.is_usage() {
@@ -29,113 +24,29 @@ fn fail(e: &CliError) -> ExitCode {
     ExitCode::from(e.exit_code())
 }
 
-/// Span-trace output formats selected by `--trace-format`.
-enum TraceFormat {
-    /// One JSON object per line (the historical default).
-    Jsonl,
-    /// A Chrome trace_event JSON array for chrome://tracing / Perfetto.
-    Chrome,
-}
-
-/// Parse `--trace-format`. Requiring `--trace` alongside keeps the flag
-/// from silently doing nothing.
-fn trace_format(value: Option<&str>, trace: Option<&str>) -> Result<TraceFormat, CliError> {
-    let Some(value) = value else {
-        return Ok(TraceFormat::Jsonl);
-    };
-    if trace.is_none() {
-        return Err(CliError::Usage(
-            "--trace-format needs --trace FILE (there is nothing to format otherwise)".into(),
-        ));
-    }
-    match value {
-        "jsonl" => Ok(TraceFormat::Jsonl),
-        "chrome" => Ok(TraceFormat::Chrome),
-        other => Err(CliError::BadValue("trace-format", other.to_string())),
-    }
-}
-
-/// Write the recorder's exports. Runs even when the command failed, so a
-/// partial run still leaves its metrics behind.
-fn export(
-    registry: &mc_obs::Registry,
-    metrics: Option<&str>,
-    trace: Option<&str>,
-    format: &TraceFormat,
-) -> Result<(), CliError> {
-    if let Some(path) = metrics {
-        std::fs::write(path, registry.metrics_json_lines()).map_err(|e| McError::io(path, e))?;
-        eprintln!("metrics written to {path}");
-    }
-    if let Some(path) = trace {
-        let body = match format {
-            TraceFormat::Jsonl => registry.trace_json_lines(),
-            TraceFormat::Chrome => registry.chrome_trace(),
-        };
-        std::fs::write(path, body).map_err(|e| McError::io(path, e))?;
-        eprintln!("trace written to {path}");
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() || argv[0] == "-h" || argv[0] == "--help" {
         println!("{}", mc_cli::commands::USAGE);
         return ExitCode::SUCCESS;
     }
-    let mut args = match Args::parse(argv) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    // The observability options are global, not per-subcommand: strip them
-    // before dispatch so the command layer never sees them. `--report` is
-    // per-subcommand (the command builds the HTML itself) but still wants
-    // a recorder installed, so it is peeked at, not removed.
-    let metrics = args.options.remove("metrics");
-    let trace = args.options.remove("trace");
-    let format = match trace_format(
-        args.options.remove("trace-format").as_deref(),
-        trace.as_deref(),
-    ) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let report = args.options.contains_key("report");
-
-    let registry = (metrics.is_some() || trace.is_some() || report).then(|| {
-        let registry = Arc::new(mc_obs::Registry::new());
-        mc_obs::set_recorder(registry.clone());
-        registry
+    let result = Args::parse(argv).and_then(|mut args| {
+        let exports = Exports::take(&mut args)?;
+        // `--report` is per-subcommand (the command builds the HTML
+        // itself) but still wants a recorder installed.
+        let report = args.options.contains_key("report");
+        exports.around(report, || {
+            let _span = mc_obs::span(
+                "memcontend",
+                &[("command", mc_obs::TagValue::Str(&args.command))],
+            );
+            // Printed before the exports are written, so a failed export
+            // still leaves the command's output behind.
+            run(&args).map(|output| print!("{output}"))
+        })
     });
-
-    let result = {
-        let _span = mc_obs::span(
-            "memcontend",
-            &[("command", mc_obs::TagValue::Str(&args.command))],
-        );
-        run(&args)
-    };
-    let exported = match &registry {
-        Some(r) => export(r, metrics.as_deref(), trace.as_deref(), &format),
-        None => Ok(()),
-    };
-    mc_obs::clear_recorder();
-
-    match (result, exported) {
-        (Ok(output), Ok(())) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
-        (Ok(output), Err(e)) => {
-            print!("{output}");
-            fail(&e)
-        }
-        (Err(e), export_result) => {
-            if let Err(ee) = export_result {
-                eprintln!("error: {ee}");
-            }
-            fail(&e)
-        }
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(&e),
     }
 }

@@ -20,7 +20,9 @@ use mc_viz::TopologySketch;
 
 use crate::args::{Args, CliError};
 
-/// Usage text.
+/// Usage text. Its synopsis lines (`  memcontend COMMAND ...` and the
+/// lines they continue with `\`) declare each subcommand's options:
+/// [`run`] rejects any other option.
 pub const USAGE: &str = "\
 memcontend — model memory contention between communications and computations
 
@@ -47,6 +49,7 @@ usage:
                        [--warm PLATFORM=FILE]... \\
                        [--listen HOST:PORT] [--credits N] [--queue N] \\
                        [--wait-ms MS] [--max-conns N]
+  memcontend help
 
 replay predicts the whole-program slowdown a JSON-lines event trace
 suffers from memory contention (patterns: halo2d, allreduce, pipeline;
@@ -472,20 +475,22 @@ pub fn replay_cmd(args: &Args) -> Result<String, CliError> {
             }
         }
         (None, Some(pattern)) => {
-            let ranks: usize = args.num_or("ranks", 4)?;
+            let defaults = GenParams::default();
+            let ranks: usize = args.num_or("ranks", defaults.ranks)?;
             if ranks < 2 {
                 return Err(CliError::Usage("--ranks must be at least 2".into()));
             }
-            let iters = args.count_or("iters", 2)?;
-            let cores = args.count_or("cores", 4)?;
-            let compute_mb: f64 = args.num_or("compute-mb", 256.0)?;
-            let comm_mb: f64 = args.num_or("comm-mb", 8.0)?;
+            let iters = args.count_or("iters", defaults.iters)?;
+            let cores = args.count_or("cores", defaults.cores)?;
+            let mib = (1 << 20) as f64;
+            let compute_mb: f64 = args.num_or("compute-mb", defaults.compute_bytes as f64 / mib)?;
+            let comm_mb: f64 = args.num_or("comm-mb", defaults.comm_bytes as f64 / mib)?;
             let params = GenParams {
                 ranks,
                 iters,
                 cores,
-                compute_bytes: (compute_mb * (1 << 20) as f64) as u64,
-                comm_bytes: (comm_mb * (1 << 20) as f64) as u64,
+                compute_bytes: (compute_mb * mib) as u64,
+                comm_bytes: (comm_mb * mib) as u64,
                 comp_numa: numa_arg(args, "comp-numa", &p)?,
                 comm_numa: numa_arg(args, "comm-numa", &p)?,
             };
@@ -584,13 +589,20 @@ pub fn replay_cmd(args: &Args) -> Result<String, CliError> {
             "Contended timeline",
             &report::gantt(&outcome, &title).render(900.0),
         );
-        if let Some(snap) = mc_obs::recorder().and_then(|r| r.snapshot()) {
-            rep.metrics(&snap);
-        }
-        fs::write(path, rep.render()).map_err(|e| McError::io(path, e))?;
-        let _ = writeln!(out, "report written to {path}");
+        write_report(rep, path, &mut out)?;
     }
     Ok(out)
+}
+
+/// Finish a `--report` page: embed the run's metrics, write it to
+/// `path` and say so in `out`.
+fn write_report(mut rep: mc_viz::HtmlReport, path: &str, out: &mut String) -> Result<(), CliError> {
+    if let Some(snap) = mc_obs::recorder().and_then(|r| r.snapshot()) {
+        rep.metrics(&snap);
+    }
+    fs::write(path, rep.render()).map_err(|e| McError::io(path, e))?;
+    let _ = writeln!(out, "report written to {path}");
+    Ok(())
 }
 
 /// The fleet a `schedule` run places onto: `--fleet henri*2,dahu*1`
@@ -751,11 +763,7 @@ pub fn schedule_cmd(args: &Args) -> Result<String, CliError> {
             ],
             rows,
         );
-        if let Some(snap) = mc_obs::recorder().and_then(|r| r.snapshot()) {
-            rep.metrics(&snap);
-        }
-        fs::write(path, rep.render()).map_err(|e| McError::io(path, e))?;
-        let _ = writeln!(out, "report written to {path}");
+        write_report(rep, path, &mut out)?;
     }
     Ok(out)
 }
@@ -790,8 +798,10 @@ fn schedule_gantt(
     }
 }
 
-/// Dispatch a parsed command line.
+/// Dispatch a parsed command line, after checking its options against
+/// the command's synopsis in [`USAGE`].
 pub fn run(args: &Args) -> Result<String, CliError> {
+    args.only_as_in(USAGE, "memcontend")?;
     match args.command.as_str() {
         "topo" => topo(args),
         "bench" => bench(args),
@@ -952,7 +962,12 @@ mod tests {
         // Every subcommand that takes --platform routes through the same
         // error, whose message enumerates platforms::extended().
         for cmd in ["topo", "bench", "calibrate", "evaluate", "advise", "replay"] {
-            let e = run_line(&[cmd, "--platform", "zzz", "--generate", "halo2d"]).unwrap_err();
+            let generate: &[&str] = if cmd == "replay" {
+                &["--generate", "halo2d"]
+            } else {
+                &[]
+            };
+            let e = run_line(&[&[cmd, "--platform", "zzz"][..], generate].concat()).unwrap_err();
             let msg = e.to_string();
             assert!(e.is_usage(), "{cmd}: {msg}");
             for name in ["henri", "henri-subnuma", "grillon"] {

@@ -4,17 +4,9 @@
 //! subcommand is a function from parsed arguments to a rendered string, so
 //! the binary only parses `argv` and prints.
 //!
-//! ```text
-//! memcontend topo       [--platform NAME]
-//! memcontend bench      --platform NAME [--comp-numa N] [--comm-numa N]
-//! memcontend calibrate  --platform NAME [--save FILE]
-//! memcontend predict    (--platform NAME | --model FILE) --cores N \
-//!                       --comp-numa A --comm-numa B
-//! memcontend advise     --platform NAME --compute-gb X --comm-gb Y
-//! memcontend evaluate   --platform NAME
-//! memcontend serve      [--workers N] [--capacity N] [--warm PLAT=FILE]... \
-//!                       [--listen HOST:PORT] [--credits N]
-//! ```
+//! The subcommands and their options are listed once, in
+//! [`commands::USAGE`]: its synopsis lines are also what
+//! [`Args::only_as_in`] checks a command line against.
 //!
 //! `serve` is the exception to "function to rendered string": it runs a
 //! long-lived JSON-lines request/response loop — over stdin/stdout, or
@@ -27,6 +19,7 @@
 
 pub mod args;
 pub mod commands;
+pub mod exports;
 pub mod net;
 pub mod serve;
 

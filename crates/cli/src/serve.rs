@@ -317,23 +317,35 @@ fn handle_request(registry: &ModelRegistry, request: &Json) -> Json {
 }
 
 fn try_request(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError> {
-    if !matches!(request, Json::Obj(_)) {
+    let Json::Obj(members) = request else {
         return Err(CliError::Protocol("request must be a JSON object".into()));
-    }
+    };
     let op = request
         .get("op")
         .ok_or_else(|| CliError::Protocol("missing 'op' (or 'batch')".into()))?
         .as_str()
         .ok_or_else(|| CliError::Protocol("'op' must be a string".into()))?;
-    match op {
-        "predict" => predict(registry, request),
-        "calibrate" => calibrate(registry, request),
-        "evaluate" => evaluate_op(registry, request),
-        "recommend" => recommend(registry, request),
-        "replay" => replay_op(request),
-        "stats" => stats_op(registry),
-        other => Err(CliError::Protocol(format!("unknown op '{other}'"))),
+    // Each op with the fields it reads besides `op` and `id`: any other
+    // field is a misspelling, not something to ignore.
+    type Handler = fn(&ModelRegistry, &Json) -> Result<Json, CliError>;
+    let (fields, handler): (&str, Handler) = match op {
+        "predict" => ("platform model cores comp_numa comm_numa", predict),
+        "calibrate" => ("platform", calibrate),
+        "evaluate" => ("platform", evaluate_op),
+        "recommend" => ("platform compute_gb comm_gb max_cores top", recommend),
+        "replay" => (
+            "platform pattern trace_file ranks iters cores compute_mb comm_mb comp_numa comm_numa",
+            |_, request| replay_op(request),
+        ),
+        "stats" => ("", |registry, _| stats_op(registry)),
+        other => return Err(CliError::Protocol(format!("unknown op '{other}'"))),
+    };
+    let known = |k: &str| k == "op" || k == "id" || fields.split(' ').any(|f| f == k);
+    if let Some((field, _)) = members.iter().find(|(k, _)| !known(k)) {
+        let message = format!("unknown field '{field}' for op '{op}'");
+        return Err(CliError::Protocol(message));
     }
+    handler(registry, request)
 }
 
 /// `"platform"` field → a known platform, or a protocol error.
@@ -1059,6 +1071,46 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("halo2d"));
+    }
+
+    #[test]
+    fn a_misspelt_field_is_a_usage_error_on_every_op() {
+        let cases = [
+            (
+                r#"{"op":"predict","platform":"henri","cores":4,"comp_numa":0,"comm_nmua":1}"#,
+                "comm_nmua",
+            ),
+            (r#"{"op":"calibrate","platfrom":"henri"}"#, "platfrom"),
+            (
+                r#"{"op":"evaluate","platform":"henri","model":"m.txt"}"#,
+                "model",
+            ),
+            (
+                r#"{"op":"recommend","platform":"henri","compute_gb":4,"comm_gb":1,"tpo":3}"#,
+                "tpo",
+            ),
+            (
+                r#"{"op":"replay","platform":"henri","pattern":"halo2d","rnaks":64}"#,
+                "rnaks",
+            ),
+            (r#"{"op":"stats","id":7,"verbose":true}"#, "verbose"),
+        ];
+        let lines: String = cases.iter().map(|(req, _)| format!("{req}\n")).collect();
+        // The loop answers every line and keeps serving after the errors.
+        let out = serve(&format!("{lines}{{\"op\":\"stats\"}}\n"), &[]);
+        assert_eq!(out.len(), cases.len() + 1);
+        for ((req, field), resp) in cases.iter().zip(&out) {
+            assert_eq!(error_class(resp), Some("usage"), "{req}: {resp:?}");
+            let error = resp.get("error").unwrap();
+            assert_eq!(error.get("exit_code"), Some(&Json::Num(2.0)), "{req}");
+            let message = error.get("message").unwrap().as_str().unwrap();
+            assert!(
+                message.contains(&format!("unknown field '{field}'")),
+                "{message}"
+            );
+        }
+        assert_eq!(out[5].get("id"), Some(&Json::Num(7.0)));
+        assert!(ok(&out[6]), "{:?}", out[6]);
     }
 
     #[test]

@@ -225,3 +225,38 @@ fn unwritable_metrics_path_exits_4_after_success() {
     // The command output is still printed before the export failure.
     assert!(String::from_utf8_lossy(&out.stdout).contains("henri"));
 }
+
+#[test]
+fn misspelt_options_exit_2_on_every_subcommand() {
+    for cmd in [
+        "topo",
+        "bench",
+        "calibrate",
+        "predict",
+        "advise",
+        "evaluate",
+        "replay",
+        "schedule",
+        "serve",
+        "help",
+    ] {
+        let out = memcontend(&[cmd, "--platfrom", "henri"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("unknown option --platfrom"),
+            "{cmd}: {}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).contains("usage:"), "{cmd}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn misspelt_metrics_option_exits_2_and_writes_nothing() {
+    let dir = tmp("metrcs");
+    let path = dir.join("m.jsonl");
+    let out = memcontend(&["topo", "--metrcs", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--metrcs"), "{}", stderr(&out));
+    assert!(!path.exists());
+}
