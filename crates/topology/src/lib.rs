@@ -33,7 +33,6 @@ pub mod ids;
 pub mod link;
 pub mod machine;
 pub mod nic;
-pub mod persist;
 pub mod platforms;
 
 pub use behavior::{ArbitrationSpec, CoreStreamSpec, HwBehavior, MemCtrlSpec, NoiseSpec};
