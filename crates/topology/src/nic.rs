@@ -94,45 +94,9 @@ pub struct Nic {
     pub closest_numa: NumaId,
 }
 
-impl Nic {
-    /// Peak receive bandwidth in GB/s achievable for large messages to the
-    /// closest NUMA node: wire rate × protocol efficiency, capped by the
-    /// PCIe attachment.
-    pub fn peak_receive_bandwidth(&self) -> f64 {
-        (self.tech.wire_rate() * self.tech.protocol_efficiency()).min(self.pcie.usable_bandwidth())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn edr_nic() -> Nic {
-        Nic {
-            tech: NetworkTech::InfinibandEdr,
-            socket: SocketId::new(0),
-            pcie: PcieGen::GEN3_X16,
-            closest_numa: NumaId::new(0),
-        }
-    }
-
-    #[test]
-    fn edr_peak_close_to_11_gbs() {
-        let peak = edr_nic().peak_receive_bandwidth();
-        assert!((10.5..12.0).contains(&peak), "got {peak}");
-    }
-
-    #[test]
-    fn hdr_is_capped_by_pcie_gen3() {
-        // An HDR NIC mistakenly plugged in a gen3 slot cannot exceed the
-        // slot bandwidth — the min() must kick in.
-        let nic = Nic {
-            tech: NetworkTech::InfinibandHdr,
-            pcie: PcieGen::GEN3_X16,
-            ..edr_nic()
-        };
-        assert!(nic.peak_receive_bandwidth() <= PcieGen::GEN3_X16.usable_bandwidth());
-    }
 
     #[test]
     fn wire_rates_are_ordered() {
