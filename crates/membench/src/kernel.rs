@@ -147,14 +147,6 @@ impl CommPattern {
             }
         }
     }
-
-    /// Number of concurrent DMA flows.
-    pub fn flow_count(self) -> usize {
-        match self {
-            CommPattern::RecvOnly | CommPattern::SendOnly => 1,
-            CommPattern::PingPong => 2,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +191,6 @@ mod tests {
         let pp = CommPattern::PingPong.streams(numa);
         assert_eq!(pp.len(), 2);
         assert!(pp.iter().all(|s| s.is_dma()));
-        assert_eq!(CommPattern::PingPong.flow_count(), 2);
     }
 
     #[test]

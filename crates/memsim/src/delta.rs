@@ -161,18 +161,6 @@ pub struct DeltaStats {
     pub full_solves: u64,
 }
 
-impl DeltaStats {
-    /// How many times fewer full solves ran than rate requests arrived
-    /// (`inf` when everything was answered from caches).
-    pub fn reduction(&self) -> f64 {
-        if self.full_solves == 0 {
-            f64::INFINITY
-        } else {
-            self.requests as f64 / self.full_solves as f64
-        }
-    }
-}
-
 /// The incremental solver: shared state cache, scratch buffers, and
 /// counters. One instance serves any number of [`ActiveSet`]s over the
 /// *same* fabric, at any CPU demand scales (the scale is part of every
@@ -496,18 +484,6 @@ mod tests {
         let mut set = ActiveSet::new();
         set.add(cpu(0));
         set.remove(dma(0));
-    }
-
-    #[test]
-    fn reduction_reports_the_request_to_solve_ratio() {
-        let stats = DeltaStats {
-            requests: 100,
-            reuse_hits: 80,
-            state_hits: 15,
-            full_solves: 5,
-        };
-        assert_eq!(stats.reduction(), 20.0);
-        assert_eq!(DeltaStats::default().reduction(), f64::INFINITY);
     }
 
     proptest! {

@@ -39,7 +39,7 @@
 //! }
 //! mc_obs::clear_recorder();
 //! assert_eq!(registry.counter_total("demo.widgets"), 3);
-//! assert!(registry.span_stages().contains(&"demo".to_string()));
+//! assert!(registry.snapshot().spans.iter().any(|s| s.stage == "demo"));
 //! ```
 
 #![warn(missing_docs)]

@@ -161,25 +161,6 @@ impl Registry {
             .sum()
     }
 
-    /// Observation count of a histogram summed across all tag sets.
-    pub fn histogram_count(&self, name: &str) -> u64 {
-        self.lock()
-            .histograms
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, h)| h.count)
-            .sum()
-    }
-
-    /// Distinct stage names among completed spans, sorted.
-    pub fn span_stages(&self) -> Vec<String> {
-        let inner = self.lock();
-        let mut stages: Vec<String> = inner.spans.iter().map(|s| s.stage.clone()).collect();
-        stages.sort();
-        stages.dedup();
-        stages
-    }
-
     /// Copy out everything accumulated so far. Open (unexited) spans —
     /// a stage that panicked, or an export taken mid-stage — are closed
     /// at the snapshot instant and appended after the completed spans,
@@ -284,7 +265,6 @@ mod tests {
         assert_eq!(h.min, 2.0);
         assert_eq!(h.max, 8.0);
         assert_eq!(h.mean(), 5.0);
-        assert_eq!(r.histogram_count("lat"), 3);
     }
 
     #[test]
@@ -302,7 +282,6 @@ mod tests {
             vec![("n_cores".to_string(), "16".to_string())]
         );
         assert!(snap.spans[0].duration_s >= 0.0);
-        assert_eq!(r.span_stages(), vec!["stage-a".to_string()]);
     }
 
     #[test]

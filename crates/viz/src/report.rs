@@ -9,8 +9,8 @@
 //! input, so reports are goldenable like every other exporter.
 //!
 //! Sections are appended in call order: run-metadata header, SVG
-//! figures (Gantt timelines), arbitrary tables, preformatted text, and
-//! a [`MetricsSnapshot`] expansion (counters, histogram summaries,
+//! figures (Gantt timelines), arbitrary tables, and a
+//! [`MetricsSnapshot`] expansion (counters, histogram summaries,
 //! spans) via [`HtmlReport::metrics`].
 
 use std::fmt::Write as _;
@@ -38,8 +38,6 @@ enum Section {
         columns: Vec<String>,
         rows: Vec<Vec<String>>,
     },
-    /// Preformatted text (a CLI report verbatim).
-    Pre { heading: String, body: String },
 }
 
 /// A report under construction; see the module docs.
@@ -81,14 +79,6 @@ impl HtmlReport {
             heading: heading.to_string(),
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows,
-        });
-    }
-
-    /// Add a preformatted text block (e.g. the CLI's text report).
-    pub fn pre(&mut self, heading: &str, body: &str) {
-        self.sections.push(Section::Pre {
-            heading: heading.to_string(),
-            body: body.to_string(),
         });
     }
 
@@ -161,6 +151,8 @@ impl HtmlReport {
         let mut out = String::new();
         out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
         let _ = writeln!(out, "<title>{}</title>", esc(&self.title));
+        // The `pre` rule styles no section; it stays so `--report` pages
+        // keep their bytes.
         out.push_str(
             "<style>\n\
              body{font-family:sans-serif;margin:2em auto;max-width:960px;color:#222}\n\
@@ -214,10 +206,6 @@ impl HtmlReport {
                     }
                     out.push_str("</table>\n");
                 }
-                Section::Pre { heading, body } => {
-                    let _ = writeln!(out, "<h2>{}</h2>", esc(heading));
-                    let _ = writeln!(out, "<pre>{}</pre>", esc(body));
-                }
             }
         }
         out.push_str("</body>\n</html>\n");
@@ -240,9 +228,11 @@ mod tests {
         rep.table(
             "Comparison",
             &["policy", "makespan_s"],
-            vec![vec!["first_fit".into(), "1.25".into()]],
+            vec![
+                vec!["first_fit".into(), "1.25".into()],
+                vec!["line <two> & 'three'".into(), "1.50".into()],
+            ],
         );
-        rep.pre("Report", "line one\nline <two> & 'three'");
         rep
     }
 
@@ -256,7 +246,7 @@ mod tests {
         assert!(html.contains("<svg"));
         assert!(html.contains("<th>policy</th>"));
         assert!(html.contains("<td>first_fit</td>"));
-        assert!(html.contains("line &lt;two&gt; &amp;"));
+        assert!(html.contains("<td>line &lt;two&gt; &amp;"));
     }
 
     #[test]

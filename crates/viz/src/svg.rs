@@ -38,16 +38,6 @@ impl Svg {
         }
     }
 
-    /// Document width in pixels.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Document height in pixels.
-    pub fn height(&self) -> f64 {
-        self.height
-    }
-
     /// A straight line segment.
     pub fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
         let _ = writeln!(
