@@ -156,7 +156,7 @@ pub fn average_params(params: &[ModelParams]) -> Result<ModelParams, RobustnessE
     Ok(out)
 }
 
-/// Outcome of calibrating one sweep under many fault-injection seeds.
+/// Outcome of calibrating one sweep under many fault seeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpreadReport {
     /// Seeds attempted.

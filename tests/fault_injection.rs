@@ -1,15 +1,7 @@
-//! Fault-injection harness (heavy): calibration stability under sweep
+//! Fault-injection harness: calibration stability under sweep
 //! perturbations and engine behaviour under activity-level faults, across
-//! several platforms and many seeds.
-//!
-//! Gated behind the `fault-injection` feature so the tier-1 suite stays
-//! fast:
-//!
-//! ```text
-//! cargo test -q --features fault-injection --test fault_injection
-//! ```
-
-#![cfg(feature = "fault-injection")]
+//! several platforms and many seeds. It runs with the rest of the suite
+//! (`cargo test -q`).
 
 use memory_contention::membench::faults::Fault;
 use memory_contention::membench::record::SweepColumn;
