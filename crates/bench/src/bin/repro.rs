@@ -38,6 +38,22 @@ exit codes: 0 success, 2 usage error, 3 invalid or degenerate input data,
             4 file I/O failure
 ";
 
+/// Reject a comma-joined target that [`USAGE`]'s target list (the words
+/// after `given):`, up to the parenthesised note) does not name.
+fn check_targets(targets: &str) -> Result<(), CliError> {
+    let (_, list) = USAGE
+        .split_once("given):")
+        .expect("USAGE lists the targets");
+    let known: Vec<&str> = list
+        .split_whitespace()
+        .take_while(|w| !w.starts_with('('))
+        .collect();
+    match targets.split(',').find(|t| !known.contains(t)) {
+        Some(t) => Err(CliError::Usage(format!("unknown target '{t}'"))),
+        None => Ok(()),
+    }
+}
+
 fn write(out_dir: &Path, name: &str, content: &str) -> Result<(), CliError> {
     let path = out_dir.join(name);
     fs::write(&path, content).map_err(|e| McError::io(path.display().to_string(), e))?;
@@ -233,6 +249,7 @@ fn main() -> ExitCode {
     let result = Args::parse(argv).and_then(|mut args| {
         let exports = Exports::take(&mut args)?;
         args.only_as_in(USAGE, "repro")?;
+        check_targets(&args.command)?;
         exports.around(false, || run(&args))
     });
     match result {

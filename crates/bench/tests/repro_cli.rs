@@ -166,6 +166,23 @@ fn comma_separated_targets_run_together() {
 }
 
 #[test]
+fn unknown_target_exits_2_names_it_and_writes_nothing() {
+    let dir = tmp("fgi3");
+    for targets in ["fgi3", "table1,fgi3", "table1,"] {
+        let out = repro(&[targets, "--out", dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{targets}: {}", stderr(&out));
+        let name = targets.rsplit(',').next().unwrap();
+        assert!(
+            stderr(&out).contains(&format!("unknown target '{name}'")),
+            "{targets}: {}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).contains("usage:"), "{targets}");
+        assert!(!dir.join("table1.txt").exists(), "{targets}");
+    }
+}
+
+#[test]
 fn misspelt_option_exits_2_and_names_it() {
     let out = repro(&["table1", "--exatc", "yes"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
