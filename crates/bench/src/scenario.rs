@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use mc_cli::{Args, CliError};
 use mc_json::{obj, Json};
-use mc_model::{ModelRegistry, PhaseProfile};
+use mc_model::{size_bytes, ModelRegistry, PhaseProfile};
 use mc_replay::generate::{self, GenParams, LazyGen};
 use mc_replay::report::GANTT_MAX_ROWS;
 use mc_replay::trace::EventKind;
@@ -63,10 +63,11 @@ fn platform_or(args: &Args, default: &str) -> Result<Platform, CliError> {
     platforms::by_name(name).ok_or_else(|| CliError::UnknownPlatform(name.to_string()))
 }
 
-/// `mb` MiB as bytes; a size whose bytes overflow is a bad `key` value.
+/// `mb` MiB as bytes, under the one size rule ([`size_bytes`]).
 fn mib(key: &'static str, mb: u64) -> Result<u64, CliError> {
-    mb.checked_mul(1 << 20)
-        .ok_or_else(|| CliError::BadValue(key, mb.to_string()))
+    size_bytes(mb as f64, (1 << 20) as f64)
+        .map(|bytes| bytes as u64)
+        .map_err(|e| CliError::Usage(format!("--{key} {e}")))
 }
 
 /// `replay`: one BENCH_3 scaling point. Replays a synthetic pattern at
@@ -82,9 +83,6 @@ fn mib(key: &'static str, mb: u64) -> Result<u64, CliError> {
 pub fn replay_point(args: &Args) -> Result<Json, CliError> {
     let pattern = args.require("pattern")?;
     let ranks: usize = args.require_num("ranks")?;
-    if ranks < 2 {
-        return Err(CliError::Usage("--ranks must be at least 2".into()));
-    }
     let iters = args.count_or("iters", 4)?;
     let compute_bytes = mib("compute-mb", args.num_or("compute-mb", 256)?)?;
     let comm_bytes = mib("comm-mb", args.num_or("comm-mb", 8)?)?;
@@ -97,21 +95,20 @@ pub fn replay_point(args: &Args) -> Result<Json, CliError> {
         comm_bytes,
         ..GenParams::default()
     };
-    let gen = LazyGen::new(pattern, &params)
-        .ok_or_else(|| CliError::UnknownPattern(pattern.to_string()))?;
+    let gen = LazyGen::new(pattern, &params)?;
 
     let config = ReplayConfig {
         timeline_ranks: if eager { None } else { Some(GANTT_MAX_ROWS) },
         ..ReplayConfig::default()
     };
-    let run = |contended: bool| {
-        if eager {
+    let run = |contended: bool| -> Result<_, CliError> {
+        Ok(if eager {
             // The pre-streaming path: the whole trace in memory first.
-            let trace = gen.collect();
-            run_source(&platform, &mut TraceSource::new(&trace), &config, contended)
+            let trace = gen.try_collect()?;
+            run_source(&platform, &mut TraceSource::new(&trace), &config, contended)?
         } else {
-            run_source(&platform, &mut gen.source(), &config, contended)
-        }
+            run_source(&platform, &mut gen.source(), &config, contended)?
+        })
     };
     let t0 = Instant::now();
     let contended = run(true)?;

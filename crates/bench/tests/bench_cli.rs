@@ -148,6 +148,22 @@ fn usage_mistakes_exit_2() {
             "maybe",
         ],
         &["replay", "--pattern", "halo2d", "--ranks", "1"],
+        &[
+            "replay",
+            "--pattern",
+            "allreduce",
+            "--ranks",
+            "1000000000000",
+        ],
+        &[
+            "replay",
+            "--pattern",
+            "halo2d",
+            "--ranks",
+            "4",
+            "--compute-mb",
+            "8589934593",
+        ],
         &["schedule", "--platform", "zzz"],
         &["schedule", "--max-slowdown", "0.5"],
         &["schedule", "--job", "4"],

@@ -190,6 +190,17 @@ impl From<mc_sched::SchedError> for CliError {
     }
 }
 
+/// An unknown pattern keeps its own variant; out-of-range generator
+/// parameters are usage errors.
+impl From<mc_replay::generate::GenError> for CliError {
+    fn from(e: mc_replay::generate::GenError) -> Self {
+        match e {
+            mc_replay::generate::GenError::UnknownPattern(p) => CliError::UnknownPattern(p),
+            e => CliError::Usage(e.to_string()),
+        }
+    }
+}
+
 impl From<mc_replay::TraceError> for CliError {
     fn from(e: mc_replay::TraceError) -> Self {
         CliError::Replay(mc_replay::ReplayError::Trace(e))

@@ -9,8 +9,8 @@ use mc_membench::{
     calibration_placements, calibration_sweeps, sweep_platform_parallel, BenchConfig, BenchRunner,
 };
 use mc_model::{
-    evaluate, format_percent, model_from_text, model_to_text, rank, ContentionModel, McError,
-    ModelRegistry, PhaseProfile,
+    evaluate, format_percent, model_from_text, model_to_text, rank, size_bytes, ContentionModel,
+    McError, ModelRegistry, PhaseProfile,
 };
 use mc_obs::{tags, TagValue};
 use mc_replay::generate::{self, GenParams};
@@ -116,6 +116,12 @@ exit codes: 0 success, 2 usage error, 3 invalid or degenerate input data,
 fn platform(args: &Args) -> Result<Platform, CliError> {
     let name = args.require("platform")?;
     platforms::by_name(name).ok_or_else(|| CliError::UnknownPlatform(name.to_string()))
+}
+
+/// A GB (`unit` 1e9) or MB (`unit` 2^20) option value in bytes, under
+/// the one size rule ([`size_bytes`]).
+fn size_arg(key: &'static str, value: f64, unit: f64) -> Result<f64, CliError> {
+    size_bytes(value, unit).map_err(|e| CliError::Usage(format!("--{key} {e}")))
 }
 
 /// Parse a NUMA-node option (default 0) and range-check it against the
@@ -271,13 +277,12 @@ pub fn advise(args: &Args) -> Result<String, CliError> {
     let p = platform(args)?;
     let compute_gb: f64 = args.require_num("compute-gb")?;
     let comm_gb: f64 = args.require_num("comm-gb")?;
-    let max_cores = args.count_or("max-cores", p.max_compute_cores())?;
-    let model = calibrated(&p)?;
     let phase = PhaseProfile {
-        compute_bytes: compute_gb * 1e9,
-        comm_bytes: comm_gb * 1e9,
-        max_cores,
+        compute_bytes: size_arg("compute-gb", compute_gb, 1e9)?,
+        comm_bytes: size_arg("comm-gb", comm_gb, 1e9)?,
+        max_cores: args.count_or("max-cores", p.max_compute_cores())?,
     };
+    let model = calibrated(&p)?;
     let ranked = rank(&model, &phase);
     let mut out = format!(
         "{}: {compute_gb} GB compute overlapped with {comm_gb} GB received\n",
@@ -477,9 +482,6 @@ pub fn replay_cmd(args: &Args) -> Result<String, CliError> {
         (None, Some(pattern)) => {
             let defaults = GenParams::default();
             let ranks: usize = args.num_or("ranks", defaults.ranks)?;
-            if ranks < 2 {
-                return Err(CliError::Usage("--ranks must be at least 2".into()));
-            }
             let iters = args.count_or("iters", defaults.iters)?;
             let cores = args.count_or("cores", defaults.cores)?;
             let mib = (1 << 20) as f64;
@@ -489,13 +491,12 @@ pub fn replay_cmd(args: &Args) -> Result<String, CliError> {
                 ranks,
                 iters,
                 cores,
-                compute_bytes: (compute_mb * mib) as u64,
-                comm_bytes: (comm_mb * mib) as u64,
+                compute_bytes: size_arg("compute-mb", compute_mb, mib)? as u64,
+                comm_bytes: size_arg("comm-mb", comm_mb, mib)? as u64,
                 comp_numa: numa_arg(args, "comp-numa", &p)?,
                 comm_numa: numa_arg(args, "comm-numa", &p)?,
             };
-            let gen = generate::LazyGen::new(pattern, &params)
-                .ok_or_else(|| CliError::UnknownPattern(pattern.to_string()))?;
+            let gen = generate::LazyGen::new(pattern, &params)?;
             let config = ReplayConfig {
                 timeline_ranks,
                 comm_mode,
@@ -513,7 +514,7 @@ pub fn replay_cmd(args: &Args) -> Result<String, CliError> {
                     mc_replay::replay_with(&p, || Ok(gen.source()), c)
                 })?
             } else {
-                let t = gen.collect();
+                let t = gen.try_collect()?;
                 if let Some(dst) = args.get("save-trace") {
                     fs::write(dst, t.to_json_lines()).map_err(|e| McError::io(dst, e))?;
                 }

@@ -53,8 +53,8 @@ use mc_membench::{
     calibration_placements, calibration_sweeps, sweep_platform_parallel, BenchConfig,
 };
 use mc_model::{
-    evaluate, model_from_text, rank, ContentionModel, McError, ModelParams, ModelRegistry,
-    PhaseProfile, RegistryKey,
+    evaluate, model_from_text, rank, size_bytes, ContentionModel, McError, ModelParams,
+    ModelRegistry, PhaseProfile, RegistryKey,
 };
 use mc_obs::{tags, TagValue};
 use mc_replay::generate::{self, GenParams};
@@ -370,16 +370,15 @@ fn req_u64(request: &Json, field: &str) -> Result<u64, CliError> {
         .ok_or_else(|| CliError::Protocol(format!("'{field}' must be a non-negative integer")))
 }
 
-fn req_f64(request: &Json, field: &str) -> Result<f64, CliError> {
+/// A GB (`unit` 1e9) or MB (`unit` 2^20) size field in bytes, under the
+/// one size rule ([`size_bytes`]).
+fn req_size(request: &Json, field: &str, unit: f64) -> Result<f64, CliError> {
     let v = request
         .get(field)
         .ok_or_else(|| CliError::Protocol(format!("missing '{field}'")))?
         .as_f64()
         .ok_or_else(|| CliError::Protocol(format!("'{field}' must be a number")))?;
-    if v < 0.0 {
-        return Err(CliError::Protocol(format!("'{field}' must be >= 0")));
-    }
-    Ok(v)
+    size_bytes(v, unit).map_err(|e| CliError::Protocol(format!("'{field}' {e}")))
 }
 
 /// Resolve the model a request addresses: by `"platform"` (calibrated on
@@ -508,9 +507,9 @@ fn evaluate_op(registry: &ModelRegistry, request: &Json) -> Result<Json, CliErro
 
 fn recommend(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError> {
     let platform = req_platform(request)?;
+    let compute_bytes = req_size(request, "compute_gb", 1e9)?;
+    let comm_bytes = req_size(request, "comm_gb", 1e9)?;
     let (model, cached) = resolve_model(registry, request)?;
-    let compute_gb = req_f64(request, "compute_gb")?;
-    let comm_gb = req_f64(request, "comm_gb")?;
     let max_cores = match request.get("max_cores") {
         None => platform.max_compute_cores(),
         Some(v) => v.as_u64().ok_or_else(|| {
@@ -528,8 +527,8 @@ fn recommend(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError>
             as usize,
     };
     let phase = PhaseProfile {
-        compute_bytes: compute_gb * 1e9,
-        comm_bytes: comm_gb * 1e9,
+        compute_bytes,
+        comm_bytes,
         max_cores,
     };
     let ranked = rank(model.as_ref(), &phase);
@@ -602,27 +601,22 @@ fn replay_op(request: &Json) -> Result<Json, CliError> {
             let name = req_str(request, "pattern")?;
             let numa_count = platform.topology.numa_count();
             let defaults = GenParams::default();
-            let ranks = opt_usize(request, "ranks", defaults.ranks)?;
-            if ranks < 2 {
-                return Err(CliError::Protocol("'ranks' must be at least 2".into()));
-            }
             let params = GenParams {
-                ranks,
+                ranks: opt_usize(request, "ranks", defaults.ranks)?,
                 iters: opt_usize(request, "iters", defaults.iters)?,
                 cores: opt_usize(request, "cores", defaults.cores)?,
                 compute_bytes: match request.get("compute_mb") {
                     None => defaults.compute_bytes,
-                    Some(_) => (req_f64(request, "compute_mb")? * (1 << 20) as f64) as u64,
+                    Some(_) => req_size(request, "compute_mb", (1 << 20) as f64)? as u64,
                 },
                 comm_bytes: match request.get("comm_mb") {
                     None => defaults.comm_bytes,
-                    Some(_) => (req_f64(request, "comm_mb")? * (1 << 20) as f64) as u64,
+                    Some(_) => req_size(request, "comm_mb", (1 << 20) as f64)? as u64,
                 },
                 comp_numa: opt_numa(request, "comp_numa", numa_count)?,
                 comm_numa: opt_numa(request, "comm_numa", numa_count)?,
             };
-            generate::by_name(name, &params)
-                .ok_or_else(|| CliError::UnknownPattern(name.to_string()))?
+            generate::by_name(name, &params)?
         }
         (None, Some(_)) => {
             let path = req_str(request, "trace_file")?;

@@ -252,6 +252,55 @@ fn misspelt_options_exit_2_on_every_subcommand() {
 }
 
 #[test]
+fn out_of_range_sizes_and_ranks_exit_2() {
+    let replay = ["replay", "--platform", "henri", "--generate"];
+    for tail in [
+        &["allreduce", "--ranks", "1000000000000", "--stream", "yes"][..],
+        &["allreduce", "--ranks", "1000000000000"],
+        &["halo2d", "--ranks", "4", "--iters", "1000000000000"],
+        &["halo2d", "--compute-mb", "6e10"],
+        &["halo2d", "--comm-mb", "-1"],
+    ] {
+        let out = memcontend(&[&replay[..], tail].concat());
+        assert_eq!(out.status.code(), Some(2), "{tail:?}: {}", stderr(&out));
+    }
+    for gb in [["-1", "1"], ["nan", "1"], ["1", "inf"], ["1", "1e308"]] {
+        let out = memcontend(&[
+            "advise",
+            "--platform",
+            "henri",
+            "--compute-gb",
+            gb[0],
+            "--comm-gb",
+            gb[1],
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{gb:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("2^53"), "{gb:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn out_of_range_queue_lines_exit_3_with_their_line_number() {
+    let dir = tmp("queue");
+    for job in [
+        r#"{"name":"a","compute_gb":1,"comm_gb":1e308,"max_cores":8}"#,
+        r#"{"pattern":"allreduce","ranks":1000000000000}"#,
+    ] {
+        let path = dir.join("q.jsonl");
+        std::fs::write(&path, format!("{{\"compute_gb\":1}}\n{job}\n")).unwrap();
+        let out = memcontend(&[
+            "schedule",
+            "--jobs",
+            path.to_str().unwrap(),
+            "--platform",
+            "henri",
+        ]);
+        assert_eq!(out.status.code(), Some(3), "{job}: {}", stderr(&out));
+        assert!(stderr(&out).contains("line 2"), "{job}: {}", stderr(&out));
+    }
+}
+
+#[test]
 fn misspelt_metrics_option_exits_2_and_writes_nothing() {
     let dir = tmp("metrcs");
     let path = dir.join("m.jsonl");

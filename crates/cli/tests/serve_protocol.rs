@@ -152,6 +152,30 @@ fn empty_input_exits_zero_silently() {
 }
 
 #[test]
+fn out_of_range_requests_answer_usage_and_the_session_goes_on() {
+    let input = concat!(
+        r#"{"op":"replay","platform":"henri","pattern":"allreduce","ranks":1000000000000}"#,
+        "\n",
+        r#"{"op":"replay","platform":"henri","pattern":"halo2d","ranks":4,"iters":1000000000000}"#,
+        "\n",
+        r#"{"op":"replay","platform":"henri","pattern":"halo2d","compute_mb":1e10}"#,
+        "\n",
+        r#"{"op":"recommend","platform":"henri","compute_gb":1e308,"comm_gb":1}"#,
+        "\n",
+        r#"{"op":"stats"}"#,
+        "\n",
+    );
+    let out = serve(&[], input);
+    assert_eq!(out.status.code(), Some(0));
+    let lines = stdout_lines(&out);
+    assert_eq!(lines.len(), 5, "{lines:?}");
+    for line in &lines[..4] {
+        assert!(line.contains(r#""class":"usage""#), "{line}");
+    }
+    assert!(lines[4].contains(r#""op":"stats""#), "{}", lines[4]);
+}
+
+#[test]
 fn startup_errors_use_the_process_exit_codes() {
     // A bad flag is a usage error before the loop starts.
     let out = serve(&["--workers", "0"], "");

@@ -20,7 +20,7 @@
 //! fleet node is a [`SchedError::JobTooWide`] at validation time.
 
 use mc_json::Json;
-use mc_model::PhaseProfile;
+use mc_model::{size_bytes, PhaseProfile};
 use mc_replay::generate::{self, GenParams};
 use mc_replay::search::native_cores;
 use mc_replay::{phase_profile, Trace};
@@ -37,6 +37,9 @@ pub struct JobSpec {
     pub profile: PhaseProfile,
 }
 
+/// Bytes per MB of the queue's `compute_mb`/`comm_mb` fields.
+const MIB: f64 = (1 << 20) as f64;
+
 fn bad(line: usize, message: impl Into<String>) -> SchedError {
     SchedError::BadJob {
         line,
@@ -44,23 +47,22 @@ fn bad(line: usize, message: impl Into<String>) -> SchedError {
     }
 }
 
-/// A finite, non-negative f64 field (default when absent).
-fn f64_field(obj: &Json, key: &str, default: f64, line: usize) -> Result<f64, SchedError> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => {
-            let x = v
-                .as_f64()
-                .ok_or_else(|| bad(line, format!("field '{key}' must be a number")))?;
-            if !x.is_finite() || x < 0.0 {
-                return Err(bad(
-                    line,
-                    format!("field '{key}' must be finite and non-negative, got {x}"),
-                ));
-            }
-            Ok(x)
-        }
-    }
+/// A GB (`unit` 1e9) or MB (`unit` 2^20) size field in bytes, under the
+/// one size rule ([`size_bytes`]); `default` units when absent.
+fn size_field(
+    obj: &Json,
+    key: &str,
+    default: f64,
+    unit: f64,
+    line: usize,
+) -> Result<f64, SchedError> {
+    let x = match obj.get(key) {
+        None => default,
+        Some(v) => v
+            .as_f64()
+            .ok_or_else(|| bad(line, format!("field '{key}' must be a number")))?,
+    };
+    size_bytes(x, unit).map_err(|e| bad(line, format!("field '{key}' {e}")))
 }
 
 fn usize_field(obj: &Json, key: &str, default: usize, line: usize) -> Result<usize, SchedError> {
@@ -116,9 +118,6 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, SchedError> {
                 .as_str()
                 .ok_or_else(|| bad(line, "field 'pattern' must be a string"))?;
             let ranks = usize_field(&obj, "ranks", 4, line)?;
-            if ranks < 2 {
-                return Err(bad(line, "field 'ranks' must be at least 2"));
-            }
             let iters = usize_field(&obj, "iters", 2, line)?;
             if iters == 0 {
                 return Err(bad(line, "field 'iters' must be at least 1"));
@@ -131,20 +130,12 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, SchedError> {
                 ranks,
                 iters,
                 cores,
-                compute_bytes: (f64_field(&obj, "compute_mb", 256.0, line)? * (1 << 20) as f64)
-                    as u64,
-                comm_bytes: (f64_field(&obj, "comm_mb", 8.0, line)? * (1 << 20) as f64) as u64,
+                compute_bytes: size_field(&obj, "compute_mb", 256.0, MIB, line)? as u64,
+                comm_bytes: size_field(&obj, "comm_mb", 8.0, MIB, line)? as u64,
                 ..GenParams::default()
             };
-            let trace = generate::by_name(pattern, &params).ok_or_else(|| {
-                bad(
-                    line,
-                    format!(
-                        "unknown pattern '{pattern}' (expected one of: {})",
-                        generate::names().join(", ")
-                    ),
-                )
-            })?;
+            let trace =
+                generate::by_name(pattern, &params).map_err(|e| bad(line, e.to_string()))?;
             distill(&trace, explicit_cap)
         } else if let Some(path) = obj.get("trace") {
             let path = path
@@ -158,17 +149,17 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, SchedError> {
                 .map_err(|e| bad(line, format!("trace '{path}': {e}")))?;
             distill(&trace, explicit_cap)
         } else {
-            let compute_gb = f64_field(&obj, "compute_gb", 0.0, line)?;
-            let comm_gb = f64_field(&obj, "comm_gb", 0.0, line)?;
-            if compute_gb == 0.0 && comm_gb == 0.0 {
+            let compute_bytes = size_field(&obj, "compute_gb", 0.0, 1e9, line)?;
+            let comm_bytes = size_field(&obj, "comm_gb", 0.0, 1e9, line)?;
+            if compute_bytes == 0.0 && comm_bytes == 0.0 {
                 return Err(bad(
                     line,
                     "a job needs compute_gb and/or comm_gb (or a 'pattern'/'trace' field)",
                 ));
             }
             PhaseProfile {
-                compute_bytes: compute_gb * 1e9,
-                comm_bytes: comm_gb * 1e9,
+                compute_bytes,
+                comm_bytes,
                 max_cores: explicit_cap.unwrap_or(0),
             }
         };
@@ -254,5 +245,24 @@ mod tests {
         let e = parse_jobs("{\"trace\":\"/nonexistent/x.jsonl\"}").unwrap_err();
         assert!(matches!(e, SchedError::Io { .. }), "{e}");
         assert_eq!(e.category(), mc_model::ErrorCategory::Io);
+    }
+
+    #[test]
+    fn out_of_range_sizes_and_ranks_are_bad_lines() {
+        for job in [
+            r#"{"name":"a","compute_gb":1,"comm_gb":1e308,"max_cores":8}"#,
+            r#"{"compute_gb":1e7}"#,
+            r#"{"pattern":"halo2d","compute_mb":1e10}"#,
+            r#"{"pattern":"allreduce","ranks":1000000000000}"#,
+            r#"{"pattern":"allreduce","ranks":1}"#,
+            r#"{"pattern":"halo2d","iters":1000000000000}"#,
+        ] {
+            let e = parse_jobs(&format!("{{\"compute_gb\":1}}\n{job}\n")).unwrap_err();
+            assert!(
+                matches!(e, SchedError::BadJob { line: 2, .. }),
+                "{job}: {e}"
+            );
+            assert_eq!(e.category(), mc_model::ErrorCategory::InvalidData);
+        }
     }
 }
