@@ -29,6 +29,7 @@
 pub mod collectives;
 pub mod error;
 pub mod request;
+mod slab;
 pub mod world;
 
 pub use collectives::{

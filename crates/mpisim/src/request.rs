@@ -34,7 +34,14 @@ impl fmt::Display for Tag {
     }
 }
 
-/// Handle to a pending communication request.
+/// Handle to a communication request posted with
+/// [`crate::world::World::isend`] or [`crate::world::World::irecv`].
+///
+/// Opaque: the value names a slot in the world's request table and is
+/// only meaningful to the world that issued it. The slot is reused once
+/// the request is forgotten, and the old handle then answers
+/// [`crate::MpiError::UnknownRequest`]. Its order and magnitude carry no
+/// meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RequestId(pub u64);
 
@@ -46,6 +53,9 @@ impl fmt::Display for RequestId {
 
 /// Handle to a compute job started with
 /// [`crate::world::World::start_compute`].
+///
+/// Opaque, like [`RequestId`]: a forgotten job's handle answers
+/// [`crate::MpiError::UnknownJob`], even once its slot is reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct JobId(pub u64);
 

@@ -18,6 +18,7 @@ use mc_topology::{NumaId, Platform, PoolId};
 
 use crate::error::MpiError;
 use crate::request::{JobId, Rank, RequestId, RequestStatus, Tag};
+use crate::slab::Slab;
 
 /// An unmatched posted operation (send or receive).
 #[derive(Debug, Clone)]
@@ -186,14 +187,18 @@ pub struct World {
     cxl_pool: Option<PoolId>,
     n: usize,
     time: f64,
-    next_id: u64,
-    /// Request and job tables. Only point-queried, never iterated, so
-    /// the hash order cannot reach a result.
-    statuses: FxMap<RequestId, RequestStatus>,
-    jobs: FxMap<JobId, JobState>,
+    /// Request and job tables; a `RequestId`/`JobId` is a handle into
+    /// its slab. Only point-queried, never iterated, so handle values
+    /// cannot reach a result.
+    statuses: Slab<RequestStatus>,
+    jobs: Slab<JobState>,
     /// Jobs still streaming, compacted on completion.
     active_jobs: Vec<JobId>,
     transfers: Vec<Transfer>,
+    /// Step buffers, reused across steps: per-core rates parallel to
+    /// `active_jobs` and transfer rates parallel to `transfers`.
+    job_rates: Vec<f64>,
+    transfer_rates: Vec<f64>,
     /// Unmatched operations keyed by `(posting rank, peer rank)`;
     /// matching only ever pairs identical keys (mirrored), so per-key
     /// FIFO order preserves MPI's non-overtaking guarantee.
@@ -234,11 +239,12 @@ impl World {
             cxl_pool,
             n,
             time: 0.0,
-            next_id: 0,
-            statuses: FxMap::default(),
-            jobs: FxMap::default(),
+            statuses: Slab::default(),
+            jobs: Slab::default(),
             active_jobs: Vec::new(),
             transfers: Vec::new(),
+            job_rates: Vec::new(),
+            transfer_rates: Vec::new(),
             pending_sends: FxMap::default(),
             pending_recvs: FxMap::default(),
             transfer_history: Vec::new(),
@@ -285,11 +291,13 @@ impl World {
     /// Drop a completed (or truncated) request's status so the request
     /// table does not grow with the total number of messages ever sent.
     /// Returns whether the status was dropped (`false` while the request
-    /// is still pending or in flight — those must stay tracked).
+    /// is still pending or in flight — those must stay tracked). The
+    /// handle then answers [`MpiError::UnknownRequest`], even once a
+    /// later request reuses its table slot.
     pub fn forget_request(&mut self, req: RequestId) -> bool {
-        match self.statuses.get(&req) {
+        match self.statuses.get(req.0) {
             Some(status) if status.is_done() => {
-                self.statuses.remove(&req);
+                self.statuses.remove(req.0);
                 true
             }
             _ => false,
@@ -300,9 +308,9 @@ impl World {
     /// [`forget_request`](World::forget_request). Returns whether the job
     /// was dropped (`false` while it is still running).
     pub fn forget_job(&mut self, job: JobId) -> bool {
-        match self.jobs.get(&job) {
+        match self.jobs.get(job.0) {
             Some(state) if state.done_at.is_some() => {
-                self.jobs.remove(&job);
+                self.jobs.remove(job.0);
                 true
             }
             _ => false,
@@ -384,10 +392,16 @@ impl World {
     }
 
     fn fresh_request(&mut self) -> RequestId {
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        self.statuses.insert(id, RequestStatus::Pending);
-        id
+        RequestId(self.statuses.insert(RequestStatus::Pending))
+    }
+
+    /// Move a posted request on. Only done requests can be forgotten, so
+    /// one still moving is always in the table.
+    fn set_status(&mut self, req: RequestId, status: RequestStatus) {
+        *self
+            .statuses
+            .get_mut(req.0)
+            .expect("a request stays tracked until it is done") = status;
     }
 
     fn check_rank(&self, r: Rank) -> Result<(), MpiError> {
@@ -469,13 +483,13 @@ impl World {
 
     fn start_transfer(&mut self, send: PendingOp, recv: PendingOp) {
         if send.bytes > recv.bytes {
-            self.statuses.insert(send.req, RequestStatus::Truncated);
-            self.statuses.insert(recv.req, RequestStatus::Truncated);
+            self.set_status(send.req, RequestStatus::Truncated);
+            self.set_status(recv.req, RequestStatus::Truncated);
             return;
         }
         let plan = self.protocol.plan(send.bytes);
-        self.statuses.insert(send.req, RequestStatus::InFlight);
-        self.statuses.insert(recv.req, RequestStatus::InFlight);
+        self.set_status(send.req, RequestStatus::InFlight);
+        self.set_status(recv.req, RequestStatus::InFlight);
         let history_idx = if self.record_history {
             self.transfer_history.push(TransferRecord {
                 src: send.rank,
@@ -513,8 +527,6 @@ impl World {
     ) -> Result<JobId, MpiError> {
         self.check_rank(rank)?;
         assert!(cores > 0, "a compute job needs at least one core");
-        let id = JobId(self.next_id);
-        self.next_id += 1;
         let done_at = if bytes_per_core == 0 {
             Some(self.time)
         } else {
@@ -531,30 +543,27 @@ impl World {
         } else {
             NO_HISTORY
         };
+        let id = JobId(self.jobs.insert(JobState {
+            rank,
+            numa,
+            cores,
+            bytes_left_per_core: bytes_per_core as f64,
+            done_at,
+            history_idx,
+        }));
         if done_at.is_none() {
             self.active_jobs.push(id);
             for _ in 0..cores {
                 self.node_sets[rank].add(StreamSpec::CpuWrite { numa });
             }
         }
-        self.jobs.insert(
-            id,
-            JobState {
-                rank,
-                numa,
-                cores,
-                bytes_left_per_core: bytes_per_core as f64,
-                done_at,
-                history_idx,
-            },
-        );
         Ok(id)
     }
 
     /// Status of a request.
     pub fn status(&self, req: RequestId) -> Result<RequestStatus, MpiError> {
         self.statuses
-            .get(&req)
+            .get(req.0)
             .copied()
             .ok_or(MpiError::UnknownRequest(req))
     }
@@ -595,7 +604,7 @@ impl World {
         loop {
             let done = self
                 .jobs
-                .get(&job)
+                .get(job.0)
                 .ok_or(MpiError::UnknownJob(job))?
                 .done_at;
             if let Some(t) = done {
@@ -616,7 +625,7 @@ impl World {
     /// poll many ranks without committing to a wait order.
     pub fn job_status(&self, job: JobId) -> Result<Option<f64>, MpiError> {
         self.jobs
-            .get(&job)
+            .get(job.0)
             .map(|j| j.done_at)
             .ok_or(MpiError::UnknownJob(job))
     }
@@ -657,34 +666,33 @@ impl World {
             self.node_steps += 1;
         }
         let set = &mut self.node_sets[node];
-        let solution = match set.solution() {
-            Some(sol) => sol.clone(),
-            None => self.solver.solve(&self.fabric, set, 1.0),
+        let rate = match set.solution() {
+            Some(solution) => solution.rate_of(spec),
+            None => self.solver.solve(&self.fabric, set, 1.0).rate_of(spec),
         };
-        solution
-            .rate_of(spec)
-            .expect("an active entity's spec is in its node's stream set")
+        rate.expect("an active entity's spec is in its node's stream set")
     }
 
-    /// Effective rate of each active entity: per-core job rates (parallel
-    /// to `active_jobs`) and transfer rates (min of both endpoints,
-    /// parallel to `transfers`; non-streaming phases get 0).
-    fn effective_rates(&mut self) -> (Vec<f64>, Vec<f64>) {
+    /// Fill the step buffers with the effective rate of each active
+    /// entity: per-core job rates (parallel to `active_jobs`) and
+    /// transfer rates (min of both endpoints, parallel to `transfers`;
+    /// non-streaming phases get 0).
+    fn effective_rates(&mut self) {
         self.epoch += 1;
-        let mut job_rates = Vec::with_capacity(self.active_jobs.len());
+        self.job_rates.clear();
         for i in 0..self.active_jobs.len() {
-            let jid = self.active_jobs[i];
-            let job = &self.jobs[&jid];
+            let job = self.active_job(i);
             let (rank, spec) = (job.rank, StreamSpec::CpuWrite { numa: job.numa });
             // All cores of a job are identical; the rate of one core
             // stands for all of them (equal by max-min symmetry).
-            job_rates.push(self.stream_rate(rank, spec));
+            let rate = self.stream_rate(rank, spec);
+            self.job_rates.push(rate);
         }
-        let mut transfer_rates = Vec::with_capacity(self.transfers.len());
+        self.transfer_rates.clear();
         for ti in 0..self.transfers.len() {
             let tr = &self.transfers[ti];
             if !matches!(tr.phase, TransferPhase::Streaming(_)) {
-                transfer_rates.push(0.0);
+                self.transfer_rates.push(0.0);
                 continue;
             }
             let (src, dst) = (tr.src, tr.dst);
@@ -692,9 +700,16 @@ impl World {
                 transfer_specs(self.comm_mode, self.cxl_pool, tr.src_numa, tr.dst_numa);
             let rate_in = self.stream_rate(dst, dst_spec);
             let rate_out = self.stream_rate(src, src_spec);
-            transfer_rates.push(rate_in.min(rate_out));
+            self.transfer_rates.push(rate_in.min(rate_out));
         }
-        (job_rates, transfer_rates)
+    }
+
+    /// The `i`-th running job. `forget_job` refuses running jobs, so an
+    /// active handle is always live.
+    fn active_job(&self, i: usize) -> &JobState {
+        self.jobs
+            .get(self.active_jobs[i].0)
+            .expect("an active job is live")
     }
 
     fn step(&mut self) -> bool {
@@ -707,13 +722,13 @@ impl World {
         if self.transfers.is_empty() && self.active_jobs.is_empty() {
             return false;
         }
-        let (job_rates, transfer_rates) = self.effective_rates();
+        self.effective_rates();
 
         // Earliest next event.
         let mut next = deadline;
-        for (i, &jid) in self.active_jobs.iter().enumerate() {
-            let job = &self.jobs[&jid];
-            let rate = job_rates[i] * GB;
+        for (i, &rate) in self.job_rates.iter().enumerate() {
+            let job = self.active_job(i);
+            let rate = rate * GB;
             if rate > 0.0 {
                 next = next.min(self.time + job.bytes_left_per_core / rate);
             }
@@ -722,7 +737,7 @@ impl World {
             match tr.phase {
                 TransferPhase::Pre(t) | TransferPhase::Post(t) => next = next.min(t),
                 TransferPhase::Streaming(bytes) => {
-                    let rate = transfer_rates[ti] * GB;
+                    let rate = self.transfer_rates[ti] * GB;
                     if rate > 0.0 {
                         next = next.min(self.time + bytes / rate);
                     }
@@ -740,14 +755,14 @@ impl World {
         let dt = next - self.time;
 
         // Integrate.
-        for (i, &jid) in self.active_jobs.iter().enumerate() {
-            let job = self.jobs.get_mut(&jid).expect("active job exists");
-            let rate = job_rates[i] * GB;
+        for (&jid, &rate) in self.active_jobs.iter().zip(&self.job_rates) {
+            let job = self.jobs.get_mut(jid.0).expect("an active job is live");
+            let rate = rate * GB;
             job.bytes_left_per_core = (job.bytes_left_per_core - rate * dt).max(0.0);
         }
-        for (ti, tr) in self.transfers.iter_mut().enumerate() {
+        for (tr, &rate) in self.transfers.iter_mut().zip(&self.transfer_rates) {
             if let TransferPhase::Streaming(ref mut bytes) = tr.phase {
-                let rate = transfer_rates[ti] * GB;
+                let rate = rate * GB;
                 *bytes = (*bytes - rate * dt).max(0.0);
             }
         }
@@ -769,7 +784,7 @@ impl World {
             ..
         } = self;
         active_jobs.retain(|&jid| {
-            let job = jobs.get_mut(&jid).expect("active job exists");
+            let job = jobs.get_mut(jid.0).expect("an active job is live");
             if job.bytes_left_per_core > 1.0 {
                 return true;
             }
@@ -815,8 +830,8 @@ impl World {
             self.transfers
                 .retain(|tr| next.next_if(|&&(s, _)| s == tr.send_req).is_none());
             for (s, r) in finished {
-                self.statuses.insert(s, RequestStatus::Complete(now));
-                self.statuses.insert(r, RequestStatus::Complete(now));
+                self.set_status(s, RequestStatus::Complete(now));
+                self.set_status(r, RequestStatus::Complete(now));
             }
         }
         true
@@ -1193,9 +1208,111 @@ mod tests {
         assert!(w.forget_job(job));
         assert!(!w.forget_job(job), "a job is forgotten once");
         assert_eq!(w.job_status(job), Err(MpiError::UnknownJob(job)));
-        assert!(w.statuses.is_empty(), "{} statuses left", w.statuses.len());
-        assert!(w.jobs.is_empty(), "{} jobs left", w.jobs.len());
+        assert_eq!(w.statuses.len(), 0, "statuses left");
+        assert_eq!(w.jobs.len(), 0, "jobs left");
         assert!(w.pending_sends.values().all(Vec::is_empty));
         assert!(w.pending_recvs.values().all(Vec::is_empty));
+    }
+
+    /// Post `pairs` receive/send pairs that truncate at once (a 1-byte
+    /// send into a 0-byte buffer) and start `jobs` empty jobs off the
+    /// record, then forget all of them. Time, stream sets and histories
+    /// stay as they were; only the slabs' slots and generations move.
+    fn churn(w: &mut World, pairs: usize, jobs: usize) {
+        let mut reqs = Vec::new();
+        for i in 0..pairs {
+            let (a, b) = (i % w.size(), (i + 1) % w.size());
+            reqs.push(w.irecv(a, b, n0(), 0, Tag(7)).unwrap());
+            reqs.push(w.isend(b, a, n0(), 1, Tag(7)).unwrap());
+        }
+        w.set_record_history(false);
+        let jobs: Vec<JobId> = (0..jobs)
+            .map(|i| w.start_compute(i % w.size(), n0(), 1, 0).unwrap())
+            .collect();
+        w.set_record_history(true);
+        for r in reqs {
+            assert!(w.forget_request(r), "a truncated request is done");
+        }
+        for j in jobs {
+            assert!(w.forget_job(j), "an empty job is done");
+        }
+    }
+
+    #[test]
+    fn handles_never_reach_a_result() {
+        let p = platforms::henri();
+        let run = |churn_first: bool| {
+            let mut w = World::homogeneous(&p, 8);
+            if churn_first {
+                churn(&mut w, 21, 5);
+            }
+            let jobs = [
+                w.start_compute(2, n0(), 6, 48 << 20).unwrap(),
+                w.start_compute(5, n0(), 9, 96 << 20).unwrap(),
+            ];
+            let times = [
+                crate::collectives::allreduce_ring(&mut w, n0(), 8 << 20).unwrap(),
+                crate::collectives::barrier(&mut w, n0()).unwrap(),
+                w.wait_job(jobs[0]).unwrap(),
+                w.wait_job(jobs[1]).unwrap(),
+            ];
+            let out = format!(
+                "{:?}\n{:?}\n{:?}\n{:?}",
+                times.map(f64::to_bits),
+                w.transfer_history(),
+                w.job_history(),
+                w.solver_stats()
+            );
+            (out, jobs, w.statuses.slots())
+        };
+        let (fresh, fresh_jobs, fresh_slots) = run(false);
+        let (churned, churned_jobs, churned_slots) = run(true);
+        assert_ne!(fresh_jobs, churned_jobs, "churn moved the job handles");
+        assert!(churned_slots > fresh_slots, "churn moved the request slots");
+        assert_eq!(fresh, churned);
+    }
+
+    #[test]
+    fn a_stale_handle_stays_unknown_after_its_slot_is_reused() {
+        let mut w = World::pair(&platforms::henri());
+        let old = w.irecv(0, 1, n0(), 0, Tag(0)).unwrap();
+        let send = w.isend(1, 0, n0(), 1, Tag(0)).unwrap();
+        assert!(w.forget_request(send));
+        assert!(w.forget_request(old));
+        let new = w.irecv(0, 1, n0(), MB64, Tag(1)).unwrap();
+        assert_eq!(new.0 as u32, old.0 as u32, "the freed slot is reused");
+        assert_eq!(w.status(old), Err(MpiError::UnknownRequest(old)));
+        assert_eq!(w.wait(old), Err(MpiError::UnknownRequest(old)));
+        assert!(!w.forget_request(old));
+        assert_eq!(w.status(new), Ok(RequestStatus::Pending));
+        w.isend(1, 0, n0(), MB64, Tag(1)).unwrap();
+        assert!(w.wait(new).unwrap() > 0.0);
+
+        let old = w.start_compute(0, n0(), 2, 0).unwrap();
+        assert!(w.forget_job(old));
+        let new = w.start_compute(0, n0(), 2, 64 << 20).unwrap();
+        assert_eq!(new.0 as u32, old.0 as u32, "the freed slot is reused");
+        assert_eq!(w.job_status(old), Err(MpiError::UnknownJob(old)));
+        assert_eq!(w.wait_job(old), Err(MpiError::UnknownJob(old)));
+        assert!(!w.forget_job(old));
+        assert_eq!(w.job_status(new), Ok(None));
+        assert!(w.wait_job(new).unwrap() > 0.0);
+    }
+
+    /// The request table is bounded by the requests in flight, not by
+    /// the requests ever posted: a ring round posts 2·P and reaps them.
+    #[test]
+    fn the_request_table_is_bounded_by_work_in_flight() {
+        let ranks = 8;
+        let mut w = World::homogeneous(&platforms::henri(), ranks);
+        for _ in 0..64 {
+            crate::collectives::allreduce_ring(&mut w, n0(), 1 << 20).unwrap();
+        }
+        assert_eq!(w.statuses.len(), 0);
+        assert!(
+            w.statuses.slots() <= 2 * ranks,
+            "{} slots after 64 allreduces",
+            w.statuses.slots()
+        );
     }
 }
