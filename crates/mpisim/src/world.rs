@@ -12,7 +12,6 @@
 
 use mc_memsim::delta::{ActiveSet, DeltaSolver, DeltaStats};
 use mc_memsim::fabric::{Fabric, StreamSpec};
-use mc_memsim::fxhash::FxMap;
 use mc_netsim::protocol::ProtocolConfig;
 use mc_topology::{NumaId, Platform, PoolId};
 
@@ -26,6 +25,8 @@ struct PendingOp {
     req: RequestId,
     /// Rank that posted the operation.
     rank: Rank,
+    /// The other end: destination of a send, source of a receive.
+    peer: Rank,
     tag: Tag,
     numa: NumaId,
     bytes: u64,
@@ -199,11 +200,13 @@ pub struct World {
     /// `active_jobs` and transfer rates parallel to `transfers`.
     job_rates: Vec<f64>,
     transfer_rates: Vec<f64>,
-    /// Unmatched operations keyed by `(posting rank, peer rank)`;
-    /// matching only ever pairs identical keys (mirrored), so per-key
-    /// FIFO order preserves MPI's non-overtaking guarantee.
-    pending_sends: FxMap<(Rank, Rank), Vec<PendingOp>>,
-    pending_recvs: FxMap<(Rank, Rank), Vec<PendingOp>>,
+    /// Unmatched operations, one queue per posting rank in post order.
+    /// A match scans for the first op naming the right peer, and the
+    /// ops of one `(rank, peer)` pair keep their relative order, so
+    /// MPI's non-overtaking guarantee holds. Memory is O(ranks + ops
+    /// waiting), whatever pairs were ever used.
+    pending_sends: Vec<Vec<PendingOp>>,
+    pending_recvs: Vec<Vec<PendingOp>>,
     transfer_history: Vec<TransferRecord>,
     job_history: Vec<JobRecord>,
     record_history: bool,
@@ -245,8 +248,8 @@ impl World {
             transfers: Vec::new(),
             job_rates: Vec::new(),
             transfer_rates: Vec::new(),
-            pending_sends: FxMap::default(),
-            pending_recvs: FxMap::default(),
+            pending_sends: vec![Vec::new(); n],
+            pending_recvs: vec![Vec::new(); n],
             transfer_history: Vec::new(),
             job_history: Vec::new(),
             record_history: true,
@@ -431,19 +434,22 @@ impl World {
         let op = PendingOp {
             req,
             rank: from,
+            peer: to,
             tag,
             numa,
             bytes,
         };
         // MPI matching is non-overtaking: match against the earliest
-        // compatible posted receive. Receives posted by `to` for peer
-        // `from` all live under one key, in post order.
-        let queue = self.pending_recvs.entry((to, from)).or_default();
-        if let Some(pos) = queue.iter().position(|r| r.tag.matches(tag)) {
+        // compatible receive `to` posted for peer `from`.
+        let queue = &mut self.pending_recvs[to];
+        if let Some(pos) = queue
+            .iter()
+            .position(|r| r.peer == from && r.tag.matches(tag))
+        {
             let recv = queue.remove(pos);
             self.start_transfer(op, recv);
         } else {
-            self.pending_sends.entry((from, to)).or_default().push(op);
+            self.pending_sends[from].push(op);
         }
         Ok(req)
     }
@@ -467,16 +473,20 @@ impl World {
         let op = PendingOp {
             req,
             rank: on,
+            peer: from,
             tag,
             numa,
             bytes: max_bytes,
         };
-        let queue = self.pending_sends.entry((from, on)).or_default();
-        if let Some(pos) = queue.iter().position(|s| tag.matches(s.tag)) {
+        let queue = &mut self.pending_sends[from];
+        if let Some(pos) = queue
+            .iter()
+            .position(|s| s.peer == on && tag.matches(s.tag))
+        {
             let send = queue.remove(pos);
             self.start_transfer(send, op);
         } else {
-            self.pending_recvs.entry((on, from)).or_default().push(op);
+            self.pending_recvs[on].push(op);
         }
         Ok(req)
     }
@@ -1002,6 +1012,63 @@ mod tests {
         w.wait_all(&[s, r]).unwrap();
     }
 
+    /// Rank 0's queue interleaves ops for two peers, one with
+    /// `Tag::ANY`: each message completes the earliest compatible op
+    /// *for its own peer*, never an earlier one for the other peer.
+    #[test]
+    fn matching_is_non_overtaking_per_peer_in_a_shared_queue() {
+        let pending = |w: &World, reqs: &[RequestId]| -> Vec<bool> {
+            reqs.iter()
+                .map(|&r| w.status(r) == Ok(RequestStatus::Pending))
+                .collect()
+        };
+        // Receives first: all four wait in rank 0's receive queue.
+        let mut w = World::homogeneous(&platforms::henri(), 3);
+        let recvs = [
+            w.irecv(0, 1, n0(), MB64, Tag(5)).unwrap(),
+            w.irecv(0, 2, n0(), MB64, Tag::ANY).unwrap(),
+            w.irecv(0, 1, n0(), MB64, Tag::ANY).unwrap(),
+            w.irecv(0, 2, n0(), MB64, Tag(5)).unwrap(),
+        ];
+        // Tag 5 from rank 2 skips rank 1's earlier tag-5 receive.
+        w.isend(2, 0, n0(), MB64, Tag(5)).unwrap();
+        assert_eq!(pending(&w, &recvs), [true, false, true, true]);
+        // Tag 6 from rank 1 passes the tag-5 receive for the wildcard.
+        w.isend(1, 0, n0(), MB64, Tag(6)).unwrap();
+        assert_eq!(pending(&w, &recvs), [true, false, false, true]);
+        w.isend(1, 0, n0(), MB64, Tag(5)).unwrap();
+        assert_eq!(pending(&w, &recvs), [false, false, false, true]);
+        // Tag 7 from rank 2 fits no receive left; it waits as a send.
+        let late = w.isend(2, 0, n0(), MB64, Tag(7)).unwrap();
+        assert_eq!(pending(&w, &recvs), [false, false, false, true]);
+        w.isend(2, 0, n0(), MB64, Tag(5)).unwrap();
+        assert_eq!(pending(&w, &recvs), [false; 4]);
+        let catch_all = w.irecv(0, 2, n0(), MB64, Tag::ANY).unwrap();
+        assert_eq!(pending(&w, &[late, catch_all]), [false, false]);
+        w.wait_all(&recvs).unwrap();
+
+        // Sends first: all four wait in rank 0's send queue, and the
+        // receives are posted after them.
+        let mut w = World::homogeneous(&platforms::henri(), 3);
+        let sends = [
+            w.isend(0, 1, n0(), MB64, Tag(5)).unwrap(),
+            w.isend(0, 2, n0(), MB64, Tag(6)).unwrap(),
+            w.isend(0, 1, n0(), MB64, Tag(6)).unwrap(),
+            w.isend(0, 2, n0(), MB64, Tag(5)).unwrap(),
+        ];
+        // A wildcard on rank 2 takes rank 0's first send to rank 2.
+        w.irecv(2, 0, n0(), MB64, Tag::ANY).unwrap();
+        assert_eq!(pending(&w, &sends), [true, false, true, true]);
+        // Tag 6 on rank 1 passes the earlier tag-5 send to rank 1.
+        w.irecv(1, 0, n0(), MB64, Tag(6)).unwrap();
+        assert_eq!(pending(&w, &sends), [true, false, false, true]);
+        w.irecv(1, 0, n0(), MB64, Tag::ANY).unwrap();
+        assert_eq!(pending(&w, &sends), [false, false, false, true]);
+        w.irecv(2, 0, n0(), MB64, Tag(5)).unwrap();
+        assert_eq!(pending(&w, &sends), [false; 4]);
+        w.wait_all(&sends).unwrap();
+    }
+
     #[test]
     fn history_records_transfers_and_jobs() {
         let p = platforms::henri();
@@ -1210,8 +1277,26 @@ mod tests {
         assert_eq!(w.job_status(job), Err(MpiError::UnknownJob(job)));
         assert_eq!(w.statuses.len(), 0, "statuses left");
         assert_eq!(w.jobs.len(), 0, "jobs left");
-        assert!(w.pending_sends.values().all(Vec::is_empty));
-        assert!(w.pending_recvs.values().all(Vec::is_empty));
+        assert!(w.pending_sends.iter().all(Vec::is_empty));
+        assert!(w.pending_recvs.iter().all(Vec::is_empty));
+    }
+
+    /// Unmatched-queue memory follows the ranks and the work in flight,
+    /// not the rank pairs ever used: gathers to every root of 64 ranks
+    /// touch all 4,032 ordered pairs.
+    #[test]
+    fn unmatched_queues_stay_bounded_by_the_ranks() {
+        let ranks = 64;
+        let mut w = World::homogeneous(&platforms::henri(), ranks);
+        for root in 0..ranks {
+            crate::collectives::gather(&mut w, root, n0(), 4096).unwrap();
+        }
+        for table in [&w.pending_sends, &w.pending_recvs] {
+            assert_eq!(table.len(), ranks);
+            assert!(table.iter().all(Vec::is_empty));
+            let capacity: usize = table.iter().map(Vec::capacity).sum();
+            assert!(capacity <= 8 * ranks, "capacity {capacity}");
+        }
     }
 
     /// Post `pairs` receive/send pairs that truncate at once (a 1-byte
