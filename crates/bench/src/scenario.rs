@@ -299,7 +299,7 @@ fn outcome_json(o: &ReplayOutcome) -> Json {
 /// (invalid data, exit 3).
 pub fn cxl(args: &Args) -> Result<Json, CliError> {
     let platform = platform_or(args, "henri-cxl")?;
-    let cores = args.count_or("cores", 17)?;
+    let cores = args.cores_or("cores", 17)?;
     let comm_mb = args.count_or("comm-mb", 64)? as u64;
     let compute_mb = args.count_or("compute-mb", 1024)? as u64;
 

@@ -171,6 +171,7 @@ fn usage_mistakes_exit_2() {
         &["cxl", "--core", "4"],
         &["loadgen", "--addr", "127.0.0.1:9", "--con", "4"],
         &["cxl", "--cores", "0"],
+        &["cxl", "--cores", "10000000000"],
         &["cxl", "--comm-mb", "17592186044416"],
         &["loadgen", "--addr", "127.0.0.1:9", "--rate", "1e-300"],
         &["loadgen", "--addr", "127.0.0.1:9", "--duration-s", "inf"],

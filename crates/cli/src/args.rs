@@ -281,6 +281,13 @@ impl Args {
         }
     }
 
+    /// An optional core count with a default, under the one core rule
+    /// ([`mc_model::core_count`]); zero is a [`CliError::NonPositive`].
+    pub fn cores_or(&self, key: &'static str, default: usize) -> Result<usize, CliError> {
+        mc_model::core_count(self.count_or(key, default)?)
+            .map_err(|e| CliError::Usage(format!("--{key} {e}")))
+    }
+
     /// An optional yes/no option, off when absent: `yes`/`true`/`1` mean
     /// on, `no`/`false`/`0` mean off, anything else is a
     /// [`CliError::BadValue`] rather than a silent "off".
@@ -609,6 +616,11 @@ usage:
         assert_eq!(a.count_or("cores", 4), Ok(4));
         let a = Args::parse(["bench", "--cores", "0"]).unwrap();
         assert_eq!(a.count_or("cores", 4), Err(CliError::NonPositive("cores")));
+        assert_eq!(a.cores_or("cores", 4), Err(CliError::NonPositive("cores")));
+        let a = Args::parse(["bench", "--cores", "1025"]).unwrap();
+        let e = a.cores_or("cores", 4).unwrap_err();
+        assert_eq!(e.exit_code(), EXIT_USAGE);
+        assert!(e.to_string().contains("2^10"), "{e}");
     }
 
     #[test]

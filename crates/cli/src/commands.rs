@@ -280,7 +280,7 @@ pub fn advise(args: &Args) -> Result<String, CliError> {
     let phase = PhaseProfile {
         compute_bytes: size_arg("compute-gb", compute_gb, 1e9)?,
         comm_bytes: size_arg("comm-gb", comm_gb, 1e9)?,
-        max_cores: args.count_or("max-cores", p.max_compute_cores())?,
+        max_cores: args.cores_or("max-cores", p.max_compute_cores())?,
     };
     let model = calibrated(&p)?;
     let ranked = rank(&model, &phase);
@@ -440,7 +440,7 @@ pub fn replay_cmd(args: &Args) -> Result<String, CliError> {
             // trace's data instead of feeding the generator.
             let cores = match args.get("cores") {
                 None => None,
-                Some(_) => Some(args.count_or("cores", 0)?),
+                Some(_) => Some(args.cores_or("cores", 0)?),
             };
             let config = ReplayConfig {
                 comp_numa: numa_override(args, "comp-numa", &p)?,
@@ -483,7 +483,7 @@ pub fn replay_cmd(args: &Args) -> Result<String, CliError> {
             let defaults = GenParams::default();
             let ranks: usize = args.num_or("ranks", defaults.ranks)?;
             let iters = args.count_or("iters", defaults.iters)?;
-            let cores = args.count_or("cores", defaults.cores)?;
+            let cores = args.cores_or("cores", defaults.cores)?;
             let mib = (1 << 20) as f64;
             let compute_mb: f64 = args.num_or("compute-mb", defaults.compute_bytes as f64 / mib)?;
             let comm_mb: f64 = args.num_or("comm-mb", defaults.comm_bytes as f64 / mib)?;

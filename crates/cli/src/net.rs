@@ -454,16 +454,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 
     for item in lines {
         let (response, units_held) = match item {
-            Err(mc_json::LineError::Io { .. }) => {
-                serve::count_disconnect("tcp");
-                return;
-            }
-            Err(mc_json::LineError::Json { line, error }) => {
-                serve::count_request("invalid", "usage");
-                let e =
-                    CliError::Protocol(format!("request line {line} is not valid JSON ({error})"));
-                (serve::error_response(None, &e), 0)
-            }
+            Err(e) => match serve::rejected_line(&e) {
+                Some(response) => (response, 0),
+                None => {
+                    serve::count_disconnect("tcp");
+                    return;
+                }
+            },
             Ok((_line, request)) => {
                 if request.get("op").and_then(Json::as_str) == Some("shutdown") {
                     let ack = obj(vec![

@@ -43,17 +43,17 @@
 //! `registry.hit`/`registry.miss`, histogram `serve.request_seconds`),
 //! exported via the global `--metrics`/`--trace` flags.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use mc_json::{obj, Json};
+use mc_json::{obj, Json, LineError};
 use mc_membench::{
     calibration_placements, calibration_sweeps, sweep_platform_parallel, BenchConfig,
 };
 use mc_model::{
-    evaluate, model_from_text, rank, size_bytes, ContentionModel, McError, ModelParams,
+    core_count, evaluate, model_from_text, rank, size_bytes, ContentionModel, McError, ModelParams,
     ModelRegistry, PhaseProfile, RegistryKey,
 };
 use mc_obs::{tags, TagValue};
@@ -122,18 +122,14 @@ pub fn serve_loop(
     for item in mc_json::parse_lines(input) {
         let response = match item {
             Ok((_line, request)) => dispatch(&registry, &request, workers),
-            Err(mc_json::LineError::Io { line, error }) => {
-                count_disconnect("stdio");
-                eprintln!("serve: input failed at line {line} ({error}); ending session");
-                break;
-            }
-            Err(mc_json::LineError::Json { line, error }) => {
-                count_request("invalid", "usage");
-                error_response(
-                    None,
-                    &CliError::Protocol(format!("request line {line} is not valid JSON ({error})")),
-                )
-            }
+            Err(e) => match rejected_line(&e) {
+                Some(response) => response,
+                None => {
+                    count_disconnect("stdio");
+                    eprintln!("serve: input failed at {e}; ending session");
+                    break;
+                }
+            },
         };
         if write_response(&mut output, &response).is_err() {
             count_disconnect("stdio");
@@ -142,6 +138,23 @@ pub fn serve_loop(
         }
     }
     Ok(())
+}
+
+/// The answer to a line the transport delivered that is no request: not
+/// UTF-8 (the reader consumed the line and reads on) or not JSON. `None`
+/// for a transport failure, which ends the session.
+pub(crate) fn rejected_line(error: &LineError) -> Option<Json> {
+    let message = match error {
+        LineError::Json { line, error } => {
+            format!("request line {line} is not valid JSON ({error})")
+        }
+        LineError::Io { line, error } if error.kind() == ErrorKind::InvalidData => {
+            format!("request line {line} is not valid UTF-8")
+        }
+        LineError::Io { .. } => return None,
+    };
+    count_request("invalid", "usage");
+    Some(error_response(None, &CliError::Protocol(message)))
 }
 
 /// Write one response line and flush — clients block on the reply, so it
@@ -510,15 +523,7 @@ fn recommend(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError>
     let compute_bytes = req_size(request, "compute_gb", 1e9)?;
     let comm_bytes = req_size(request, "comm_gb", 1e9)?;
     let (model, cached) = resolve_model(registry, request)?;
-    let max_cores = match request.get("max_cores") {
-        None => platform.max_compute_cores(),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            CliError::Protocol("'max_cores' must be a non-negative integer".into())
-        })? as usize,
-    };
-    if max_cores == 0 {
-        return Err(CliError::NonPositive("max_cores"));
-    }
+    let max_cores = opt_cores(request, "max_cores", platform.max_compute_cores())?;
     let top = match request.get("top") {
         None => 1,
         Some(v) => v
@@ -573,6 +578,13 @@ fn opt_usize(request: &Json, field: &'static str, default: usize) -> Result<usiz
     }
 }
 
+/// An optional core count (zero is [`CliError::NonPositive`]) under the
+/// one core rule ([`core_count`]).
+fn opt_cores(request: &Json, field: &'static str, default: usize) -> Result<usize, CliError> {
+    core_count(opt_usize(request, field, default)?)
+        .map_err(|e| CliError::Protocol(format!("'{field}' {e}")))
+}
+
 /// Optional NUMA field, defaulting to node 0, range-checked.
 fn opt_numa(request: &Json, field: &'static str, numa_count: usize) -> Result<NumaId, CliError> {
     match request.get(field) {
@@ -604,7 +616,7 @@ fn replay_op(request: &Json) -> Result<Json, CliError> {
             let params = GenParams {
                 ranks: opt_usize(request, "ranks", defaults.ranks)?,
                 iters: opt_usize(request, "iters", defaults.iters)?,
-                cores: opt_usize(request, "cores", defaults.cores)?,
+                cores: opt_cores(request, "cores", defaults.cores)?,
                 compute_bytes: match request.get("compute_mb") {
                     None => defaults.compute_bytes,
                     Some(_) => req_size(request, "compute_mb", (1 << 20) as f64)? as u64,
@@ -833,6 +845,28 @@ mod tests {
         assert!(codes.iter().take(5).all(|c| *c == Some(2)));
     }
 
+    /// A core count past the one ceiling is a usage error, answered at
+    /// once, and the session answers the next request.
+    #[test]
+    fn core_counts_past_the_ceiling_are_usage_errors() {
+        let lines = concat!(
+            r#"{"op":"replay","platform":"henri","pattern":"halo2d","ranks":4,"iters":1,"cores":10000000000}"#,
+            "\n",
+            r#"{"op":"recommend","platform":"henri","compute_gb":10,"comm_gb":1,"max_cores":1000000000}"#,
+            "\n",
+            r#"{"op":"replay","platform":"henri","pattern":"halo2d","ranks":4,"iters":1,"cores":2}"#,
+            "\n",
+        );
+        let out = serve(lines, &[]);
+        assert_eq!(out.len(), 3);
+        for resp in &out[..2] {
+            assert_eq!(error_class(resp), Some("usage"), "{resp:?}");
+            let message = resp.get("error").unwrap().get("message").unwrap();
+            assert!(message.as_str().unwrap().contains("2^10"), "{message:?}");
+        }
+        assert!(ok(&out[2]), "{:?}", out[2]);
+    }
+
     #[test]
     fn malformed_model_file_is_a_data_error() {
         let dir = std::env::temp_dir().join(format!("memcontend-serve-{}", std::process::id()));
@@ -935,6 +969,27 @@ mod tests {
             .collect();
         assert_eq!(lines.len(), 1, "the request before the break was answered");
         assert!(ok(&lines[0]));
+    }
+
+    #[test]
+    fn a_line_of_invalid_utf8_is_rejected_and_the_session_goes_on() {
+        let input = b"{\"op\":\"st\xffats\"}\n{\"op\":\"stats\"}\n".to_vec();
+        let args = Args::parse(["serve"]).unwrap();
+        let mut out = Vec::new();
+        serve_loop(&args, Cursor::new(input), &mut out).unwrap();
+        let lines: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(error_class(&lines[0]), Some("usage"));
+        let message = lines[0].get("error").unwrap().get("message").unwrap();
+        assert!(message
+            .as_str()
+            .unwrap()
+            .contains("line 1 is not valid UTF-8"));
+        assert!(ok(&lines[1]));
     }
 
     #[test]

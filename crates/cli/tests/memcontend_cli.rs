@@ -279,12 +279,77 @@ fn out_of_range_sizes_and_ranks_exit_2() {
     }
 }
 
+/// One core ceiling (2^10 per compute phase) wherever a count enters:
+/// a trace line is invalid data, a flag a usage error. Past it the
+/// simulators would add one stream per core and the advisor would
+/// score every count, so none of these may run.
+#[test]
+fn core_counts_past_the_ceiling_get_their_callers_class() {
+    let dir = tmp("cores");
+    let trace = dir.join("t.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"ranks\":2}\n\
+         {\"rank\":0,\"event\":\"compute\",\"numa\":0,\"cores\":10000000000,\"bytes\":1000000}\n",
+    )
+    .unwrap();
+    let trace = trace.to_str().unwrap();
+    let out = memcontend(&["replay", "--platform", "henri", "--input", trace]);
+    assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+    assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("2^10"), "{}", stderr(&out));
+
+    let good = dir.join("good.jsonl");
+    std::fs::write(&good, "{\"ranks\":2}\n{\"rank\":0,\"event\":\"wait\"}\n").unwrap();
+    let good = good.to_str().unwrap();
+    for args in [
+        &[
+            "replay",
+            "--platform",
+            "henri",
+            "--input",
+            good,
+            "--cores",
+            "1025",
+        ][..],
+        &[
+            "replay",
+            "--platform",
+            "henri",
+            "--generate",
+            "halo2d",
+            "--ranks",
+            "4",
+            "--iters",
+            "1",
+            "--cores",
+            "10000000000",
+        ],
+        &[
+            "advise",
+            "--platform",
+            "henri",
+            "--compute-gb",
+            "10",
+            "--comm-gb",
+            "1",
+            "--max-cores",
+            "1000000000",
+        ],
+    ] {
+        let out = memcontend(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("2^10"), "{args:?}: {}", stderr(&out));
+    }
+}
+
 #[test]
 fn out_of_range_queue_lines_exit_3_with_their_line_number() {
     let dir = tmp("queue");
     for job in [
         r#"{"name":"a","compute_gb":1,"comm_gb":1e308,"max_cores":8}"#,
         r#"{"pattern":"allreduce","ranks":1000000000000}"#,
+        r#"{"pattern":"halo2d","ranks":4,"iters":1,"cores":10000000000}"#,
     ] {
         let path = dir.join("q.jsonl");
         std::fs::write(&path, format!("{{\"compute_gb\":1}}\n{job}\n")).unwrap();

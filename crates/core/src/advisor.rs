@@ -50,6 +50,23 @@ pub fn size_bytes(value: f64, unit: f64) -> Result<f64, String> {
     }
 }
 
+/// Most cores one compute phase may use: 2^10, far above any platform's
+/// socket. The simulators run one stream per core and the advisor scores
+/// every count up to a phase's budget, so past this a typed count keeps
+/// them busy for as long as the count is large.
+pub const MAX_CORES: usize = 1 << 10;
+
+/// The one rule for core counts users give: at most [`MAX_CORES`] per
+/// compute phase. Zero stays each caller's own check. The error states
+/// the rule; callers prefix the field's name.
+pub fn core_count(n: usize) -> Result<usize, String> {
+    if n <= MAX_CORES {
+        Ok(n)
+    } else {
+        Err(format!("must be at most 2^10 ({MAX_CORES}) cores, got {n}"))
+    }
+}
+
 /// One scored configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Recommendation {
@@ -247,6 +264,16 @@ mod tests {
         ] {
             let e = size_bytes(bad, mib).unwrap_err();
             assert!(e.contains("2^53"), "{e}");
+        }
+    }
+
+    #[test]
+    fn core_counts_stop_at_the_ceiling() {
+        assert_eq!(core_count(17), Ok(17));
+        assert_eq!(core_count(MAX_CORES), Ok(1024));
+        for bad in [MAX_CORES + 1, 10_000_000_000] {
+            let e = core_count(bad).unwrap_err();
+            assert!(e.contains("2^10"), "{e}");
         }
     }
 

@@ -47,7 +47,10 @@ pub mod registry;
 pub mod robustness;
 pub mod sparse;
 
-pub use advisor::{rank, recommend, size_bytes, two_phase_makespan, PhaseProfile, Recommendation};
+pub use advisor::{
+    core_count, rank, recommend, size_bytes, two_phase_makespan, PhaseProfile, Recommendation,
+    MAX_CORES,
+};
 pub use baselines::{EqualShareBaseline, LocalOnlyBaseline, NoContentionBaseline};
 pub use calibrate::{calibrate, CalibrationError};
 pub use collective_time::{estimate_collective, Collective, CollectiveEstimate};

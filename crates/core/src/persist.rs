@@ -67,6 +67,11 @@ pub fn model_to_text(model: &ContentionModel) -> String {
     out
 }
 
+/// Most NUMA nodes a model file may declare: 2^8, far above any
+/// platform's. A model answers for every (computation, communication)
+/// node pair, so past this a file's placement grid would outgrow memory.
+const MAX_NUMA_NODES: usize = 1 << 8;
+
 #[derive(Default)]
 struct RawSection {
     entries: Vec<(String, f64)>,
@@ -142,6 +147,11 @@ pub fn model_from_text(text: &str) -> Result<ContentionModel, PersistError> {
 
     let numa_per_socket = meta.get("numa_per_socket")? as usize;
     let numa_count = meta.get("numa_count")? as usize;
+    if numa_count > MAX_NUMA_NODES {
+        return Err(PersistError::Invalid(format!(
+            "{numa_count} NUMA nodes, more than the {MAX_NUMA_NODES} a model may hold"
+        )));
+    }
     if numa_per_socket == 0 || numa_count == 0 || !numa_count.is_multiple_of(numa_per_socket) {
         return Err(PersistError::Invalid(format!(
             "inconsistent topology: {numa_count} nodes, {numa_per_socket} per socket"
@@ -194,6 +204,21 @@ mod tests {
         assert!(text.contains("[remote]"));
         assert!(text.contains("b_comm_seq = "));
         assert!(text.contains("numa_per_socket = 2"));
+    }
+
+    #[test]
+    fn a_numa_count_above_the_ceiling_is_rejected() {
+        let text = model_to_text(&model());
+        assert!(text.contains("numa_count = 4\n"));
+        let ok = text.replace("numa_count = 4\n", "numa_count = 256\n");
+        assert_eq!(model_from_text(&ok).unwrap().placements().len(), 256 * 256);
+        for bad in ["258", "10000000000", "1e300"] {
+            let text = text.replace("numa_count = 4\n", &format!("numa_count = {bad}\n"));
+            assert!(
+                matches!(model_from_text(&text), Err(PersistError::Invalid(_))),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

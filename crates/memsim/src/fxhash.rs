@@ -6,8 +6,8 @@
 //! multiply spreads them into the top bits that `HashMap` groups on.
 //! Unlike std's SipHash `RandomState` it is neither seeded nor resistant
 //! to crafted collisions, so [`FxMap`] is for keys the simulator assigns
-//! (rank pairs, canonical stream multisets, sweep parameters), never for
-//! keys that come from outside the program.
+//! (canonical stream multisets, sweep parameters), never for keys that
+//! come from outside the program.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

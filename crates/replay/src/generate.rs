@@ -15,13 +15,15 @@
 //! iteration count.
 //!
 //! Parameters come from users, so they obey the trace grammar's
-//! ceilings: at most 2^20 ranks (the grammar's `MAX_RANKS`), and at most
-//! 2^24 events in a materialised trace. Both are checked before anything is
+//! ceilings: at most 2^20 ranks (the grammar's `MAX_RANKS`), at most 2^10
+//! cores per compute phase (`mc_model::MAX_CORES`), and at most 2^24
+//! events in a materialised trace. All are checked before anything is
 //! allocated; a streamed trace has no event cap.
 
 use std::fmt;
 use std::io::{self, Write};
 
+use mc_model::MAX_CORES;
 use mc_topology::NumaId;
 
 use crate::stream::EventSource;
@@ -41,6 +43,8 @@ pub enum GenError {
     Ranks(usize),
     /// A materialised trace would hold more than 2^24 events.
     TooManyEvents(usize),
+    /// The per-phase core count lies outside `1..=MAX_CORES`.
+    Cores(usize),
 }
 
 impl fmt::Display for GenError {
@@ -52,6 +56,7 @@ impl fmt::Display for GenError {
                 names().join(", ")
             ),
             GenError::Ranks(n) => write!(f, "ranks must be in 2..={MAX_RANKS}, got {n}"),
+            GenError::Cores(n) => write!(f, "cores must be in 1..={MAX_CORES}, got {n}"),
             GenError::TooManyEvents(n) => write!(
                 f,
                 "the generated trace would hold {n} events, more than the {MAX_EVENTS} \
@@ -134,7 +139,8 @@ pub struct LazyGen {
 
 impl LazyGen {
     /// Build the lazy form of pattern `name` (see [`names`]). Fails on
-    /// an unknown name or a rank count outside `2..=MAX_RANKS`.
+    /// an unknown name, a rank count outside `2..=MAX_RANKS` or a core
+    /// count outside `1..=MAX_CORES`.
     pub fn new(name: &str, p: &GenParams) -> Result<LazyGen, GenError> {
         type Blocks = fn(&GenParams) -> Vec<Vec<EventKind>>;
         let (schedule, blocks): (TagSchedule, Blocks) = match name {
@@ -145,6 +151,9 @@ impl LazyGen {
         };
         if !(2..=MAX_RANKS).contains(&p.ranks) {
             return Err(GenError::Ranks(p.ranks));
+        }
+        if !(1..=MAX_CORES).contains(&p.cores) {
+            return Err(GenError::Cores(p.cores));
         }
         Ok(LazyGen {
             iters: p.iters,
@@ -642,6 +651,12 @@ mod tests {
                 let e = LazyGen::new(name, &p(ranks, 1)).err();
                 assert_eq!(e, Some(GenError::Ranks(ranks)), "{name}");
             }
+            let cores = |cores| GenParams { cores, ..p(4, 1) };
+            for n in [0, MAX_CORES + 1, 10_000_000_000] {
+                let e = LazyGen::new(name, &cores(n)).err();
+                assert_eq!(e, Some(GenError::Cores(n)), "{name}");
+            }
+            assert!(LazyGen::new(name, &cores(MAX_CORES)).is_ok(), "{name}");
             // A huge iteration count streams, but does not materialise.
             let gen = LazyGen::new(name, &p(4, 1_000_000_000_000)).unwrap();
             assert!(gen.source().peek(0).unwrap().is_some(), "{name}");

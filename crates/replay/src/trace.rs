@@ -315,6 +315,8 @@ impl<'a> TraceLine<'a> {
                 if cores == 0 {
                     return Err(schema(self.line, "`cores` must be >= 1"));
                 }
+                mc_model::core_count(cores)
+                    .map_err(|e| schema(self.line, format!("`cores` {e}")))?;
                 EventKind::Compute {
                     numa: self.numa()?,
                     cores,
@@ -708,6 +710,25 @@ mod tests {
                     assert!(message.contains("implausible rank count"), "{message}");
                 }
                 other => panic!("expected a schema error on line 1, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_compute_line_above_the_core_ceiling_is_rejected() {
+        let line = |cores: u64| {
+            format!(
+                "{{\"ranks\":2}}\n\
+                 {{\"rank\":0,\"event\":\"compute\",\"numa\":0,\"cores\":{cores},\"bytes\":1000000}}\n"
+            )
+        };
+        assert!(Trace::from_json_lines(&line(mc_model::MAX_CORES as u64)).is_ok());
+        for cores in [mc_model::MAX_CORES as u64 + 1, 10_000_000_000] {
+            match Trace::from_json_lines(&line(cores)) {
+                Err(TraceError::Schema { line: 2, message }) => {
+                    assert!(message.contains("2^10"), "{message}");
+                }
+                other => panic!("expected a schema error on line 2, got {other:?}"),
             }
         }
     }

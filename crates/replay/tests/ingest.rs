@@ -2,9 +2,10 @@
 //!
 //! `Trace::from_json_lines` and `TraceReader` read trace lines without
 //! building a `Json` tree. The reference below is the tree path they
-//! replaced, kept verbatim: a recursive-descent parser into `Json`
-//! (per-character string decoding, every number through `str::parse`),
-//! then the schema read off the tree with `Json::get`. Both readers must
+//! replaced, kept verbatim but for the core ceiling added to the grammar
+//! since: a recursive-descent parser into `Json` (per-character string
+//! decoding, every number through `str::parse`), then the schema read off
+//! the tree with `Json::get`. Both readers must
 //! return exactly what the reference returns, events and errors alike,
 //! down to line numbers, JSON error kinds and byte offsets:
 //!
@@ -297,6 +298,12 @@ mod reference {
                 if cores == 0 {
                     return Err(schema(line, "`cores` must be >= 1"));
                 }
+                if cores > 1 << 10 {
+                    return Err(schema(
+                        line,
+                        format!("`cores` must be at most 2^10 (1024) cores, got {cores}"),
+                    ));
+                }
                 EventKind::Compute {
                     numa: member_numa(v, line)?,
                     cores,
@@ -581,6 +588,8 @@ const ODD_VALUES: &[&str] = &[
     "18446744073709551616",
     "4294967296",
     "65536",
+    "1024",
+    "1025",
     "1e999",
     "0.",
     "-",
