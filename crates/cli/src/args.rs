@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 
 use mc_model::{ErrorCategory, McError};
 
@@ -49,7 +50,7 @@ pub enum CliError {
         /// The offending option name.
         option: &'static str,
         /// The value given.
-        numa: u16,
+        numa: usize,
         /// Number of NUMA nodes the platform has.
         count: usize,
     },
@@ -91,20 +92,15 @@ impl CliError {
     /// mistakes, [`EXIT_INVALID_DATA`] for degenerate or invalid data,
     /// [`EXIT_IO`] for file I/O failures.
     pub fn exit_code(&self) -> u8 {
-        match self {
-            CliError::Data(e) => match e.category() {
-                ErrorCategory::InvalidData => EXIT_INVALID_DATA,
-                ErrorCategory::Io => EXIT_IO,
-            },
-            CliError::Replay(e) => match e.category() {
-                ErrorCategory::InvalidData => EXIT_INVALID_DATA,
-                ErrorCategory::Io => EXIT_IO,
-            },
-            CliError::Sched(e) => match e.category() {
-                ErrorCategory::InvalidData => EXIT_INVALID_DATA,
-                ErrorCategory::Io => EXIT_IO,
-            },
-            _ => EXIT_USAGE,
+        let category = match self {
+            CliError::Data(e) => e.category(),
+            CliError::Replay(e) => e.category(),
+            CliError::Sched(e) => e.category(),
+            _ => return EXIT_USAGE,
+        };
+        match category {
+            ErrorCategory::InvalidData => EXIT_INVALID_DATA,
+            ErrorCategory::Io => EXIT_IO,
         }
     }
 
@@ -348,25 +344,20 @@ impl Args {
         self.only(&known)
     }
 
+    /// A numeric option, if given.
+    pub fn num<T: FromStr>(&self, key: &'static str) -> Result<Option<T>, CliError> {
+        let parse = |raw: &str| raw.parse().map_err(|_| CliError::BadValue(key, raw.into()));
+        self.get(key).map(parse).transpose()
+    }
+
     /// A required numeric option.
-    pub fn require_num<T: std::str::FromStr>(&self, key: &'static str) -> Result<T, CliError> {
-        let raw = self.require(key)?;
-        raw.parse()
-            .map_err(|_| CliError::BadValue(key, raw.to_string()))
+    pub fn require_num<T: FromStr>(&self, key: &'static str) -> Result<T, CliError> {
+        self.num(key)?.ok_or(CliError::MissingOption(key))
     }
 
     /// An optional numeric option with a default.
-    pub fn num_or<T: std::str::FromStr>(
-        &self,
-        key: &'static str,
-        default: T,
-    ) -> Result<T, CliError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| CliError::BadValue(key, raw.to_string())),
-        }
+    pub fn num_or<T: FromStr>(&self, key: &'static str, default: T) -> Result<T, CliError> {
+        Ok(self.num(key)?.unwrap_or(default))
     }
 }
 

@@ -1,24 +1,21 @@
 //! Subcommand implementations. Each returns the rendered output as a
-//! string; file I/O (saving/loading model files) is the only side effect.
+//! string; file I/O (saving/loading model files, exports) is the only
+//! side effect. The model ops read and check their inputs in
+//! `crate::ops`; this module renders their results as text.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 
-use mc_membench::{
-    calibration_placements, calibration_sweeps, sweep_platform_parallel, BenchConfig, BenchRunner,
-};
-use mc_model::{
-    evaluate, format_percent, model_from_text, model_to_text, rank, size_bytes, ContentionModel,
-    McError, ModelRegistry, PhaseProfile,
-};
+use mc_membench::{BenchConfig, BenchRunner};
+use mc_model::{format_percent, model_to_text, McError, ModelRegistry};
 use mc_obs::{tags, TagValue};
-use mc_replay::generate::{self, GenParams};
-use mc_replay::{report, CommMode, ReplayConfig, ReplayOutcome, Trace, TraceReader};
+use mc_replay::report;
 use mc_topology::{platforms, NumaId, Platform};
 use mc_viz::TopologySketch;
 
 use crate::args::{Args, CliError};
+use crate::ops;
 
 /// Usage text. Its synopsis lines (`  memcontend COMMAND ...` and the
 /// lines they continue with `\`) declare each subcommand's options:
@@ -113,47 +110,12 @@ exit codes: 0 success, 2 usage error, 3 invalid or degenerate input data,
             4 file I/O failure
 ";
 
-fn platform(args: &Args) -> Result<Platform, CliError> {
-    let name = args.require("platform")?;
-    platforms::by_name(name).ok_or_else(|| CliError::UnknownPlatform(name.to_string()))
-}
-
-/// A GB (`unit` 1e9) or MB (`unit` 2^20) option value in bytes, under
-/// the one size rule ([`size_bytes`]).
-fn size_arg(key: &'static str, value: f64, unit: f64) -> Result<f64, CliError> {
-    size_bytes(value, unit).map_err(|e| CliError::Usage(format!("--{key} {e}")))
-}
-
-/// Parse a NUMA-node option (default 0) and range-check it against the
-/// platform.
-fn numa_arg(args: &Args, key: &'static str, platform: &Platform) -> Result<NumaId, CliError> {
-    let raw = args.num_or(key, 0u16)?;
-    let count = platform.topology.numa_count();
-    if (raw as usize) >= count {
-        return Err(CliError::NumaOutOfRange {
-            option: key,
-            numa: raw,
-            count,
-        });
-    }
-    Ok(NumaId::new(raw))
-}
-
-fn calibrated(platform: &Platform) -> Result<ContentionModel, CliError> {
-    let (local, remote) = calibration_sweeps(platform, BenchConfig::default());
-    ContentionModel::calibrate(&platform.topology, &local, &remote)
-        .map_err(McError::from)
-        .map_err(CliError::from)
-}
-
 /// `topo`: draw one or all machines.
 pub fn topo(args: &Args) -> Result<String, CliError> {
-    let targets =
-        match args.get("platform") {
-            Some(name) => vec![platforms::by_name(name)
-                .ok_or_else(|| CliError::UnknownPlatform(name.to_string()))?],
-            None => platforms::all(),
-        };
+    let targets = match args.get("platform") {
+        Some(_) => vec![ops::platform(args)?],
+        None => platforms::all(),
+    };
     let mut out = String::new();
     for p in targets {
         let topo = &p.topology;
@@ -174,9 +136,10 @@ pub fn topo(args: &Args) -> Result<String, CliError> {
 
 /// `bench`: run one placement sweep and print the bandwidth table.
 pub fn bench(args: &Args) -> Result<String, CliError> {
-    let p = platform(args)?;
-    let m_comp = numa_arg(args, "comp-numa", &p)?;
-    let m_comm = numa_arg(args, "comm-numa", &p)?;
+    let p = ops::platform(args)?;
+    let numa = |key| ops::numa(args, key, p.topology.numa_count());
+    let m_comp = numa(ops::COMP_NUMA)?.unwrap_or(NumaId::new(0));
+    let m_comm = numa(ops::COMM_NUMA)?.unwrap_or(NumaId::new(0));
     let runner = BenchRunner::new(&p, BenchConfig::default());
     let sweep = runner.run_placement(m_comp, m_comm);
     let mut out = format!(
@@ -198,102 +161,65 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `calibrate`: run the two calibration sweeps, print the parameters,
-/// optionally persist the model. With `--sparse yes` the adaptive sweep
-/// protocol of the paper's footnote 2 is used (stop once both bandwidth
-/// peaks are confirmed).
+/// `calibrate`: print the parameters of both instantiations and save
+/// the model to `--save FILE`.
 pub fn calibrate_cmd(args: &Args) -> Result<String, CliError> {
-    let p = platform(args)?;
-    let sparse = args.flag("sparse")?;
-    let mut out;
-    let model = if sparse {
-        use mc_model::calibrate_sparse;
-        let runner = BenchRunner::new(&p, BenchConfig::default());
-        let ((lc, lm), (rc, rm)) = calibration_placements(&p);
-        let local = calibrate_sparse(&runner, lc, lm).map_err(McError::from)?;
-        let remote = calibrate_sparse(&runner, rc, rm).map_err(McError::from)?;
-        out = format!(
-            "{} calibrated with sparse sweeps ({:.0} % / {:.0} % of runs saved)\n",
-            p.name(),
-            100.0 * local.savings(),
-            100.0 * remote.savings()
-        );
-        ContentionModel::calibrate(&p.topology, &local.sweep, &remote.sweep)
-            .map_err(McError::from)?
-    } else {
-        out = format!("{} calibrated from two placement sweeps\n", p.name());
-        calibrated(&p)?
+    let c = ops::calibrate(args, None)?;
+    let how = match c.sparse_savings {
+        Some((local, remote)) => format!(
+            "with sparse sweeps ({:.0} % / {:.0} % of runs saved)",
+            100.0 * local,
+            100.0 * remote
+        ),
+        None => "from two placement sweeps".into(),
     };
-    let _ = writeln!(out, "M_local : {}", model.local().params());
-    let _ = writeln!(out, "M_remote: {}", model.remote().params());
+    let mut out = format!("{} calibrated {how}\n", c.platform.name());
+    let _ = writeln!(out, "M_local : {}", c.model.local().params());
+    let _ = writeln!(out, "M_remote: {}", c.model.remote().params());
     if let Some(path) = args.get("save") {
-        fs::write(path, model_to_text(&model)).map_err(|e| McError::io(path, e))?;
+        fs::write(path, model_to_text(&c.model)).map_err(|e| McError::io(path, e))?;
         let _ = writeln!(out, "model saved to {path}");
     }
     Ok(out)
 }
 
-/// `predict`: bandwidths for one configuration, from a fresh calibration
-/// or a saved model file.
+/// `predict`: bandwidths for one configuration, and the share of each
+/// that overlap keeps.
 pub fn predict(args: &Args) -> Result<String, CliError> {
-    let model = match args.get("model") {
-        Some(path) => {
-            let text = fs::read_to_string(path).map_err(|e| McError::io(path, e))?;
-            model_from_text(&text).map_err(McError::from)?
-        }
-        None => calibrated(&platform(args)?)?,
-    };
-    let n: usize = args.require_num("cores")?;
-    if n == 0 {
-        return Err(CliError::NonPositive("cores"));
-    }
-    let m_comp = NumaId::new(args.require_num::<u16>("comp-numa")?);
-    let m_comm = NumaId::new(args.require_num::<u16>("comm-numa")?);
-    let par = model.predict(n, m_comp, m_comm);
-    let alone = model.predict_alone(n, m_comp, m_comm);
-    let mut out =
-        format!("{n} cores, computation data on {m_comp}, communication data on {m_comm}\n");
-    let _ = writeln!(
-        out,
-        "computations : {:>8.2} GB/s in parallel ({:>8.2} GB/s alone)",
-        par.comp, alone.comp
-    );
-    let _ = writeln!(
-        out,
-        "communications: {:>8.2} GB/s in parallel ({:>8.2} GB/s alone)",
-        par.comm, alone.comm
-    );
-    let _ = writeln!(
-        out,
-        "overlap keeps {:.0} % of compute and {:.0} % of network bandwidth",
+    let r = ops::predict(args, None)?;
+    let (par, alone) = (&r.par, &r.alone);
+    Ok(format!(
+        "{} cores, computation data on {}, communication data on {}\n\
+         computations : {:>8.2} GB/s in parallel ({:>8.2} GB/s alone)\n\
+         communications: {:>8.2} GB/s in parallel ({:>8.2} GB/s alone)\n\
+         overlap keeps {:.0} % of compute and {:.0} % of network bandwidth\n",
+        r.cores,
+        r.m_comp,
+        r.m_comm,
+        par.comp,
+        alone.comp,
+        par.comm,
+        alone.comm,
         100.0 * par.comp / alone.comp,
         100.0 * par.comm / alone.comm
-    );
-    Ok(out)
+    ))
 }
 
-/// `advise`: placement recommendations for an application phase.
+/// `advise`: the five best placements for an application phase.
 pub fn advise(args: &Args) -> Result<String, CliError> {
-    let p = platform(args)?;
-    let compute_gb: f64 = args.require_num("compute-gb")?;
-    let comm_gb: f64 = args.require_num("comm-gb")?;
-    let phase = PhaseProfile {
-        compute_bytes: size_arg("compute-gb", compute_gb, 1e9)?,
-        comm_bytes: size_arg("comm-gb", comm_gb, 1e9)?,
-        max_cores: args.cores_or("max-cores", p.max_compute_cores())?,
-    };
-    let model = calibrated(&p)?;
-    let ranked = rank(&model, &phase);
+    let a = ops::advise(args, None)?;
     let mut out = format!(
-        "{}: {compute_gb} GB compute overlapped with {comm_gb} GB received\n",
-        p.name()
+        "{}: {} GB compute overlapped with {} GB received\n",
+        a.platform.name(),
+        a.compute_gb,
+        a.comm_gb
     );
     let _ = writeln!(
         out,
         "{:>6} {:>10} {:>10} {:>12} {:>12} {:>12}",
         "cores", "comp on", "comm on", "comp GB/s", "comm GB/s", "makespan"
     );
-    for r in ranked.iter().take(5) {
+    for r in a.ranked.iter().take(5) {
         let _ = writeln!(
             out,
             "{:>6} {:>10} {:>10} {:>12.1} {:>12.1} {:>10.3} s",
@@ -310,30 +236,15 @@ pub fn advise(args: &Args) -> Result<String, CliError> {
 
 /// `evaluate`: the platform's Table II row.
 pub fn evaluate_cmd(args: &Args) -> Result<String, CliError> {
-    let p = platform(args)?;
-    let sweep = sweep_platform_parallel(&p, BenchConfig::default());
-    let (s_local, s_remote) = calibration_placements(&p);
-    let local = sweep
-        .placement(s_local.0, s_local.1)
-        .ok_or(McError::MissingPlacement {
-            m_comp: s_local.0,
-            m_comm: s_local.1,
-        })?;
-    let remote = sweep
-        .placement(s_remote.0, s_remote.1)
-        .ok_or(McError::MissingPlacement {
-            m_comp: s_remote.0,
-            m_comm: s_remote.1,
-        })?;
-    let model = ContentionModel::calibrate(&p.topology, local, remote).map_err(McError::from)?;
-    let e = evaluate(&model, &sweep, &[s_local, s_remote]);
+    let r = ops::evaluate(args, None)?;
+    let e = &r.errors;
     let pc = |v: f64| format_percent(v, 0);
     let mut out = format!(
         "{} — prediction error (MAPE)\n\
          communications: {} % samples, {} % non-samples, {} % all\n\
          computations  : {} % samples, {} % non-samples, {} % all\n\
          average       : {} %\n",
-        p.name(),
+        r.platform.name(),
         pc(e.comm_samples),
         pc(e.comm_non_samples),
         pc(e.comm_all),
@@ -352,244 +263,67 @@ pub fn evaluate_cmd(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// A NUMA override that is only an override when the flag is present
-/// (unlike [`numa_arg`], which defaults to node 0).
-fn numa_override(
-    args: &Args,
-    key: &'static str,
-    platform: &Platform,
-) -> Result<Option<NumaId>, CliError> {
-    match args.get(key) {
-        None => Ok(None),
-        Some(_) => numa_arg(args, key, platform).map(Some),
-    }
-}
-
-/// Replay under `config`; in cxl mode, first replay the same source
-/// under ordinary messaging too, so the report can print the
-/// head-to-head.
-fn replay_modes(
-    config: ReplayConfig,
-    run: impl Fn(&ReplayConfig) -> Result<ReplayOutcome, mc_replay::ReplayError>,
-) -> Result<(ReplayOutcome, Option<ReplayOutcome>), CliError> {
-    let messaging = match config.comm_mode {
-        CommMode::Cxl => Some(run(&ReplayConfig {
-            comm_mode: CommMode::Messages,
-            ..config
-        })?),
-        CommMode::Messages => None,
-    };
-    Ok((run(&config)?, messaging))
-}
-
-/// `replay`: predict a whole program's contention slowdown from a trace
-/// file or a synthetic pattern. With `--stream yes` the trace is never
-/// materialized: files are parsed line by line (they need a
-/// `{"ranks":N}` header) and generators are evaluated lazily, so memory
-/// stays bounded by ranks rather than by events.
+/// `replay`: the report of a trace replay, its placement search and
+/// advisor cross-check, and the `--gantt`/`--report` exports.
 pub fn replay_cmd(args: &Args) -> Result<String, CliError> {
-    let p = platform(args)?;
-    let stream = args.flag("stream")?;
-    let do_search = args.flag("search")?;
-    if stream && do_search {
-        return Err(CliError::Usage(
-            "--stream and --search are mutually exclusive (the placement sweep \
-             replays the trace many times and needs it in memory)"
-                .into(),
-        ));
-    }
-    let comm_mode = match args.get("comm-mode") {
-        None | Some("messages") => CommMode::Messages,
-        Some("cxl") => CommMode::Cxl,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--comm-mode must be 'messages' or 'cxl', got '{other}'"
-            )))
-        }
-    };
-    if comm_mode == CommMode::Cxl && do_search {
-        return Err(CliError::Usage(
-            "--search and --comm-mode cxl are mutually exclusive (the placement \
-             sweep ranks messaging replays)"
-                .into(),
-        ));
-    }
-    // Streaming runs keep full timelines only for the ranks a gantt
-    // chart can show; the rest fold into the busy totals.
-    let timeline_ranks = if stream {
-        Some(report::GANTT_MAX_ROWS)
-    } else {
-        None
-    };
-    // `trace` stays `None` on the streaming paths — nothing below may
-    // require the full event list there.
-    let mut trace: Option<Trace> = None;
-    let (outcome, messaging) = match (args.get("input"), args.get("generate")) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::Usage(
-                "--input and --generate are mutually exclusive".into(),
-            ))
-        }
-        (None, None) => {
-            return Err(CliError::Usage(
-                "replay needs --input TRACE.jsonl or --generate PATTERN".into(),
-            ))
-        }
-        (Some(path), None) => {
-            // Replaying a recorded trace: the placement flags re-home the
-            // trace's data instead of feeding the generator.
-            let cores = match args.get("cores") {
-                None => None,
-                Some(_) => Some(args.cores_or("cores", 0)?),
-            };
-            let config = ReplayConfig {
-                comp_numa: numa_override(args, "comp-numa", &p)?,
-                comm_numa: numa_override(args, "comm-numa", &p)?,
-                cores,
-                timeline_ranks,
-                comm_mode,
-            };
-            if stream {
-                if args.get("save-trace").is_some() {
-                    return Err(CliError::Usage(
-                        "--save-trace is redundant with --stream --input \
-                         (the trace is already on disk)"
-                            .into(),
-                    ));
-                }
-                // Missing/unreadable files are I/O errors (exit 4);
-                // re-open failures inside a pass surface as trace I/O.
-                fs::File::open(path).map_err(|e| McError::io(path, e))?;
-                let open = || {
-                    let f = fs::File::open(path).map_err(|e| mc_replay::TraceError::Io {
-                        line: 0,
-                        message: e.to_string(),
-                    })?;
-                    Ok(TraceReader::new(std::io::BufReader::new(f))?)
-                };
-                replay_modes(config, |c| mc_replay::replay_with(&p, open, c))?
-            } else {
-                let text = fs::read_to_string(path).map_err(|e| McError::io(path, e))?;
-                let t = Trace::from_json_lines(&text)?;
-                if let Some(dst) = args.get("save-trace") {
-                    fs::write(dst, t.to_json_lines()).map_err(|e| McError::io(dst, e))?;
-                }
-                let outcomes = replay_modes(config, |c| mc_replay::replay(&p, &t, c))?;
-                trace = Some(t);
-                outcomes
-            }
-        }
-        (None, Some(pattern)) => {
-            let defaults = GenParams::default();
-            let ranks: usize = args.num_or("ranks", defaults.ranks)?;
-            let iters = args.count_or("iters", defaults.iters)?;
-            let cores = args.cores_or("cores", defaults.cores)?;
-            let mib = (1 << 20) as f64;
-            let compute_mb: f64 = args.num_or("compute-mb", defaults.compute_bytes as f64 / mib)?;
-            let comm_mb: f64 = args.num_or("comm-mb", defaults.comm_bytes as f64 / mib)?;
-            let params = GenParams {
-                ranks,
-                iters,
-                cores,
-                compute_bytes: size_arg("compute-mb", compute_mb, mib)? as u64,
-                comm_bytes: size_arg("comm-mb", comm_mb, mib)? as u64,
-                comp_numa: numa_arg(args, "comp-numa", &p)?,
-                comm_numa: numa_arg(args, "comm-numa", &p)?,
-            };
-            let gen = generate::LazyGen::new(pattern, &params)?;
-            let config = ReplayConfig {
-                timeline_ranks,
-                comm_mode,
-                ..ReplayConfig::default()
-            };
-            if stream {
-                if let Some(dst) = args.get("save-trace") {
-                    let f = fs::File::create(dst).map_err(|e| McError::io(dst, e))?;
-                    let mut w = std::io::BufWriter::new(f);
-                    gen.write_interleaved(&mut w)
-                        .and_then(|_| w.flush())
-                        .map_err(|e| McError::io(dst, e))?;
-                }
-                replay_modes(config, |c| {
-                    mc_replay::replay_with(&p, || Ok(gen.source()), c)
-                })?
-            } else {
-                let t = gen.try_collect()?;
-                if let Some(dst) = args.get("save-trace") {
-                    fs::write(dst, t.to_json_lines()).map_err(|e| McError::io(dst, e))?;
-                }
-                let outcomes = replay_modes(config, |c| mc_replay::replay(&p, &t, c))?;
-                trace = Some(t);
-                outcomes
-            }
-        }
-    };
+    let r = ops::replay(args, None)?;
+    let (p, outcome) = (&r.platform, &r.outcome);
     // Feed the per-rank timelines to the recorder (when one is
     // installed): `--trace-format chrome` then shows each rank on its
     // own track, and `--report` can table the same spans.
     if let Some(rec) = mc_obs::recorder() {
-        report::record_timeline_spans(rec.as_ref(), &outcome);
+        report::record_timeline_spans(rec.as_ref(), outcome);
     }
-    let mut out = report::render(&outcome, p.name());
-    if let Some(messages) = &messaging {
-        out.push_str(&report::render_head_to_head(messages, &outcome, p.name()));
+    let mut out = report::render(outcome, p.name());
+    if let Some(messages) = &r.messaging {
+        out.push_str(&report::render_head_to_head(messages, outcome, p.name()));
     }
-    if do_search {
-        let trace = trace
-            .as_ref()
-            .expect("search never runs on the streaming path");
-        let found = mc_replay::search(&p, trace, &[])?;
-        out.push_str(&report::render_search(&found));
-        let model = calibrated(&p)?;
-        let check =
-            mc_replay::advisor_crosscheck(&model, trace, found.winner(), p.max_compute_cores());
-        match &check.advisor {
-            Some(r) => {
-                let _ = writeln!(
-                    out,
-                    "advisor cross-check: model recommends comp on {}, comm on {} — {}",
-                    r.m_comp,
-                    r.m_comm,
-                    if check.agree_placement {
-                        "agrees with the search winner"
-                    } else {
-                        "differs from the search winner"
-                    }
-                );
-            }
-            None => {
-                let _ = writeln!(out, "advisor cross-check: no recommendation");
-            }
-        }
+    if let Some((found, check)) = &r.search {
+        out.push_str(&report::render_search(found));
+        let verdict = match &check.advisor {
+            None => "no recommendation".to_string(),
+            Some(a) => format!(
+                "model recommends comp on {}, comm on {} — {} the search winner",
+                a.m_comp,
+                a.m_comm,
+                if check.agree_placement {
+                    "agrees with"
+                } else {
+                    "differs from"
+                }
+            ),
+        };
+        let _ = writeln!(out, "advisor cross-check: {verdict}");
     }
+    let title = format!("trace replay on {}", p.name());
     if let Some(path) = args.get("gantt") {
-        let title = format!("trace replay on {}", p.name());
-        let svg = report::gantt(&outcome, &title).render(900.0).render();
+        let svg = report::gantt(outcome, &title).render(900.0).render();
         fs::write(path, svg).map_err(|e| McError::io(path, e))?;
         let _ = writeln!(out, "gantt chart written to {path}");
     }
     if let Some(path) = args.get("report") {
-        let title = format!("trace replay on {}", p.name());
         let mut rep = mc_viz::HtmlReport::new(&title);
         rep.meta("platform", p.name());
-        if messaging.is_some() {
+        if r.messaging.is_some() {
             rep.meta("comm mode", "message-free (cxl)");
         }
-        rep.meta("ranks", &outcome.ranks.to_string());
-        rep.meta("events", &outcome.events.to_string());
-        rep.meta(
-            "contended makespan",
-            &format!("{:.6} s", outcome.contended.makespan),
-        );
-        rep.meta(
-            "baseline makespan",
-            &format!("{:.6} s", outcome.baseline.makespan),
-        );
-        rep.meta("contention slowdown", &format!("{:.3}x", outcome.slowdown));
-        rep.figure(
-            "Contended timeline",
-            &report::gantt(&outcome, &title).render(900.0),
-        );
+        for (name, value) in [
+            ("ranks", outcome.ranks.to_string()),
+            ("events", outcome.events.to_string()),
+            (
+                "contended makespan",
+                format!("{:.6} s", outcome.contended.makespan),
+            ),
+            (
+                "baseline makespan",
+                format!("{:.6} s", outcome.baseline.makespan),
+            ),
+            ("contention slowdown", format!("{:.3}x", outcome.slowdown)),
+        ] {
+            rep.meta(name, &value);
+        }
+        let gantt = report::gantt(outcome, &title).render(900.0);
+        rep.figure("Contended timeline", &gantt);
         write_report(rep, path, &mut out)?;
     }
     Ok(out)
@@ -637,7 +371,7 @@ fn fleet_platforms(args: &Args) -> Result<Vec<Platform>, CliError> {
             Ok(out)
         }
         (None, _) => {
-            let p = platform(args)?;
+            let p = ops::platform(args)?;
             Ok(vec![p; args.count_or("nodes", 2)?])
         }
     }
@@ -695,23 +429,16 @@ pub fn schedule_cmd(args: &Args) -> Result<String, CliError> {
     let mut ev = mc_sched::Evaluator::new(&jobs, &fleet);
     let mut plans = Vec::with_capacity(names.len());
     for name in &names {
-        let _policy_span = mc_obs::span("schedule.policy", &[(tags::POLICY, TagValue::Str(name))]);
+        let policy_tag = [(tags::POLICY, TagValue::Str(name))];
+        let _policy_span = mc_obs::span("schedule.policy", &policy_tag);
         let policy = mc_sched::policy_by_name(name, max_slowdown, seed)
             .expect("policy names were validated above");
         let assignment = policy.assign(&mut ev);
         let plan = ev.plan(name, &assignment, max_slowdown);
         if let Some(rec) = mc_obs::recorder() {
-            rec.observe(
-                "sched.makespan_seconds",
-                &[(tags::POLICY, TagValue::Str(name))],
-                plan.makespan,
-            );
+            rec.observe("sched.makespan_seconds", &policy_tag, plan.makespan);
             for p in &plan.placements {
-                rec.observe(
-                    "sched.slowdown",
-                    &[(tags::POLICY, TagValue::Str(name))],
-                    p.slowdown,
-                );
+                rec.observe("sched.slowdown", &policy_tag, p.slowdown);
             }
         }
         plans.push(plan);
@@ -753,17 +480,9 @@ pub fn schedule_cmd(args: &Args) -> Result<String, CliError> {
                 ]
             })
             .collect();
-        rep.table(
-            "Policy comparison",
-            &[
-                "policy",
-                "makespan_s",
-                "throughput_jobs_per_s",
-                "colocated",
-                "violations",
-            ],
-            rows,
-        );
+        let columns = "policy makespan_s throughput_jobs_per_s colocated violations";
+        let columns: Vec<&str> = columns.split(' ').collect();
+        rep.table("Policy comparison", &columns, rows);
         write_report(rep, path, &mut out)?;
     }
     Ok(out)

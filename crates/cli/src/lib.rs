@@ -6,7 +6,10 @@
 //!
 //! The subcommands and their options are listed once, in
 //! [`commands::USAGE`]: its synopsis lines are also what
-//! [`Args::only_as_in`] checks a command line against.
+//! [`Args::only_as_in`] checks a command line against. The model ops
+//! (predict, calibrate, evaluate, advise/recommend, replay) read and
+//! check their inputs in one place, the private `ops` module, for both
+//! the subcommands and `serve`.
 //!
 //! `serve` is the exception to "function to rendered string": it runs a
 //! long-lived JSON-lines request/response loop — over stdin/stdout, or
@@ -21,6 +24,7 @@ pub mod args;
 pub mod commands;
 pub mod exports;
 pub mod net;
+mod ops;
 pub mod serve;
 
 pub use args::{Args, CliError, EXIT_INVALID_DATA, EXIT_IO, EXIT_USAGE};

@@ -1,47 +1,16 @@
 //! Network transport for `memcontend serve`: `--listen HOST:PORT`.
 //!
-//! The stdin/stdout loop serves exactly one client; this module serves
-//! many, over a plain [`std::net::TcpListener`] (the workspace's
-//! no-external-crates policy rules out async runtimes, and blocking
-//! threads are the right cost model here: connection threads spend
-//! their lives parked in `read`, while the CPU-heavy work — batch
-//! fan-out, calibration — stays bounded by the existing worker pool and
-//! the registry's populate-once locking).
-//!
-//! ## Session protocol
-//!
-//! Every connection speaks the same JSON-lines request/response
-//! protocol as the stdio transport, with two additions:
-//!
-//! * **Hello.** The first line must authenticate a tenant id:
-//!   `{"hello":{"tenant":"alice"}}` →
-//!   `{"ok":true,"hello":{"tenant":"alice","credits":16,"queue":16}}`.
-//!   Anything else is answered with a `usage` error and the connection
-//!   closes.
-//! * **Shutdown.** `{"op":"shutdown"}` (after hello) acknowledges, then
-//!   stops the accept loop so the process can exit 0 — the handle a
-//!   load generator or CI harness uses to end a run cleanly.
-//!
-//! ## Admission control
-//!
-//! Each tenant holds a fixed budget of request *credits* (the
-//! flow-controlled request/release primitive of gwr's `Resource`): a
-//! single request costs one credit, a `{"batch":[...]}` envelope costs
-//! one per item, and credits return when the response hits the wire.
-//! A request that cannot be granted immediately queues — briefly,
-//! boundedly — and a tenant flooding past its budget gets a typed
-//! `{"ok":false,"error":{"class":"overload",...}}` rejection instead of
-//! growing the registry and worker queues without bound. Other tenants'
-//! credits are untouched, so one tenant's flood cannot starve the rest.
-//!
-//! ## Fault isolation
-//!
-//! A connection whose transport fails mid-session — truncated line,
-//! reset, dead peer — tears down only itself: the accept loop and every
-//! other connection keep serving (counted under `serve.disconnects`
-//! tagged `transport=tcp`). The fatal exit-code paths stay where they
-//! were: startup (bad flags, unreadable `--warm` file, unbindable
-//! address).
+//! Many clients, one blocking thread each over a plain
+//! [`std::net::TcpListener`], all speaking the stdio transport's
+//! JSON-lines protocol with two additions: a first
+//! `{"hello":{"tenant":ID}}` line (acked with the tenant's credit
+//! configuration; any other first line, JSON or not, gets a `usage`
+//! error and the door) and `{"op":"shutdown"}`, which ends the accept
+//! loop so the process exits 0. Each tenant holds a budget of request
+//! credits (a batch costs one per item) and a flood past it gets typed
+//! `overload` rejections, leaving other tenants untouched. A connection
+//! whose transport fails tears down only itself. DESIGN.md §14 specifies
+//! the transport, the credits and the fault isolation.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -289,16 +258,10 @@ impl NetServer {
     /// port actually bound.
     pub fn bind(args: &Args) -> Result<NetServer, CliError> {
         let (registry, workers) = serve::build_registry(args)?;
-        let credits: usize = args.num_or("credits", DEFAULT_CREDITS)?;
-        if credits == 0 {
-            return Err(CliError::NonPositive("credits"));
-        }
+        let credits = args.count_or("credits", DEFAULT_CREDITS)?;
         let max_queue: usize = args.num_or("queue", credits)?;
         let wait_ms: u64 = args.num_or("wait-ms", DEFAULT_WAIT_MS)?;
-        let max_conns: usize = args.num_or("max-conns", DEFAULT_MAX_CONNS)?;
-        if max_conns == 0 {
-            return Err(CliError::NonPositive("max-conns"));
-        }
+        let max_conns = args.count_or("max-conns", DEFAULT_MAX_CONNS)?;
         let addr = args.require("listen")?;
         let listener = TcpListener::bind(addr).map_err(|e| McError::io(addr, e))?;
         let local = listener.local_addr().map_err(|e| McError::io(addr, e))?;
@@ -413,8 +376,15 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     // First line: the hello handshake, answered before any credit moves.
     let tenant = match lines.next() {
         None => return,
-        Some(Err(_)) => {
-            serve::count_disconnect("tcp");
+        // A first line that is no JSON, or no UTF-8, gets its error and
+        // the door like any other; a failed transport gets nothing.
+        Some(Err(e)) => {
+            match serve::rejected_line(&e) {
+                Some(response) => {
+                    let _ = serve::write_response(&mut writer, &response);
+                }
+                None => serve::count_disconnect("tcp"),
+            }
             return;
         }
         Some(Ok((_line, request))) => match hello_tenant(&request) {
@@ -443,12 +413,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         return;
     }
 
+    let tenant_tag = [(tags::TENANT, TagValue::Str(&tenant))];
     if let Some(rec) = mc_obs::recorder() {
-        rec.add(
-            "serve.connections",
-            &[(tags::TENANT, TagValue::Str(&tenant))],
-            1,
-        );
+        rec.add("serve.connections", &tenant_tag, 1);
     }
     let gate = shared.admission.gate(&tenant);
 
@@ -483,11 +450,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                         let started = mc_obs::enabled().then(Instant::now);
                         let response = serve::dispatch(&shared.registry, &request, shared.workers);
                         if let (Some(started), Some(rec)) = (started, mc_obs::recorder()) {
-                            rec.observe(
-                                "serve.tenant_seconds",
-                                &[(tags::TENANT, TagValue::Str(&tenant))],
-                                started.elapsed().as_secs_f64(),
-                            );
+                            let seconds = started.elapsed().as_secs_f64();
+                            rec.observe("serve.tenant_seconds", &tenant_tag, seconds);
                         }
                         (response, units)
                     }
@@ -510,14 +474,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 
 fn count_overload(tenant: &str, reason: &'static str) {
     if let Some(rec) = mc_obs::recorder() {
-        rec.add(
-            "serve.overload",
-            &[
-                (tags::TENANT, TagValue::Str(tenant)),
-                (tags::REASON, TagValue::Str(reason)),
-            ],
-            1,
-        );
+        let overload_tags = [
+            (tags::TENANT, TagValue::Str(tenant)),
+            (tags::REASON, TagValue::Str(reason)),
+        ];
+        rec.add("serve.overload", &overload_tags, 1);
     }
 }
 

@@ -3,45 +3,26 @@
 //!
 //! ## Protocol
 //!
-//! One request per line, one response per line, in order. A request is a
-//! JSON object carrying either an `"op"` or a `"batch"`:
-//!
-//! ```text
-//! {"op":"predict","platform":"henri","cores":17,"comp_numa":0,"comm_numa":1}
-//! {"op":"predict","model":"model.txt","cores":8,"comp_numa":0,"comm_numa":0}
-//! {"op":"calibrate","platform":"henri"}
-//! {"op":"evaluate","platform":"henri"}
-//! {"op":"recommend","platform":"henri","compute_gb":48,"comm_gb":8}
-//! {"op":"replay","platform":"henri","pattern":"halo2d","ranks":4}
-//! {"op":"replay","platform":"henri","trace_file":"app.trace.jsonl"}
-//! {"batch":[{...},{...}]}
-//! ```
-//!
-//! Any request may carry an `"id"` (string or number) echoed in its
-//! response. Success responses are `{"ok":true,"op":...,...}`; failures
-//! are `{"ok":false,"error":{"class":C,"exit_code":N,"message":M}}`
-//! where `class`/`exit_code` follow the CLI's established contract —
-//! `usage`/2 for malformed requests, `data`/3 for invalid model data,
-//! `io`/4 for file failures. A bad request never terminates the loop;
-//! the process exits 0 at EOF (and 2/3/4 only for *startup* failures:
-//! bad flags, an unreadable `--warm` file).
+//! One request per line, one response per line, in order: a JSON object
+//! carrying either an `"op"` (with the fields that op reads, listed in
+//! `try_request`) or a `"batch"` of such requests. DESIGN.md §11 gives
+//! the grammar; `crate::ops` reads and checks each op's fields, for
+//! this service and the `memcontend` subcommands alike. Any request may
+//! carry an `"id"` echoed in its response. Failures are
+//! `{"ok":false,"error":{"class":C,"exit_code":N,"message":M}}` on the
+//! CLI's exit-code contract: `usage`/2 for malformed requests, `data`/3
+//! for invalid model data, `io`/4 for file failures. A bad request never
+//! ends the loop; the process exits 0 at EOF (and 2/3/4 only for
+//! *startup* failures: bad flags, an unreadable `--warm` file).
 //!
 //! ## Caching and batching
 //!
-//! The model-backed ops answer from a shared [`ModelRegistry`] — a sharded LRU
-//! cache of calibrated models keyed by (platform, bench config,
-//! calibration placements) — so only the first request against a
-//! platform pays for calibration sweeps; every later one is a registry
-//! hit (`"cached":true` in the response). `--warm PLATFORM=FILE[,...]`
-//! seeds the registry from persisted model files at startup. A
-//! `{"batch":[...]}` envelope fans its requests out over a bounded,
-//! point-stealing worker pool (the pooled-sweep idiom of
-//! `mc_membench::sweep`) and returns responses in request order.
-//!
-//! Everything is instrumented through `mc-obs` (spans `serve` /
-//! `serve.batch` / `serve.request`, counters `serve.requests` and
-//! `registry.hit`/`registry.miss`, histogram `serve.request_seconds`),
-//! exported via the global `--metrics`/`--trace` flags.
+//! The model-backed ops answer from a shared [`ModelRegistry`], so only
+//! the first request against a platform pays for calibration sweeps
+//! (`"cached":true` marks the later ones); `--warm` seeds it from saved
+//! model files. A `{"batch":[...]}` fans out over a bounded worker pool
+//! and answers in request order. DESIGN.md §11 covers keying, eviction
+//! and the `mc-obs` vocabulary (`serve.*`, `registry.*`).
 
 use std::io::{BufRead, ErrorKind, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,19 +30,12 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use mc_json::{obj, Json, LineError};
-use mc_membench::{
-    calibration_placements, calibration_sweeps, sweep_platform_parallel, BenchConfig,
-};
-use mc_model::{
-    core_count, evaluate, model_from_text, rank, size_bytes, ContentionModel, McError, ModelParams,
-    ModelRegistry, PhaseProfile, RegistryKey,
-};
+use mc_model::{ModelParams, ModelRegistry};
 use mc_obs::{tags, TagValue};
-use mc_replay::generate::{self, GenParams};
-use mc_replay::{ReplayConfig, Trace};
-use mc_topology::{platforms, NumaId, Platform};
+use mc_topology::platforms;
 
 use crate::args::{Args, CliError, EXIT_INVALID_DATA, EXIT_IO};
+use crate::ops;
 
 /// Default registry capacity: comfortably above the built-in platform
 /// count so a service scanning every machine still gets all hits.
@@ -71,26 +45,13 @@ const DEFAULT_CAPACITY: usize = 64;
 /// threads than this mostly contend on the registry shards.
 const MAX_DEFAULT_WORKERS: usize = 8;
 
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_DEFAULT_WORKERS)
-}
-
 /// Parse `--workers`/`--capacity` and build the warm-loaded registry.
 /// Failures here are *startup* failures — the only fatal (exit 2/3/4)
 /// path a serve transport keeps.
 pub(crate) fn build_registry(args: &Args) -> Result<(ModelRegistry, usize), CliError> {
-    let workers: usize = args.num_or("workers", default_workers())?;
-    if workers == 0 {
-        return Err(CliError::NonPositive("workers"));
-    }
-    let capacity: usize = args.num_or("capacity", DEFAULT_CAPACITY)?;
-    if capacity == 0 {
-        return Err(CliError::NonPositive("capacity"));
-    }
-    let registry = ModelRegistry::new(capacity);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = args.count_or("workers", cores.min(MAX_DEFAULT_WORKERS))?;
+    let registry = ModelRegistry::new(args.count_or("capacity", DEFAULT_CAPACITY)?);
     warm_load(&registry, args)?;
     Ok((registry, workers))
 }
@@ -169,11 +130,8 @@ pub(crate) fn write_response(output: &mut impl Write, response: &Json) -> std::i
 /// distinguishable).
 pub(crate) fn count_disconnect(transport: &str) {
     if let Some(rec) = mc_obs::recorder() {
-        rec.add(
-            "serve.disconnects",
-            &[(tags::TRANSPORT, TagValue::Str(transport))],
-            1,
-        );
+        let transport_tag = [(tags::TRANSPORT, TagValue::Str(transport))];
+        rec.add("serve.disconnects", &transport_tag, 1);
     }
 }
 
@@ -190,10 +148,7 @@ fn warm_load(registry: &ModelRegistry, args: &Args) -> Result<(), CliError> {
             };
             let platform = platforms::by_name(name)
                 .ok_or_else(|| CliError::UnknownPlatform(name.to_string()))?;
-            let text = std::fs::read_to_string(path).map_err(|e| McError::io(path, e))?;
-            registry
-                .warm_from_text(platform_key(&platform), &text)
-                .map_err(CliError::from)?;
+            registry.warm(ops::platform_key(&platform), ops::read_model(path)?);
         }
     }
     Ok(())
@@ -212,10 +167,6 @@ fn split_warm_spec(spec: &str) -> Vec<&str> {
     } else {
         vec![spec]
     }
-}
-
-pub(crate) fn platform_key(platform: &Platform) -> RegistryKey {
-    RegistryKey::new(platform.name(), "default", calibration_placements(platform))
 }
 
 /// Route one parsed line: batch envelope or single request.
@@ -277,12 +228,7 @@ fn handle_batch(registry: &ModelRegistry, request: &Json, workers: usize) -> Jso
         measured.into_iter().map(|(_, r)| r).collect()
     };
 
-    let mut members = vec![("ok", Json::Bool(true))];
-    if let Some(id) = id {
-        members.push(("id", id));
-    }
-    members.push(("batch", Json::Arr(responses)));
-    obj(members)
+    response(true, id.as_ref(), vec![("batch", Json::Arr(responses))])
 }
 
 fn handle_batch_item(registry: &ModelRegistry, item: &Json) -> Json {
@@ -304,23 +250,20 @@ fn handle_request(registry: &ModelRegistry, request: &Json) -> Json {
         .and_then(Json::as_str)
         .unwrap_or("invalid")
         .to_string();
-    let _span = mc_obs::span("serve.request", &[(tags::OP, TagValue::Str(&op))]);
+    let op_tag = [(tags::OP, TagValue::Str(&op))];
+    let _span = mc_obs::span("serve.request", &op_tag);
     let started = mc_obs::enabled().then(Instant::now);
     let result = try_request(registry, request);
     if let (Some(started), Some(rec)) = (started, mc_obs::recorder()) {
-        rec.observe(
-            "serve.request_seconds",
-            &[(tags::OP, TagValue::Str(&op))],
-            started.elapsed().as_secs_f64(),
-        );
+        let seconds = started.elapsed().as_secs_f64();
+        rec.observe("serve.request_seconds", &op_tag, seconds);
     }
     match result {
-        Ok(response) => {
+        Ok(fields) => {
             count_request(&op, "ok");
-            match id {
-                Some(id) => prepend_id(response, id),
-                None => response,
-            }
+            let mut members = vec![("op", Json::Str(op))];
+            members.extend(fields);
+            response(true, id.as_ref(), members)
         }
         Err(e) => {
             count_request(&op, class_of(&e));
@@ -329,7 +272,10 @@ fn handle_request(registry: &ModelRegistry, request: &Json) -> Json {
     }
 }
 
-fn try_request(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError> {
+/// A success response's members after `ok`, `id` and `op`.
+type Fields = Vec<(&'static str, Json)>;
+
+fn try_request(registry: &ModelRegistry, request: &Json) -> Result<Fields, CliError> {
     let Json::Obj(members) = request else {
         return Err(CliError::Protocol("request must be a JSON object".into()));
     };
@@ -340,15 +286,15 @@ fn try_request(registry: &ModelRegistry, request: &Json) -> Result<Json, CliErro
         .ok_or_else(|| CliError::Protocol("'op' must be a string".into()))?;
     // Each op with the fields it reads besides `op` and `id`: any other
     // field is a misspelling, not something to ignore.
-    type Handler = fn(&ModelRegistry, &Json) -> Result<Json, CliError>;
+    type Handler = fn(&ModelRegistry, &Json) -> Result<Fields, CliError>;
     let (fields, handler): (&str, Handler) = match op {
         "predict" => ("platform model cores comp_numa comm_numa", predict),
         "calibrate" => ("platform", calibrate),
-        "evaluate" => ("platform", evaluate_op),
+        "evaluate" => ("platform", evaluate),
         "recommend" => ("platform compute_gb comm_gb max_cores top", recommend),
         "replay" => (
             "platform pattern trace_file ranks iters cores compute_mb comm_mb comp_numa comm_numa",
-            |_, request| replay_op(request),
+            replay,
         ),
         "stats" => ("", |registry, _| stats_op(registry)),
         other => return Err(CliError::Protocol(format!("unknown op '{other}'"))),
@@ -361,108 +307,18 @@ fn try_request(registry: &ModelRegistry, request: &Json) -> Result<Json, CliErro
     handler(registry, request)
 }
 
-/// `"platform"` field → a known platform, or a protocol error.
-fn req_platform(request: &Json) -> Result<Platform, CliError> {
-    let name = req_str(request, "platform")?;
-    platforms::by_name(name).ok_or_else(|| CliError::UnknownPlatform(name.to_string()))
-}
-
-fn req_str<'a>(request: &'a Json, field: &str) -> Result<&'a str, CliError> {
-    request
-        .get(field)
-        .ok_or_else(|| CliError::Protocol(format!("missing '{field}'")))?
-        .as_str()
-        .ok_or_else(|| CliError::Protocol(format!("'{field}' must be a string")))
-}
-
-fn req_u64(request: &Json, field: &str) -> Result<u64, CliError> {
-    request
-        .get(field)
-        .ok_or_else(|| CliError::Protocol(format!("missing '{field}'")))?
-        .as_u64()
-        .ok_or_else(|| CliError::Protocol(format!("'{field}' must be a non-negative integer")))
-}
-
-/// A GB (`unit` 1e9) or MB (`unit` 2^20) size field in bytes, under the
-/// one size rule ([`size_bytes`]).
-fn req_size(request: &Json, field: &str, unit: f64) -> Result<f64, CliError> {
-    let v = request
-        .get(field)
-        .ok_or_else(|| CliError::Protocol(format!("missing '{field}'")))?
-        .as_f64()
-        .ok_or_else(|| CliError::Protocol(format!("'{field}' must be a number")))?;
-    size_bytes(v, unit).map_err(|e| CliError::Protocol(format!("'{field}' {e}")))
-}
-
-/// Resolve the model a request addresses: by `"platform"` (calibrated on
-/// miss) or by `"model"` file path (parsed on miss). Returns the model
-/// and whether the registry already held it.
-fn resolve_model(
-    registry: &ModelRegistry,
-    request: &Json,
-) -> Result<(std::sync::Arc<ContentionModel>, bool), CliError> {
-    if let Some(path) = request.get("model") {
-        let path = path
-            .as_str()
-            .ok_or_else(|| CliError::Protocol("'model' must be a string path".into()))?;
-        let zero = (NumaId::new(0), NumaId::new(0));
-        let key = RegistryKey::new(format!("file:{path}"), "file", (zero, zero));
-        return registry
-            .get_or_insert_with(&key, || {
-                let text = std::fs::read_to_string(path).map_err(|e| McError::io(path, e))?;
-                model_from_text(&text).map_err(McError::from)
-            })
-            .map_err(CliError::from);
-    }
-    let platform = req_platform(request)?;
-    registry
-        .get_or_insert_with(&platform_key(&platform), || {
-            let (local, remote) = calibration_sweeps(&platform, BenchConfig::default());
-            ContentionModel::calibrate(&platform.topology, &local, &remote).map_err(McError::from)
-        })
-        .map_err(CliError::from)
-}
-
-/// Range-check a NUMA field against the model's grid.
-fn req_numa(request: &Json, field: &'static str, numa_count: usize) -> Result<NumaId, CliError> {
-    let raw = req_u64(request, field)?;
-    if raw > u16::MAX as u64 || raw as usize >= numa_count {
-        return Err(CliError::NumaOutOfRange {
-            option: field,
-            numa: raw.min(u16::MAX as u64) as u16,
-            count: numa_count,
-        });
-    }
-    Ok(NumaId::new(raw as u16))
-}
-
-fn numa_count_of(model: &ContentionModel) -> usize {
-    model.placements().len().isqrt()
-}
-
-fn predict(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError> {
-    let (model, cached) = resolve_model(registry, request)?;
-    let cores = req_u64(request, "cores")? as usize;
-    if cores == 0 {
-        return Err(CliError::NonPositive("cores"));
-    }
-    let numa_count = numa_count_of(&model);
-    let m_comp = req_numa(request, "comp_numa", numa_count)?;
-    let m_comm = req_numa(request, "comm_numa", numa_count)?;
-    let par = model.predict(cores, m_comp, m_comm);
-    let alone = model.predict_alone(cores, m_comp, m_comm);
-    Ok(obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("predict".into())),
-        ("cores", Json::Num(cores as f64)),
-        ("comp_numa", Json::Num(m_comp.index() as f64)),
-        ("comm_numa", Json::Num(m_comm.index() as f64)),
-        ("comp", Json::Num(par.comp)),
-        ("comm", Json::Num(par.comm)),
-        ("comp_alone", Json::Num(alone.comp)),
-        ("comm_alone", Json::Num(alone.comm)),
-        ("cached", Json::Bool(cached)),
-    ]))
+fn predict(registry: &ModelRegistry, request: &Json) -> Result<Fields, CliError> {
+    let p = ops::predict(request, Some(registry))?;
+    Ok(vec![
+        ("cores", Json::Num(p.cores as f64)),
+        ("comp_numa", Json::Num(p.m_comp.index() as f64)),
+        ("comm_numa", Json::Num(p.m_comm.index() as f64)),
+        ("comp", Json::Num(p.par.comp)),
+        ("comm", Json::Num(p.par.comm)),
+        ("comp_alone", Json::Num(p.alone.comp)),
+        ("comm_alone", Json::Num(p.alone.comm)),
+        ("cached", Json::Bool(p.cached)),
+    ])
 }
 
 fn params_json(p: &ModelParams) -> Json {
@@ -480,32 +336,21 @@ fn params_json(p: &ModelParams) -> Json {
     ])
 }
 
-fn calibrate(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError> {
-    let platform = req_platform(request)?;
-    let (model, cached) = resolve_model(registry, request)?;
-    Ok(obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("calibrate".into())),
-        ("platform", Json::Str(platform.name().to_string())),
-        ("local", params_json(model.local().params())),
-        ("remote", params_json(model.remote().params())),
-        ("cached", Json::Bool(cached)),
-    ]))
+fn calibrate(registry: &ModelRegistry, request: &Json) -> Result<Fields, CliError> {
+    let c = ops::calibrate(request, Some(registry))?;
+    Ok(vec![
+        ("platform", Json::Str(c.platform.name().to_string())),
+        ("local", params_json(c.model.local().params())),
+        ("remote", params_json(c.model.remote().params())),
+        ("cached", Json::Bool(c.cached)),
+    ])
 }
 
-fn evaluate_op(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError> {
-    let platform = req_platform(request)?;
-    let (model, cached) = resolve_model(registry, request)?;
-    let sweep = sweep_platform_parallel(&platform, BenchConfig::default());
-    let samples = [
-        calibration_placements(&platform).0,
-        calibration_placements(&platform).1,
-    ];
-    let e = evaluate(model.as_ref(), &sweep, &samples);
-    Ok(obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("evaluate".into())),
-        ("platform", Json::Str(platform.name().to_string())),
+fn evaluate(registry: &ModelRegistry, request: &Json) -> Result<Fields, CliError> {
+    let r = ops::evaluate(request, Some(registry))?;
+    let e = &r.errors;
+    Ok(vec![
+        ("platform", Json::Str(r.platform.name().to_string())),
         ("comm_samples", Json::Num(e.comm_samples)),
         ("comm_non_samples", Json::Num(e.comm_non_samples)),
         ("comm_all", Json::Num(e.comm_all)),
@@ -514,33 +359,17 @@ fn evaluate_op(registry: &ModelRegistry, request: &Json) -> Result<Json, CliErro
         ("comp_all", Json::Num(e.comp_all)),
         ("average", Json::Num(e.average)),
         ("skipped", Json::Num(e.skipped as f64)),
-        ("cached", Json::Bool(cached)),
-    ]))
+        ("cached", Json::Bool(r.cached)),
+    ])
 }
 
-fn recommend(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError> {
-    let platform = req_platform(request)?;
-    let compute_bytes = req_size(request, "compute_gb", 1e9)?;
-    let comm_bytes = req_size(request, "comm_gb", 1e9)?;
-    let (model, cached) = resolve_model(registry, request)?;
-    let max_cores = opt_cores(request, "max_cores", platform.max_compute_cores())?;
-    let top = match request.get("top") {
-        None => 1,
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| CliError::Protocol("'top' must be a non-negative integer".into()))?
-            as usize,
-    };
-    let phase = PhaseProfile {
-        compute_bytes,
-        comm_bytes,
-        max_cores,
-    };
-    let ranked = rank(model.as_ref(), &phase);
-    let considered = ranked.len();
-    let recommendations: Vec<Json> = ranked
-        .into_iter()
-        .take(top.max(1))
+/// `{"op":"recommend",...}`: the `top` best configurations (default 1).
+fn recommend(registry: &ModelRegistry, request: &Json) -> Result<Fields, CliError> {
+    let a = ops::advise(request, Some(registry))?;
+    let recommendations: Vec<Json> = a
+        .ranked
+        .iter()
+        .take(a.top.unwrap_or(1).max(1))
         .map(|r| {
             obj(vec![
                 ("cores", Json::Num(r.n_cores as f64)),
@@ -552,114 +381,35 @@ fn recommend(registry: &ModelRegistry, request: &Json) -> Result<Json, CliError>
             ])
         })
         .collect();
-    Ok(obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("recommend".into())),
-        ("platform", Json::Str(platform.name().to_string())),
-        ("considered", Json::Num(considered as f64)),
+    Ok(vec![
+        ("platform", Json::Str(a.platform.name().to_string())),
+        ("considered", Json::Num(a.ranked.len() as f64)),
         ("recommendations", Json::Arr(recommendations)),
-        ("cached", Json::Bool(cached)),
-    ]))
+        ("cached", Json::Bool(a.cached)),
+    ])
 }
 
-/// Optional positive-integer field with a default.
-fn opt_usize(request: &Json, field: &'static str, default: usize) -> Result<usize, CliError> {
-    match request.get(field) {
-        None => Ok(default),
-        Some(v) => {
-            let n = v.as_u64().ok_or_else(|| {
-                CliError::Protocol(format!("'{field}' must be a non-negative integer"))
-            })? as usize;
-            if n == 0 {
-                return Err(CliError::NonPositive(field));
-            }
-            Ok(n)
-        }
-    }
-}
-
-/// An optional core count (zero is [`CliError::NonPositive`]) under the
-/// one core rule ([`core_count`]).
-fn opt_cores(request: &Json, field: &'static str, default: usize) -> Result<usize, CliError> {
-    core_count(opt_usize(request, field, default)?)
-        .map_err(|e| CliError::Protocol(format!("'{field}' {e}")))
-}
-
-/// Optional NUMA field, defaulting to node 0, range-checked.
-fn opt_numa(request: &Json, field: &'static str, numa_count: usize) -> Result<NumaId, CliError> {
-    match request.get(field) {
-        None => Ok(NumaId::new(0)),
-        Some(_) => req_numa(request, field, numa_count),
-    }
-}
-
-/// `{"op":"replay",...}`: replay a synthetic pattern or a recorded trace
-/// file and report the predicted contention slowdown. No registry entry
-/// is involved — the replay simulates the platform directly.
-fn replay_op(request: &Json) -> Result<Json, CliError> {
-    let platform = req_platform(request)?;
-    let trace = match (request.get("pattern"), request.get("trace_file")) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::Protocol(
-                "'pattern' and 'trace_file' are mutually exclusive".into(),
-            ))
-        }
-        (None, None) => {
-            return Err(CliError::Protocol(
-                "replay needs 'pattern' or 'trace_file'".into(),
-            ))
-        }
-        (Some(_), None) => {
-            let name = req_str(request, "pattern")?;
-            let numa_count = platform.topology.numa_count();
-            let defaults = GenParams::default();
-            let params = GenParams {
-                ranks: opt_usize(request, "ranks", defaults.ranks)?,
-                iters: opt_usize(request, "iters", defaults.iters)?,
-                cores: opt_cores(request, "cores", defaults.cores)?,
-                compute_bytes: match request.get("compute_mb") {
-                    None => defaults.compute_bytes,
-                    Some(_) => req_size(request, "compute_mb", (1 << 20) as f64)? as u64,
-                },
-                comm_bytes: match request.get("comm_mb") {
-                    None => defaults.comm_bytes,
-                    Some(_) => req_size(request, "comm_mb", (1 << 20) as f64)? as u64,
-                },
-                comp_numa: opt_numa(request, "comp_numa", numa_count)?,
-                comm_numa: opt_numa(request, "comm_numa", numa_count)?,
-            };
-            generate::by_name(name, &params)?
-        }
-        (None, Some(_)) => {
-            let path = req_str(request, "trace_file")?;
-            let text = std::fs::read_to_string(path).map_err(|e| McError::io(path, e))?;
-            Trace::from_json_lines(&text).map_err(CliError::from)?
-        }
-    };
-    let out = mc_replay::replay(&platform, &trace, &ReplayConfig::default())?;
-    Ok(obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("replay".into())),
-        ("platform", Json::Str(platform.name().to_string())),
+/// `{"op":"replay",...}`: a pattern's or trace file's contention slowdown.
+fn replay(registry: &ModelRegistry, request: &Json) -> Result<Fields, CliError> {
+    let r = ops::replay(request, Some(registry))?;
+    let out = &r.outcome;
+    Ok(vec![
+        ("platform", Json::Str(r.platform.name().to_string())),
         ("ranks", Json::Num(out.ranks as f64)),
         ("events", Json::Num(out.events as f64)),
         ("makespan", Json::Num(out.contended.makespan)),
         ("baseline", Json::Num(out.baseline.makespan)),
         ("slowdown", Json::Num(out.slowdown)),
-    ]))
+    ])
 }
 
-/// `{"op":"stats"}`: the service's own health numbers — registry
-/// counters (the hit-rate a load generator snapshots) and resident-set
-/// telemetry. `current_rss_kb` is the instantaneous `VmRSS`, usable for
-/// in-process deltas; `peak_rss_kb` is the process-lifetime high-water
-/// mark. Off Linux both are `null`.
-fn stats_op(registry: &ModelRegistry) -> Result<Json, CliError> {
+/// `{"op":"stats"}`: registry counters and resident-set telemetry, the
+/// instantaneous `VmRSS` and the process's high-water mark (`null` off
+/// Linux).
+fn stats_op(registry: &ModelRegistry) -> Result<Fields, CliError> {
     let s = registry.stats();
     let rss = |v: Option<u64>| v.map_or(Json::Null, |kb| Json::Num(kb as f64));
-    Ok(obj(vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("stats".into())),
+    Ok(vec![
         ("models", Json::Num(s.len as f64)),
         ("hits", Json::Num(s.hits as f64)),
         ("misses", Json::Num(s.misses as f64)),
@@ -667,7 +417,7 @@ fn stats_op(registry: &ModelRegistry) -> Result<Json, CliError> {
         ("hit_rate", Json::Num(s.hit_rate())),
         ("current_rss_kb", rss(mc_obs::current_rss_kb())),
         ("peak_rss_kb", rss(mc_obs::peak_rss_kb())),
-    ]))
+    ])
 }
 
 /// The error class string for a response: the exit-code contract's
@@ -685,49 +435,40 @@ pub(crate) fn class_of(e: &CliError) -> &'static str {
     }
 }
 
-pub(crate) fn error_response(id: Option<&Json>, e: &CliError) -> Json {
-    let mut members = vec![("ok", Json::Bool(false))];
-    if let Some(id) = id {
-        members.push(("id", id.clone()));
-    }
-    members.push((
-        "error",
-        obj(vec![
-            ("class", Json::Str(class_of(e).into())),
-            ("exit_code", Json::Num(e.exit_code() as f64)),
-            ("message", Json::Str(e.to_string())),
-        ]),
-    ));
-    obj(members)
+/// A response: `ok`, the request's `id` when it has one, then `members`.
+fn response(ok: bool, id: Option<&Json>, members: Vec<(&str, Json)>) -> Json {
+    let mut all = vec![("ok", Json::Bool(ok))];
+    all.extend(id.map(|id| ("id", id.clone())));
+    all.extend(members);
+    obj(all)
 }
 
-/// Insert the echoed id right after `"ok"` so responses read uniformly.
-fn prepend_id(response: Json, id: Json) -> Json {
-    match response {
-        Json::Obj(mut members) => {
-            members.insert(1.min(members.len()), ("id".to_string(), id));
-            Json::Obj(members)
-        }
-        other => other,
-    }
+pub(crate) fn error_response(id: Option<&Json>, e: &CliError) -> Json {
+    let error = obj(vec![
+        ("class", Json::Str(class_of(e).into())),
+        ("exit_code", Json::Num(e.exit_code() as f64)),
+        ("message", Json::Str(e.to_string())),
+    ]);
+    response(false, id, vec![("error", error)])
 }
 
 pub(crate) fn count_request(op: &str, result: &str) {
     if let Some(rec) = mc_obs::recorder() {
-        rec.add(
-            "serve.requests",
-            &[
-                (tags::OP, TagValue::Str(op)),
-                (tags::RESULT, TagValue::Str(result)),
-            ],
-            1,
-        );
+        let request_tags = [
+            (tags::OP, TagValue::Str(op)),
+            (tags::RESULT, TagValue::Str(result)),
+        ];
+        rec.add("serve.requests", &request_tags, 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_membench::{calibration_sweeps, BenchConfig};
+    use mc_model::ContentionModel;
+    use mc_replay::generate::{self, GenParams};
+    use mc_topology::NumaId;
     use std::io::Cursor;
 
     fn serve(lines: &str, extra: &[&str]) -> Vec<Json> {

@@ -374,3 +374,34 @@ fn misspelt_metrics_option_exits_2_and_writes_nothing() {
     assert!(stderr(&out).contains("--metrcs"), "{}", stderr(&out));
     assert!(!path.exists());
 }
+
+/// `predict` applies the core ceiling and the NUMA range like serve does:
+/// before, 10^10 cores printed "NaN %" and a ninth NUMA node printed
+/// bandwidths for a node henri does not have, both with exit 0.
+#[test]
+fn predict_rejects_cores_past_the_ceiling_and_unknown_numa_nodes() {
+    for (cores, comp, says) in [
+        ("1025", "0", "2^10"),
+        ("10000000000", "0", "2^10"),
+        ("4", "9", "out of range"),
+    ] {
+        let out = memcontend(&[
+            "predict",
+            "--platform",
+            "henri",
+            "--cores",
+            cores,
+            "--comp-numa",
+            comp,
+            "--comm-numa",
+            "0",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{cores} {comp}: {}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).contains(says), "{}", stderr(&out));
+    }
+}

@@ -6,10 +6,17 @@
 //! response is a JSON object, every error is typed (its class agrees
 //! with its exit code), nothing panics, and the session still answers
 //! the probe after whatever the mutated line became.
+//!
+//! The same mutations of the `serve --listen` hello line must each get
+//! an ack or a typed rejection, and the server must still accept the
+//! next connection.
 
-use std::io::Cursor;
+use std::io::{BufRead, BufReader, Cursor, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::OnceLock;
+use std::time::Duration;
 
+use mc_cli::net::NetServer;
 use mc_cli::serve::serve_loop;
 use mc_cli::Args;
 use mc_json::Json;
@@ -149,5 +156,93 @@ proptest! {
             mutate(&mut rng, &mut bytes);
         }
         check(&bytes)?;
+    }
+}
+
+/// A `serve --listen` on an ephemeral port, run on its own thread.
+fn listener() -> &'static str {
+    static ADDR: OnceLock<String> = OnceLock::new();
+    ADDR.get_or_init(|| {
+        let args = Args::parse(["serve", "--listen", "127.0.0.1:0"]).unwrap();
+        let server = NetServer::bind(&args).unwrap();
+        let addr = server.local_addr().to_string();
+        std::thread::spawn(move || server.run());
+        addr
+    })
+}
+
+/// Whether the server reads `line` as a request: it is not UTF-8, or it
+/// holds more than blanks or a `#` comment.
+fn is_request(line: &[u8]) -> bool {
+    std::str::from_utf8(line).map_or(true, |text| {
+        let text = text.trim();
+        !text.is_empty() && !text.starts_with('#')
+    })
+}
+
+/// Open a connection, send the lines of `bytes` up to the first the
+/// server reads as a request (so none is left unread when it answers and
+/// closes), close the sending half and return the first response line.
+fn first_answer(bytes: &[u8]) -> Option<String> {
+    let mut sent = Vec::new();
+    for line in bytes.split(|&b| b == b'\n') {
+        sent.extend_from_slice(line);
+        sent.push(b'\n');
+        if is_request(line) {
+            break;
+        }
+    }
+    let mut stream = TcpStream::connect(listener()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // A rejection may close the connection before the write half does.
+    let _ = stream
+        .write_all(&sent)
+        .and_then(|()| stream.shutdown(Shutdown::Write));
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).ok()?;
+    (!line.is_empty()).then_some(line)
+}
+
+/// The answer to a (mutated) hello line is an ack or a typed rejection
+/// (none when no line reached the server), and the next connection
+/// still gets its ack.
+fn check_hello(bytes: &[u8]) -> Result<(), TestCaseError> {
+    match first_answer(bytes) {
+        None => prop_assert!(
+            !bytes.split(|&b| b == b'\n').any(is_request),
+            "no answer to {bytes:?}"
+        ),
+        Some(line) => {
+            let resp = Json::parse(line.trim_end())
+                .map_err(|e| TestCaseError::fail(format!("{e}: {line}")))?;
+            check_response(&resp)?;
+        }
+    }
+    let ack = first_answer(br#"{"hello":{"tenant":"probe"}}"#).unwrap_or_default();
+    prop_assert!(
+        ack.starts_with(r#"{"ok":true,"hello""#),
+        "after {bytes:?}: {ack}"
+    );
+    Ok(())
+}
+
+#[test]
+fn unmutated_hello_is_acked() {
+    check_hello(br#"{"hello":{"tenant":"alice"}}"#).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn fuzzed_hello_lines_get_an_ack_or_a_typed_rejection(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::new(seed);
+        let mut bytes = br#"{"hello":{"tenant":"alice"}}"#.to_vec();
+        for _ in 0..1 + rng.below(4) {
+            mutate(&mut rng, &mut bytes);
+        }
+        check_hello(&bytes)?;
     }
 }

@@ -158,6 +158,11 @@ impl ContentionModel {
         Prediction { comp, comm }
     }
 
+    /// The machine-wide NUMA node count: placements name nodes below it.
+    pub fn numa_count(&self) -> usize {
+        self.numa_count
+    }
+
     /// All placement combinations of the machine, matching
     /// [`mc_topology::MachineTopology::placement_combinations`] order.
     pub fn placements(&self) -> Vec<(NumaId, NumaId)> {

@@ -238,14 +238,6 @@ impl ModelRegistry {
         self.insert_locked(&mut shard, key, Arc::new(model));
     }
 
-    /// Seed an entry from a persisted model text (the `model_to_text`
-    /// format); see [`ModelRegistry::warm`].
-    pub fn warm_from_text(&self, key: RegistryKey, text: &str) -> Result<(), McError> {
-        let model = crate::persist::model_from_text(text).map_err(McError::from)?;
-        self.warm(key, model);
-        Ok(())
-    }
-
     fn insert_locked(&self, shard: &mut Shard, key: RegistryKey, model: Arc<ContentionModel>) {
         if shard.entries.len() >= self.capacity_per_shard {
             // Evict the least-recently-used entry of this shard.
@@ -384,7 +376,7 @@ mod tests {
         let model = build_for("henri").unwrap();
         let text = crate::persist::model_to_text(&model);
         let key = key_for("henri");
-        reg.warm_from_text(key.clone(), &text).unwrap();
+        reg.warm(key.clone(), crate::persist::model_from_text(&text).unwrap());
         let (cached, hit) = reg
             .get_or_insert_with(&key, || panic!("warm entry must hit"))
             .unwrap();
@@ -393,8 +385,8 @@ mod tests {
         let b = cached.predict(4, NumaId::new(0), NumaId::new(1));
         assert!((a.comp - b.comp).abs() < 1e-9);
         assert!((a.comm - b.comm).abs() < 1e-9);
-        // Malformed text propagates as invalid data, never as a panic.
-        assert!(reg.warm_from_text(key, "[meta]\nx = NaN\n").is_err());
+        // Malformed text is an error before anything is warmed.
+        assert!(crate::persist::model_from_text("[meta]\nx = NaN\n").is_err());
     }
 
     #[test]
