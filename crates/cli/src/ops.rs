@@ -285,12 +285,22 @@ pub fn predict(input: &impl Inputs, models: Models<'_>) -> Result<Predicted, Cli
     let (model, cached) = model_for(models, source)?;
     let m_comp = numa_in(input, COMP_NUMA, comp, model.numa_count())?;
     let m_comm = numa_in(input, COMM_NUMA, comm, model.numa_count())?;
+    // Past the cores its bandwidth curve covers, the model predicts no
+    // compute bandwidth at all, and every share of it is meaningless.
+    let alone = model.predict_alone(cores, m_comp, m_comm);
+    if alone.comp.is_nan() || alone.comp <= 0.0 {
+        let rule = format!(
+            "{cores} is more cores than the model can answer for: \
+             it predicts no compute bandwidth for them"
+        );
+        return Err(broke(input, CORES, &rule));
+    }
     Ok(Predicted {
         cores,
         m_comp,
         m_comm,
         par: model.predict(cores, m_comp, m_comm),
-        alone: model.predict_alone(cores, m_comp, m_comm),
+        alone,
         cached,
     })
 }

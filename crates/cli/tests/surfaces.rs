@@ -21,6 +21,18 @@ const CASES: &[(&str, &str)] = &[
         r#"{"op":"predict","platform":"henri","cores":1025,"comp_numa":0,"comm_numa":0}"#,
     ),
     (
+        "predict --platform henri --cores 150 --comp-numa 0 --comm-numa 0",
+        r#"{"op":"predict","platform":"henri","cores":150,"comp_numa":0,"comm_numa":0}"#,
+    ),
+    (
+        "predict --platform henri --cores 200 --comp-numa 0 --comm-numa 0",
+        r#"{"op":"predict","platform":"henri","cores":200,"comp_numa":0,"comm_numa":0}"#,
+    ),
+    (
+        "predict --platform henri --cores 1024 --comp-numa 0 --comm-numa 0",
+        r#"{"op":"predict","platform":"henri","cores":1024,"comp_numa":0,"comm_numa":0}"#,
+    ),
+    (
         "predict --platform henri --cores 4 --comp-numa 9 --comm-numa 0",
         r#"{"op":"predict","platform":"henri","cores":4,"comp_numa":9,"comm_numa":0}"#,
     ),
@@ -58,9 +70,8 @@ const CASES: &[(&str, &str)] = &[
     ),
 ];
 
-/// The error class and exit code of the serve response to each request,
-/// in order.
-fn serve_errors(requests: &[&str]) -> Vec<(String, u64)> {
+/// The serve response to each request, in order.
+fn serve_responses(requests: &[&str]) -> Vec<Json> {
     let input: String = requests.iter().map(|r| format!("{r}\n")).collect();
     let mut out = Vec::new();
     serve_loop(
@@ -72,9 +83,19 @@ fn serve_errors(requests: &[&str]) -> Vec<(String, u64)> {
     String::from_utf8(out)
         .unwrap()
         .lines()
-        .map(|line| {
-            let response = Json::parse(line).unwrap();
-            let error = response.get("error").unwrap_or_else(|| panic!("{line}"));
+        .map(|line| Json::parse(line).unwrap())
+        .collect()
+}
+
+/// The error class and exit code of the serve response to each request,
+/// in order.
+fn serve_errors(requests: &[&str]) -> Vec<(String, u64)> {
+    serve_responses(requests)
+        .iter()
+        .map(|response| {
+            let error = response
+                .get("error")
+                .unwrap_or_else(|| panic!("{}", response.render()));
             let class = error.get("class").and_then(Json::as_str).unwrap();
             (
                 class.to_string(),
@@ -99,4 +120,41 @@ fn every_invalid_input_gets_the_same_class_on_both_surfaces() {
         };
         assert_eq!(class, expected, "{request}");
     }
+}
+
+#[test]
+fn a_core_count_past_the_model_is_refused_by_name_on_both_surfaces() {
+    // henri's local compute curve reaches zero past about 125 cores: the
+    // model has no answer there, though 2^10 cores pass the ceiling.
+    let predict = |cores: u64| {
+        let flags = format!("predict --platform henri --cores {cores} --comp-numa 0 --comm-numa 0");
+        let request = format!(
+            r#"{{"op":"predict","platform":"henri","cores":{cores},"comp_numa":0,"comm_numa":0}}"#
+        );
+        let cli = run(&Args::parse(flags.split(' ')).unwrap());
+        let served = serve_responses(&[&request]).remove(0);
+        (cli, served)
+    };
+    for cores in [150, 200, 1024] {
+        let (cli, served) = predict(cores);
+        let e = cli.unwrap_err();
+        assert!(e.is_usage(), "{e}");
+        assert!(e.to_string().contains(&format!("--cores {cores} ")), "{e}");
+        let message = served
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("{}", served.render()));
+        assert!(message.contains(&format!("'cores' {cores} ")), "{message}");
+    }
+    let (cli, served) = predict(100);
+    let out = cli.unwrap();
+    assert!(out.contains("overlap keeps 85 % of compute"), "{out}");
+    assert_eq!(
+        served.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        served.render()
+    );
+    assert!(served.get("comp_alone").and_then(Json::as_f64).unwrap() > 0.0);
 }

@@ -23,6 +23,7 @@
 //! rank-major, and round-trips through [`Trace::from_json_lines`]
 //! byte-for-byte modulo line order.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use mc_json::{visit_members, write_num, JsonError, LineError, Lines, Scalar, MAX_DEPTH};
@@ -242,45 +243,56 @@ pub(crate) fn line_error(e: LineError) -> TraceError {
 /// The trace-line schema, read straight off the JSON text: the members
 /// the schema knows are collected by [`mc_json::visit_members`] without
 /// building a tree, the last of duplicate keys winning as with
-/// [`mc_json::Json::get`]; unknown members are ignored. Shared by the
-/// whole-file parser and the streaming [`crate::stream::TraceReader`].
+/// [`mc_json::Json::get`]; unknown members are ignored. Each slot keeps
+/// what the schema reads of its member: an integer slot the exact
+/// non-negative integer (`None` if the member is missing or holds
+/// anything else), a text slot the string, borrowed from the line unless
+/// the JSON escapes it. Shared by the whole-file parser and the
+/// streaming [`crate::stream::TraceReader`].
 #[derive(Default)]
 pub(crate) struct TraceLine<'a> {
     line: usize,
-    rank: Option<Scalar<'a>>,
-    ranks: Option<Scalar<'a>>,
-    event: Option<Scalar<'a>>,
-    op: Option<Scalar<'a>>,
-    numa: Option<Scalar<'a>>,
-    cores: Option<Scalar<'a>>,
-    bytes: Option<Scalar<'a>>,
-    peer: Option<Scalar<'a>>,
-    tag: Option<Scalar<'a>>,
+    /// Whether the line has a `rank` or an `event` member of any type,
+    /// which a header does not.
+    rank_or_event: bool,
+    rank: Option<u64>,
+    ranks: Option<u64>,
+    event: Option<Cow<'a, str>>,
+    op: Option<Cow<'a, str>>,
+    numa: Option<u64>,
+    cores: Option<u64>,
+    bytes: Option<u64>,
+    peer: Option<u64>,
+    tag: Option<u64>,
 }
 
 impl<'a> TraceLine<'a> {
     /// Collect the members of line number `line`; only JSON errors fail
     /// here, the schema is checked by [`header`](Self::header) and
     /// [`event`](Self::event).
+    #[inline]
     pub(crate) fn parse(text: &'a str, line: usize) -> Result<Self, TraceError> {
         let mut m = TraceLine {
             line,
             ..TraceLine::default()
         };
-        visit_members(text, MAX_DEPTH, |key, value| {
-            let slot = match &*key {
-                "rank" => &mut m.rank,
-                "ranks" => &mut m.ranks,
-                "event" => &mut m.event,
-                "op" => &mut m.op,
-                "numa" => &mut m.numa,
-                "cores" => &mut m.cores,
-                "bytes" => &mut m.bytes,
-                "peer" => &mut m.peer,
-                "tag" => &mut m.tag,
-                _ => return,
-            };
-            *slot = Some(value);
+        visit_members(text, MAX_DEPTH, |key, value| match key.as_bytes() {
+            b"rank" => {
+                m.rank_or_event = true;
+                m.rank = value.as_u64();
+            }
+            b"event" => {
+                m.rank_or_event = true;
+                m.event = string(value);
+            }
+            b"ranks" => m.ranks = value.as_u64(),
+            b"op" => m.op = string(value),
+            b"numa" => m.numa = value.as_u64(),
+            b"cores" => m.cores = value.as_u64(),
+            b"bytes" => m.bytes = value.as_u64(),
+            b"peer" => m.peer = value.as_u64(),
+            b"tag" => m.tag = value.as_u64(),
+            _ => {}
         })
         .map_err(|error| TraceError::Json { line, error })?;
         Ok(m)
@@ -290,10 +302,10 @@ impl<'a> TraceLine<'a> {
     /// declaring the rank count, with no `event` or `rank` member)? A
     /// header declaring more than [`MAX_RANKS`] is a schema error.
     pub(crate) fn header(&self) -> Result<Option<usize>, TraceError> {
-        if self.event.is_some() || self.rank.is_some() {
+        if self.rank_or_event {
             return Ok(None);
         }
-        match self.ranks.as_ref().and_then(Scalar::as_u64) {
+        match self.ranks {
             Some(n) if n > MAX_RANKS as u64 => Err(schema(
                 self.line,
                 format!("implausible rank count {n} (at most {MAX_RANKS})"),
@@ -303,15 +315,16 @@ impl<'a> TraceLine<'a> {
     }
 
     /// The line as one rank's event, enforcing the per-line schema.
+    #[inline]
     pub(crate) fn event(&self) -> Result<(usize, EventKind), TraceError> {
-        let rank = self.int(&self.rank, "rank")? as usize;
+        let rank = self.int(self.rank, "rank")? as usize;
         if rank >= MAX_RANKS {
             return Err(schema(self.line, format!("implausible rank {rank}")));
         }
         let event = self.text(&self.event, "event")?;
-        let kind = match event {
-            "compute" => {
-                let cores = self.int(&self.cores, "cores")? as usize;
+        let kind = match event.as_bytes() {
+            b"compute" => {
+                let cores = self.int(self.cores, "cores")? as usize;
                 if cores == 0 {
                     return Err(schema(self.line, "`cores` must be >= 1"));
                 }
@@ -320,19 +333,19 @@ impl<'a> TraceLine<'a> {
                 EventKind::Compute {
                     numa: self.numa()?,
                     cores,
-                    bytes: self.int(&self.bytes, "bytes")?,
+                    bytes: self.int(self.bytes, "bytes")?,
                 }
             }
-            "send" | "recv" => {
-                let peer = self.int(&self.peer, "peer")? as usize;
+            name @ (b"send" | b"recv") => {
+                let peer = self.int(self.peer, "peer")? as usize;
                 if peer == rank {
                     return Err(schema(self.line, format!("rank {rank} messages itself")));
                 }
                 let numa = self.numa()?;
-                let bytes = self.int(&self.bytes, "bytes")?;
-                let tag = u32::try_from(self.int(&self.tag, "tag")?)
+                let bytes = self.int(self.bytes, "bytes")?;
+                let tag = u32::try_from(self.int(self.tag, "tag")?)
                     .map_err(|_| schema(self.line, "`tag` out of u32 range"))?;
-                if event == "send" {
+                if name == b"send" {
                     EventKind::Send {
                         peer,
                         numa,
@@ -348,7 +361,7 @@ impl<'a> TraceLine<'a> {
                     }
                 }
             }
-            "collective" => {
+            b"collective" => {
                 let op_name = self.text(&self.op, "op")?;
                 let op = CollectiveOp::from_name(op_name).ok_or_else(|| {
                     schema(
@@ -362,15 +375,15 @@ impl<'a> TraceLine<'a> {
                 EventKind::Collective {
                     op,
                     numa: self.numa()?,
-                    bytes: self.int(&self.bytes, "bytes")?,
+                    bytes: self.int(self.bytes, "bytes")?,
                 }
             }
-            "wait" => EventKind::Wait,
-            other => {
+            b"wait" => EventKind::Wait,
+            _ => {
                 return Err(schema(
                     self.line,
                     format!(
-                        "unknown event `{other}` \
+                        "unknown event `{event}` \
                          (expected compute|send|recv|collective|wait)"
                     ),
                 ))
@@ -379,25 +392,32 @@ impl<'a> TraceLine<'a> {
         Ok((rank, kind))
     }
 
-    fn int(&self, value: &Option<Scalar<'_>>, key: &str) -> Result<u64, TraceError> {
-        value
-            .as_ref()
-            .and_then(Scalar::as_u64)
-            .ok_or_else(|| schema(self.line, format!("missing or non-integer `{key}`")))
+    #[inline]
+    fn int(&self, value: Option<u64>, key: &str) -> Result<u64, TraceError> {
+        value.ok_or_else(|| schema(self.line, format!("missing or non-integer `{key}`")))
     }
 
-    fn text<'s>(&self, value: &'s Option<Scalar<'_>>, key: &str) -> Result<&'s str, TraceError> {
+    #[inline]
+    fn text<'s>(&self, value: &'s Option<Cow<'_, str>>, key: &str) -> Result<&'s str, TraceError> {
         value
-            .as_ref()
-            .and_then(Scalar::as_str)
+            .as_deref()
             .ok_or_else(|| schema(self.line, format!("missing or non-string `{key}`")))
     }
 
+    #[inline]
     fn numa(&self) -> Result<NumaId, TraceError> {
-        let n = self.int(&self.numa, "numa")?;
+        let n = self.int(self.numa, "numa")?;
         u16::try_from(n)
             .map(NumaId::new)
             .map_err(|_| schema(self.line, format!("`numa` {n} out of range")))
+    }
+}
+
+/// The string a member holds, if it holds one.
+fn string(value: Scalar<'_>) -> Option<Cow<'_, str>> {
+    match value {
+        Scalar::Str(s) => Some(s),
+        _ => None,
     }
 }
 

@@ -11,7 +11,8 @@
 //!
 //! * on generated traces of every event kind with shuffled members,
 //!   whitespace, duplicate and escaped keys, nested extra members past
-//!   the depth limit, non-object lines and odd numbers;
+//!   the depth limit, non-object lines, odd numbers, trailing commas and
+//!   lines cut off inside a key or a number;
 //! * on a deterministic fuzz pass over the committed golden trace and a
 //!   generator-written file: seeded byte flips, truncations, inserted
 //!   `\`, `"`, control bytes and invalid UTF-8. Every input ends in `Ok`
@@ -573,8 +574,16 @@ fn pick<'a>(rng: &mut TestRng, options: &[&'a str]) -> &'a str {
 }
 
 /// Number and non-number spellings a numeric member may take instead of
-/// a plain integer.
+/// a plain integer. Those around the parser's flat path (15 and 16
+/// digits, zeros, fractions, exponents, a control byte in a string) hand
+/// over to its general path in the middle of a line.
 const ODD_VALUES: &[&str] = &[
+    "123456789012345",
+    "0",
+    "01",
+    "1.0",
+    "1e2",
+    "\"a\u{1}b\"",
     "4.0",
     "1e3",
     "2E1",
@@ -702,21 +711,37 @@ fn event_line(rng: &mut TestRng, ranks: usize, rate: usize) -> String {
         members.swap(i, rng.below(i + 1));
     }
     let mut line = format!("{}{{", ws(rng));
+    // Where each key and each number starts and ends, for cuts inside
+    // them.
+    let mut spans = Vec::new();
     for (i, (key, value)) in members.iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
-        line.push_str(&format!(
-            "{}\"{key}\"{}:{}{value}{}",
-            ws(rng),
-            ws(rng),
-            ws(rng),
-            ws(rng)
-        ));
+        line.push_str(ws(rng));
+        line.push('"');
+        spans.push((line.len(), line.len() + key.len()));
+        line.push_str(&format!("{key}\"{}:{}", ws(rng), ws(rng)));
+        if value.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+            spans.push((line.len(), line.len() + value.len()));
+        }
+        line.push_str(value);
+        line.push_str(ws(rng));
+    }
+    if chance(rng, rate) && !members.is_empty() {
+        line.push(',');
     }
     line.push('}');
     line.push_str(ws(rng));
-    if chance(rng, rate) {
+    if chance(rng, rate) && !spans.is_empty() {
+        // Cut off inside a key or a number.
+        let (start, end) = spans[rng.below(spans.len())];
+        let mut at = start + rng.below(end - start + 1);
+        while !line.is_char_boundary(at) {
+            at -= 1;
+        }
+        line.truncate(at);
+    } else if chance(rng, rate) {
         let mut at = rng.below(line.len() + 1);
         while !line.is_char_boundary(at) {
             at -= 1;
