@@ -3,6 +3,10 @@
 //! policies): node simulations and phase-boundary rate evaluations are
 //! fixed by the search, while the node worlds' solver memo keeps full
 //! progressive-filling solves to the few distinct machine states.
+//!
+//! Every counter and every plan's makespan bits are pinned exactly: a
+//! change to how a node simulation or a memo lookup is carried out must
+//! leave all of them as they are.
 
 use mc_model::{ModelRegistry, PhaseProfile};
 use mc_sched::{policy_by_name, policy_names, Evaluator, Fleet, JobSpec};
@@ -37,14 +41,32 @@ fn mixed_queue_runs_few_full_solves() {
     let registry = ModelRegistry::new(8);
     let fleet = Fleet::build(vec![platforms::henri(); 12], &registry).unwrap();
     let mut ev = Evaluator::new(&queue, &fleet);
-    for name in policy_names() {
+    // (policy, makespan bits, violations) of each plan, in policy order.
+    let expect: [(&str, u64, usize); 3] = [
+        ("first_fit", 0x400f_5218_5449_45ac, 28),
+        ("round_robin", 0x4019_97f2_a8b3_a363, 30),
+        ("contention_aware", 0x4020_f795_950a_0b66, 10),
+    ];
+    let names = policy_names();
+    assert_eq!(names.len(), expect.len());
+    for (name, (want_name, bits, violations)) in names.iter().zip(expect) {
+        assert_eq!(*name, want_name);
         let assignment = policy_by_name(name, 1.25, 42).unwrap().assign(&mut ev);
-        ev.plan(name, &assignment, 1.25);
+        let plan = ev.plan(name, &assignment, 1.25);
+        assert_eq!(
+            plan.makespan.to_bits(),
+            bits,
+            "{name}: makespan {} s",
+            plan.makespan
+        );
+        assert_eq!(plan.violations, violations, "{name}");
     }
     let stats = ev.solver_stats();
     assert_eq!(ev.sims(), 6_404);
     assert_eq!(stats.requests, 58_858, "{stats:?}");
-    assert!(stats.full_solves < 1_000, "{stats:?}");
+    assert_eq!(stats.full_solves, 756, "{stats:?}");
+    assert_eq!(stats.reuse_hits, 3_622, "{stats:?}");
+    assert_eq!(stats.state_hits, 54_480, "{stats:?}");
     assert_eq!(
         stats.requests,
         stats.reuse_hits + stats.state_hits + stats.full_solves,
