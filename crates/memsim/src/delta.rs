@@ -90,12 +90,22 @@ impl ActiveSet {
 
     /// Add one stream; invalidates the cached solution.
     pub fn add(&mut self, spec: StreamSpec) {
-        match self.counts.binary_search_by_key(&spec, |e| e.0) {
-            Ok(i) => self.counts[i].1 += 1,
-            Err(i) => self.counts.insert(i, (spec, 1)),
+        self.add_n(spec, 1);
+    }
+
+    /// Add `n` streams of one spec: the same multiset and transition
+    /// count as `n` calls to [`ActiveSet::add`], in one search.
+    pub(crate) fn add_n(&mut self, spec: StreamSpec, n: usize) {
+        if n == 0 {
+            return;
         }
-        self.total += 1;
-        self.transitions += 1;
+        let n32 = u32::try_from(n).expect("stream count fits in u32");
+        match self.counts.binary_search_by_key(&spec, |e| e.0) {
+            Ok(i) => self.counts[i].1 += n32,
+            Err(i) => self.counts.insert(i, (spec, n32)),
+        }
+        self.total += n32;
+        self.transitions += n as u64;
         self.solution = None;
     }
 
@@ -107,17 +117,41 @@ impl ActiveSet {
     /// Panics if no stream of this spec is active — removals must pair
     /// with adds.
     pub fn remove(&mut self, spec: StreamSpec) {
+        self.remove_n(spec, 1);
+    }
+
+    /// Remove `n` streams of one spec: the same multiset and transition
+    /// count as `n` calls to [`ActiveSet::remove`], in one search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` streams of this spec are active.
+    pub(crate) fn remove_n(&mut self, spec: StreamSpec, n: usize) {
+        if n == 0 {
+            return;
+        }
         let i = self
             .counts
             .binary_search_by_key(&spec, |e| e.0)
-            .unwrap_or_else(|_| panic!("removing inactive stream {spec:?}"));
-        if self.counts[i].1 == 1 {
+            .ok()
+            .filter(|&i| self.counts[i].1 as usize >= n)
+            .unwrap_or_else(|| panic!("removing inactive stream {spec:?}"));
+        let n32 = n as u32;
+        if self.counts[i].1 == n32 {
             self.counts.remove(i);
         } else {
-            self.counts[i].1 -= 1;
+            self.counts[i].1 -= n32;
         }
-        self.total -= 1;
-        self.transitions += 1;
+        self.total -= n32;
+        self.transitions += n as u64;
+        self.solution = None;
+    }
+
+    /// Empty the multiset and drop its solution, keeping the buffer and
+    /// the transition count.
+    pub(crate) fn clear(&mut self) {
+        self.counts.clear();
+        self.total = 0;
         self.solution = None;
     }
 
@@ -486,6 +520,14 @@ mod tests {
         set.remove(dma(0));
     }
 
+    #[test]
+    #[should_panic(expected = "removing inactive stream")]
+    fn removing_more_streams_than_are_present_panics() {
+        let mut set = ActiveSet::new();
+        set.add_n(cpu(0), 3);
+        set.remove_n(cpu(0), 4);
+    }
+
     proptest! {
         /// The tentpole's correctness bar: across random add/remove
         /// sequences, every rate the delta solver reports is
@@ -520,6 +562,51 @@ mod tests {
                     prop_assert_eq!(
                         state.rate_of(*spec).unwrap().to_bits(),
                         rate.to_bits()
+                    );
+                }
+            }
+        }
+
+        /// `add_n`/`remove_n` are `n` single `add`/`remove` calls: the
+        /// same multiset, length, transition count and solved rates; an
+        /// edit of at least one stream drops the cached solution, an edit
+        /// of none keeps it.
+        #[test]
+        fn bulk_edits_equal_single_edits(
+            ops in proptest::collection::vec((0usize..4, 0usize..6, 0usize..2), 1..30),
+        ) {
+            let fabric = Fabric::new(&platforms::henri_subnuma());
+            let mut solver = DeltaSolver::new();
+            let (mut bulk, mut single) = (ActiveSet::new(), ActiveSet::new());
+            let universe = [cpu(0), cpu(3), dma(0), dma(2)];
+            for (pick, n, op) in ops {
+                let (spec, add) = (universe[pick], op == 1);
+                let solved = !bulk.is_empty();
+                if solved {
+                    solver.solve(&fabric, &mut bulk, 1.0);
+                }
+                let present = bulk.counts.iter().find(|e| e.0 == spec).map_or(0, |e| e.1);
+                let n = if add { n } else { n.min(present as usize) };
+                if add {
+                    bulk.add_n(spec, n);
+                    (0..n).for_each(|_| single.add(spec));
+                } else {
+                    bulk.remove_n(spec, n);
+                    (0..n).for_each(|_| single.remove(spec));
+                }
+                prop_assert_eq!(bulk.len(), single.len());
+                prop_assert_eq!(bulk.transitions(), single.transitions());
+                prop_assert_eq!(&bulk.counts, &single.counts);
+                prop_assert_eq!(bulk.solution().is_some(), solved && n == 0);
+                if bulk.is_empty() {
+                    continue;
+                }
+                let a = solver.solve(&fabric, &mut bulk, 1.0);
+                let b = solver.solve_uncached(&fabric, &mut single, 1.0);
+                for &(spec, _) in &single.counts {
+                    prop_assert_eq!(
+                        a.rate_of(spec).unwrap().to_bits(),
+                        b.rate_of(spec).unwrap().to_bits()
                     );
                 }
             }

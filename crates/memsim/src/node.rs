@@ -17,6 +17,12 @@
 //! per run ([`NodeRun::solves`]); [`NodeWorld::solver_stats`] counts how
 //! many of those requests ran a full progressive-filling solve.
 //!
+//! A run's bookkeeping lives in buffers the node owns and resets at the
+//! start of every run: the phase list, the active phases (finished ones
+//! drop out in order) and the stream multiset, edited a whole phase at a
+//! time. Phases that share a `(spec, streams)` pair share one rate per
+//! segment, looked up and summed once.
+//!
 //! Each job is the scheduler-level view of the paper's workload: a
 //! memory-bound compute phase (`cores` non-temporal writers on
 //! `comp_numa`) overlapped with a communication phase (one NIC DMA
@@ -81,23 +87,41 @@ pub struct NodeRun {
 
 /// One simulated cluster node: a platform's fabric plus a memoizing
 /// delta solver. Cheap to keep per fleet entry; `run` is `&mut self` for
-/// the solver's state cache. Not `Send`: cached states are `Rc`-shared.
+/// the solver's state cache and the run's scratch buffers. Not `Send`:
+/// cached states are `Rc`-shared.
 #[derive(Debug)]
 pub struct NodeWorld {
     fabric: Fabric,
     solver: DeltaSolver,
+    /// Two phases per job of the current run, compute then
+    /// communication.
+    phases: Vec<Phase>,
+    /// The current run's distinct `(spec, streams)` pairs.
+    pairs: Vec<Pair>,
+    /// Indices into `phases` of the phases still draining, ascending.
+    active: Vec<usize>,
+    /// The active phases' streams.
+    set: ActiveSet,
 }
 
-/// One phase of a job inside the event loop: `streams` copies of `spec`
-/// draining `left` bytes.
+/// One phase of a job inside the event loop: `pairs[pair].streams`
+/// copies of `pairs[pair].spec` draining `left` bytes.
 #[derive(Debug, Clone, Copy)]
 struct Phase {
+    pair: usize,
+    left: f64,
+    done: f64,
+}
+
+/// `streams` copies of `spec`, the shape of one or more phases.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
     spec: StreamSpec,
     streams: usize,
-    left: f64,
-    /// Bytes/s over all the phase's streams in the current segment.
+    /// Phases of this shape still draining.
+    live: usize,
+    /// Bytes/s over all `streams` streams in the current segment.
     rate: f64,
-    done: f64,
 }
 
 impl NodeWorld {
@@ -106,6 +130,10 @@ impl NodeWorld {
         NodeWorld {
             fabric: Fabric::new(platform),
             solver: DeltaSolver::new(),
+            phases: Vec::new(),
+            pairs: Vec::new(),
+            active: Vec::new(),
+            set: ActiveSet::new(),
         }
     }
 
@@ -125,15 +153,19 @@ impl NodeWorld {
     /// phase drains. Deterministic: same jobs, same answer, bit for bit,
     /// whatever ran on the node before.
     pub fn run(&mut self, jobs: &[JobLoad]) -> NodeRun {
-        let phase = |spec, streams, left| Phase {
-            spec,
-            streams,
-            left,
-            rate: 0.0,
-            done: 0.0,
-        };
-        // Two phases per job, compute then communication.
-        let mut phases: Vec<Phase> = Vec::with_capacity(2 * jobs.len());
+        let NodeWorld {
+            fabric,
+            solver,
+            phases,
+            pairs,
+            active,
+            set,
+        } = self;
+        // A stalled run breaks out with streams still active: start clean.
+        phases.clear();
+        pairs.clear();
+        active.clear();
+        set.clear();
         for j in jobs {
             let compute = if j.cores > 0 { j.compute_bytes } else { 0.0 };
             let comm = match j.comm_pool {
@@ -144,32 +176,55 @@ impl NodeWorld {
                 },
             };
             let cpu = StreamSpec::CpuWrite { numa: j.comp_numa };
-            phases.push(phase(cpu, j.cores, compute));
-            phases.push(phase(comm, 1, j.comm_bytes));
-        }
-        let mut set = ActiveSet::new();
-        for p in phases.iter().filter(|p| p.left > 0.0) {
-            for _ in 0..p.streams {
-                set.add(p.spec);
+            for (spec, streams, left) in [(cpu, j.cores, compute), (comm, 1, j.comm_bytes)] {
+                let pair = match pairs
+                    .iter()
+                    .position(|q| q.spec == spec && q.streams == streams)
+                {
+                    Some(i) => i,
+                    None => {
+                        pairs.push(Pair {
+                            spec,
+                            streams,
+                            live: 0,
+                            rate: 0.0,
+                        });
+                        pairs.len() - 1
+                    }
+                };
+                if left > 0.0 {
+                    pairs[pair].live += 1;
+                    active.push(phases.len());
+                    set.add_n(spec, streams);
+                }
+                phases.push(Phase {
+                    pair,
+                    left,
+                    done: 0.0,
+                });
             }
         }
         let mut now = 0.0f64;
         let mut solves = 0usize;
         while !set.is_empty() {
-            let state = self.solver.solve(&self.fabric, &mut set, 1.0);
+            let state = solver.solve(fabric, set, 1.0);
             solves += 1;
             // The solver reports GB/s per stream; a phase's rate is the
-            // sum over its streams, accumulated stream by stream. The
-            // earliest phase completion is the next event.
-            let mut dt = f64::INFINITY;
-            for p in phases.iter_mut().filter(|p| p.left > 0.0) {
-                let rate = state.rate_of(p.spec).expect("active phase has streams");
-                p.rate = 0.0;
-                for _ in 0..p.streams {
-                    p.rate += rate * 1e9;
+            // sum over its streams, accumulated stream by stream.
+            for q in pairs.iter_mut().filter(|q| q.live > 0) {
+                let rate = state.rate_of(q.spec).expect("active phase has streams");
+                q.rate = 0.0;
+                for _ in 0..q.streams {
+                    q.rate += rate * 1e9;
                 }
-                if p.rate > 0.0 {
-                    dt = dt.min(p.left / p.rate);
+            }
+            // The earliest phase completion is the next event.
+            let mut dt = f64::INFINITY;
+            for &i in active.iter() {
+                let p = &phases[i];
+                let rate = pairs[p.pair].rate;
+                if rate > 0.0 {
+                    dt = dt.min(p.left / rate);
                 }
             }
             if !dt.is_finite() {
@@ -179,16 +234,19 @@ impl NodeWorld {
                 break;
             }
             now += dt;
-            for p in phases.iter_mut().filter(|p| p.left > 0.0) {
-                p.left -= p.rate * dt;
-                if p.left <= p.left.abs().max(1.0) * 1e-12 {
+            active.retain(|&i| {
+                let p = &mut phases[i];
+                let q = &mut pairs[p.pair];
+                p.left -= q.rate * dt;
+                let drained = p.left <= p.left.abs().max(1.0) * 1e-12;
+                if drained {
                     p.left = 0.0;
                     p.done = now;
-                    for _ in 0..p.streams {
-                        set.remove(p.spec);
-                    }
+                    q.live -= 1;
+                    set.remove_n(q.spec, q.streams);
                 }
-            }
+                !drained
+            });
         }
         let jobs_out: Vec<JobFinish> = phases
             .chunks_exact(2)

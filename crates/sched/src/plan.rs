@@ -20,6 +20,12 @@
 //! small-case sweep or a long anneal costs few distinct simulations —
 //! and each platform's [`NodeWorld`] memoizes the solver states its
 //! simulations reach, so a distinct set rarely runs a full solve.
+//!
+//! A memo entry keeps only what the searches read: finish times and the
+//! makespan. The allocation a simulation ran is rebuilt on demand
+//! ([`Evaluator::plan`]); it is a pure function of the node and the set.
+//! Solo finish times, asked for once per co-located job per score, come
+//! from a dense (platform, job) table instead of the memo.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -101,44 +107,41 @@ pub struct SchedulePlan {
 /// Memoized evaluation of one node's co-located job set.
 #[derive(Debug)]
 pub struct NodeEval {
-    /// Allocation per set slot (same order as the sorted set).
-    pub allocs: Vec<JobLoad>,
-    /// Finish time per set slot.
-    pub finish: Vec<f64>,
+    /// Finish time per set slot (same order as the sorted set).
+    pub finish: Box<[f64]>,
     /// Node makespan.
     pub makespan: f64,
 }
 
-/// Two-layer allocation for a sorted job set on one node.
-fn alloc_for(node: &FleetNode, jobs: &[JobSpec], set: &[u32]) -> Vec<JobLoad> {
+/// Two-layer allocation for a sorted job set on one node, written over
+/// `out`, one entry per set slot.
+fn alloc_for(node: &FleetNode, jobs: &[JobSpec], set: &[u32], out: &mut Vec<JobLoad>) {
     let k = set.len().max(1);
     let share = (node.cores / k).max(1);
     let numa = node.platform.topology.numa_count() as u16;
-    set.iter()
-        .enumerate()
-        .map(|(slot, &j)| {
-            let prof = &jobs[j as usize].profile;
-            let cap = if prof.max_cores == 0 {
-                node.cores
-            } else {
-                prof.max_cores
-            };
-            let comp = NumaId::new(slot as u16 % numa);
-            let comm = if numa > 1 {
-                NumaId::new((slot as u16 + 1) % numa)
-            } else {
-                NumaId::new(0)
-            };
-            JobLoad {
-                cores: cap.min(share).max(1),
-                comp_numa: comp,
-                comm_numa: comm,
-                compute_bytes: prof.compute_bytes,
-                comm_bytes: prof.comm_bytes,
-                comm_pool: None,
-            }
-        })
-        .collect()
+    out.clear();
+    out.extend(set.iter().enumerate().map(|(slot, &j)| {
+        let prof = &jobs[j as usize].profile;
+        let cap = if prof.max_cores == 0 {
+            node.cores
+        } else {
+            prof.max_cores
+        };
+        let comp = NumaId::new(slot as u16 % numa);
+        let comm = if numa > 1 {
+            NumaId::new((slot as u16 + 1) % numa)
+        } else {
+            NumaId::new(0)
+        };
+        JobLoad {
+            cores: cap.min(share).max(1),
+            comp_numa: comp,
+            comm_numa: comm,
+            compute_bytes: prof.compute_bytes,
+            comm_bytes: prof.comm_bytes,
+            comm_pool: None,
+        }
+    }));
 }
 
 /// Memoizing evaluator shared by every policy and search over one
@@ -154,6 +157,11 @@ pub struct Evaluator<'a> {
     node_world: Vec<usize>,
     /// Node evaluations per world, keyed by sorted job set.
     cache: Vec<HashMap<Box<[u32]>, Rc<NodeEval>>>,
+    /// Solo finish time per (world, job), `world * jobs.len() + job`;
+    /// `None` until first asked for.
+    solo: Vec<Option<f64>>,
+    /// The allocation of the set being simulated.
+    allocs: Vec<JobLoad>,
     sims: usize,
 }
 
@@ -182,8 +190,10 @@ impl<'a> Evaluator<'a> {
             jobs,
             fleet,
             cache: worlds.iter().map(|_| HashMap::new()).collect(),
+            solo: vec![None; worlds.len() * jobs.len()],
             worlds,
             node_world,
+            allocs: Vec::new(),
             sims: 0,
         }
     }
@@ -216,11 +226,10 @@ impl<'a> Evaluator<'a> {
         if let Some(hit) = self.cache[world].get(set) {
             return Rc::clone(hit);
         }
-        let allocs = alloc_for(&self.fleet.nodes[node], self.jobs, set);
-        let run = self.worlds[world].run(&allocs);
+        alloc_for(&self.fleet.nodes[node], self.jobs, set, &mut self.allocs);
+        let run = self.worlds[world].run(&self.allocs);
         self.sims += 1;
         let eval = Rc::new(NodeEval {
-            allocs,
             finish: run.jobs.iter().map(|j| j.finish()).collect(),
             makespan: run.makespan,
         });
@@ -230,7 +239,15 @@ impl<'a> Evaluator<'a> {
 
     /// Finish time of `job` with `node` all to itself.
     pub fn solo_finish(&mut self, node: usize, job: u32) -> f64 {
-        self.node_eval(node, &[job]).makespan
+        let slot = self.node_world[node] * self.jobs.len() + job as usize;
+        match self.solo[slot] {
+            Some(finish) => finish,
+            None => {
+                let finish = self.node_eval(node, &[job]).makespan;
+                self.solo[slot] = Some(finish);
+                finish
+            }
+        }
     }
 
     /// Slowdown of `job` finishing at `finish` on `node`.
@@ -320,9 +337,10 @@ impl<'a> Evaluator<'a> {
             }
             let (slow, node_ms) = self.slowdowns(d, set);
             let eval = self.node_eval(d, set);
+            alloc_for(&self.fleet.nodes[d], self.jobs, set, &mut self.allocs);
             makespan = makespan.max(node_ms);
             for (slot, &j) in set.iter().enumerate() {
-                let a = eval.allocs[slot];
+                let a = self.allocs[slot];
                 placements[j as usize] = Placement {
                     job: j as usize,
                     node: d,
@@ -409,18 +427,54 @@ mod tests {
     }
 
     #[test]
+    fn solo_finishes_are_per_platform_one_job_runs() {
+        let (jobs, _) = fixture();
+        let reg = ModelRegistry::new(4);
+        let fleet = Fleet::build(
+            vec![platforms::henri(), platforms::dahu(), platforms::henri()],
+            &reg,
+        )
+        .unwrap();
+        let mut ev = Evaluator::new(&jobs, &fleet);
+        for node in 0..3 {
+            for job in 0..jobs.len() as u32 {
+                let solo = ev.solo_finish(node, job);
+                let sims = ev.sims();
+                let run = ev.node_eval(node, &[job]).makespan;
+                assert_eq!(solo.to_bits(), run.to_bits(), "node {node} job {job}");
+                assert_eq!(ev.sims(), sims, "the solo run went through the memo");
+            }
+        }
+        // One simulation per (platform, job): nodes 0 and 2 share henri.
+        assert_eq!(ev.sims(), 2 * jobs.len());
+        assert_ne!(
+            ev.solo_finish(0, 0).to_bits(),
+            ev.solo_finish(1, 0).to_bits()
+        );
+    }
+
+    #[test]
     fn two_layer_allocation_splits_cores_and_spreads_numa() {
         let (jobs, fleet) = fixture();
-        let mut ev = Evaluator::new(&jobs, &fleet);
-        let eval = ev.node_eval(0, &[0, 1, 2]);
+        let mut allocs = Vec::new();
+        alloc_for(&fleet.nodes[0], &jobs, &[0, 1, 2], &mut allocs);
+        assert_eq!(allocs.len(), 3);
         let node_cores = fleet.nodes[0].cores;
-        for a in &eval.allocs {
+        for a in &allocs {
             assert!(a.cores >= 1);
             assert!(a.cores <= (node_cores / 3).clamp(1, 8));
         }
         // henri has two NUMA nodes: slots alternate compute homes.
-        assert_ne!(eval.allocs[0].comp_numa, eval.allocs[1].comp_numa);
-        assert_ne!(eval.allocs[0].comp_numa, eval.allocs[0].comm_numa);
+        assert_ne!(allocs[0].comp_numa, allocs[1].comp_numa);
+        assert_ne!(allocs[0].comp_numa, allocs[0].comm_numa);
+        // A plan places each job exactly as its simulation ran it.
+        let plan = Evaluator::new(&jobs, &fleet).plan("all_on_0", &[0, 0, 0], 1.5);
+        for (p, a) in plan.placements.iter().zip(&allocs) {
+            assert_eq!(
+                (p.cores, p.m_comp, p.m_comm),
+                (a.cores, a.comp_numa, a.comm_numa)
+            );
+        }
     }
 
     #[test]

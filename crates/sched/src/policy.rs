@@ -160,12 +160,13 @@ impl ContentionAware {
         let mut sets: Vec<Vec<u32>> = vec![Vec::new(); nodes];
         let mut node_ms = vec![0.0f64; nodes];
         let mut assignment = vec![0usize; jobs];
+        let mut set: Vec<u32> = Vec::with_capacity(jobs);
         for &j in &order {
             // (threshold violated, resulting cluster makespan, worst
             // slowdown on the node, prior load, index) — smallest wins.
             let mut best: Option<(bool, f64, f64, usize, usize)> = None;
             for (d, existing) in sets.iter().enumerate() {
-                let mut set = existing.clone();
+                set.clone_from(existing);
                 let pos = set.partition_point(|&x| x < j as u32);
                 set.insert(pos, j as u32);
                 let (slow, ms) = ev.slowdowns(d, &set);
