@@ -563,9 +563,7 @@ impl World {
         }));
         if done_at.is_none() {
             self.active_jobs.push(id);
-            for _ in 0..cores {
-                self.node_sets[rank].add(StreamSpec::CpuWrite { numa });
-            }
+            self.node_sets[rank].add_n(StreamSpec::CpuWrite { numa }, cores);
         }
         Ok(id)
     }
@@ -802,9 +800,7 @@ impl World {
             if job.history_idx != NO_HISTORY {
                 job_history[job.history_idx].finished_at = Some(now);
             }
-            for _ in 0..job.cores {
-                node_sets[job.rank].remove(StreamSpec::CpuWrite { numa: job.numa });
-            }
+            node_sets[job.rank].remove_n(StreamSpec::CpuWrite { numa: job.numa }, job.cores);
             false
         });
         let mut finished: Vec<(RequestId, RequestId)> = Vec::new();
