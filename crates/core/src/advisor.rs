@@ -12,14 +12,12 @@
 //! model and the paper's §V discussion describe. The configuration with
 //! the smallest makespan wins.
 
-use serde::{Deserialize, Serialize};
-
 use mc_topology::NumaId;
 
 use crate::placement::ContentionModel;
 
 /// An application phase to place.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseProfile {
     /// Bytes the computation must move through memory.
     pub compute_bytes: f64,
@@ -68,7 +66,7 @@ pub fn core_count(n: usize) -> Result<usize, String> {
 }
 
 /// One scored configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Recommendation {
     /// Computing cores to use.
     pub n_cores: usize,

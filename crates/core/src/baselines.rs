@@ -14,8 +14,6 @@
 //!   single (local) instantiation, ablating the NUMA combination of
 //!   eqs. 6–7.
 
-use serde::{Deserialize, Serialize};
-
 use mc_topology::NumaId;
 
 use crate::instantiation::{InstantiatedModel, Prediction};
@@ -23,7 +21,7 @@ use crate::placement::ContentionModel;
 use crate::predictor::BandwidthPredictor;
 
 /// Perfect-overlap baseline: nominal bandwidths everywhere.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoContentionBaseline {
     model: ContentionModel,
 }
@@ -51,7 +49,7 @@ impl BandwidthPredictor for NoContentionBaseline {
 /// exceeds the capacity `T(n)`, every stream (each core, and the NIC as one
 /// more customer) gets an equal max-min share. No guaranteed communication
 /// floor, no CPU priority.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EqualShareBaseline {
     model: ContentionModel,
 }
@@ -132,7 +130,7 @@ impl BandwidthPredictor for EqualShareBaseline {
 
 /// Single-instantiation ablation: the full threshold model, but the local
 /// instantiation is used for every placement (no `M_remote`, no eqs. 6–7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalOnlyBaseline {
     model: ContentionModel,
 }

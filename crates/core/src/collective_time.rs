@@ -11,14 +11,12 @@
 //! [`ContentionModel::predict`]; latency terms take a per-message
 //! handshake cost.
 
-use serde::{Deserialize, Serialize};
-
 use mc_topology::NumaId;
 
 use crate::placement::ContentionModel;
 
 /// Which collective to estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Collective {
     /// Binomial-tree broadcast: ⌈log₂ P⌉ rounds of the full payload.
     Broadcast,
@@ -33,7 +31,7 @@ pub enum Collective {
 }
 
 /// One estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveEstimate {
     /// Number of sequential communication rounds.
     pub rounds: usize,

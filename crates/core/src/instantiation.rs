@@ -9,12 +9,10 @@
 //! `T(n)` the memory system can support is estimated (eq. 1), then that
 //! total is split between computations and communications (eqs. 3–5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::ModelParams;
 
 /// Predicted bandwidths for one core count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Memory bandwidth for computations, GB/s.
     pub comp: f64,
@@ -30,7 +28,7 @@ impl Prediction {
 }
 
 /// A calibrated single-locality model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstantiatedModel {
     params: ModelParams,
 }

@@ -5,15 +5,13 @@
 //! computations, and separately for the two placement configurations used
 //! to instantiate the model ("samples") versus all others ("non-samples").
 
-use serde::{Deserialize, Serialize};
-
 use mc_membench::record::PlatformSweep;
 use mc_topology::NumaId;
 
 use crate::predictor::BandwidthPredictor;
 
 /// Streaming MAPE accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Mape {
     sum: f64,
     count: usize,
@@ -82,7 +80,7 @@ pub fn format_percent(value: f64, width: usize) -> String {
 }
 
 /// One platform's row of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorBreakdown {
     /// Communication error on sample placements, percent.
     pub comm_samples: f64,

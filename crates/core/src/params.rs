@@ -17,11 +17,10 @@
 //! | `Bcomm_seq`      | `b_comm_seq`   |
 //! | `α`              | `alpha`        |
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parameters of one model instantiation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Core count at which the maximum total parallel bandwidth is reached.
     pub n_max_par: usize,

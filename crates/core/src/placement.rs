@@ -7,8 +7,6 @@
 //! *every* `(m_comp, m_comm)` placement combination — 16 of them on a
 //! 4-NUMA machine — exploiting the symmetries of the machine topology.
 
-use serde::{Deserialize, Serialize};
-
 use mc_membench::record::PlacementSweep;
 use mc_topology::{MachineTopology, NumaId};
 
@@ -16,7 +14,7 @@ use crate::calibrate::{calibrate, CalibrationError};
 use crate::instantiation::{InstantiatedModel, Prediction};
 
 /// The paper's model, fully instantiated for one machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentionModel {
     local: InstantiatedModel,
     remote: InstantiatedModel,

@@ -16,8 +16,6 @@
 //!    ([`fault_spread`]). Survivable faults must stay within a bounded
 //!    spread; poisoning faults must be *rejected*, never absorbed.
 
-use serde::{Deserialize, Serialize};
-
 use mc_membench::faults::{Fault, FaultInjector};
 use mc_membench::record::PlacementSweep;
 
@@ -44,7 +42,7 @@ impl std::fmt::Display for RobustnessError {
 impl std::error::Error for RobustnessError {}
 
 /// Mean and standard deviation of one quantity across calibration runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spread {
     /// Sample mean.
     pub mean: f64,
@@ -83,7 +81,7 @@ impl Spread {
 }
 
 /// Parameter spreads across calibration runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParamSpread {
     /// Number of calibrations aggregated.
     pub runs: usize,

@@ -1,13 +1,11 @@
 //! Benchmark configuration.
 
-use serde::{Deserialize, Serialize};
-
 use mc_memsim::cache::LlcSpec;
 
 use crate::kernel::{CommPattern, ComputeKernel};
 
 /// How bandwidths are obtained from the simulated hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Steady-state rates straight from the tiered max-min solver, with
     /// protocol overheads folded in analytically. Fast — used by the test
@@ -21,7 +19,7 @@ pub enum Backend {
 }
 
 /// Parameters of the benchmark suite, mirroring the paper's choices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchConfig {
     /// Message size in bytes; the paper uses 64 MB receives.
     pub msg_bytes: u64,

@@ -9,13 +9,11 @@
 //! (§IV-C1): changing the kernel or pattern changes the parameters, and the
 //! model must be recalibrated — which the extension tests do.
 
-use serde::{Deserialize, Serialize};
-
 use mc_memsim::fabric::StreamSpec;
 use mc_topology::NumaId;
 
 /// Kernel families available to the benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelFamily {
     /// Non-temporal `memset` (the paper's kernel).
     MemsetNt,
@@ -44,7 +42,7 @@ impl KernelFamily {
 
 /// A compute kernel, characterised by how much memory traffic it issues
 /// relative to the paper's non-temporal `memset`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeKernel {
     /// Kernel family (display/dispatch).
     pub family: KernelFamily,
@@ -123,7 +121,7 @@ impl Default for ComputeKernel {
 }
 
 /// The communication pattern of the benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommPattern {
     /// The paper's pattern: this node only receives ("pongs").
     #[default]

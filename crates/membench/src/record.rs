@@ -9,14 +9,12 @@
 //! sweep for one `(m_comp, m_comm)` placement; one [`PlatformSweep`] holds
 //! every placement combination of a machine.
 
-use serde::{Deserialize, Serialize};
-
 use mc_topology::NumaId;
 
 /// One of the four bandwidth columns of a [`SweepPoint`] — used by sweep
 /// validation (to report *which* measurement is broken) and by the fault
 /// injector (to choose *what* to perturb).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SweepColumn {
     /// Computations-alone bandwidth.
     CompAlone,
@@ -70,7 +68,7 @@ impl std::fmt::Display for SweepColumn {
 }
 
 /// Bandwidths measured for one number of computing cores.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Number of computing cores `n`.
     pub n_cores: usize,
@@ -93,7 +91,7 @@ impl SweepPoint {
 }
 
 /// A full core-count sweep for one data placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementSweep {
     /// NUMA node holding computation data (the paper's `m_comp`).
     pub m_comp: NumaId,
@@ -126,7 +124,7 @@ impl PlacementSweep {
 }
 
 /// Every placement sweep of one platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSweep {
     /// Platform name (Table I).
     pub platform: String,

@@ -11,10 +11,8 @@
 //! Cache hits never reach the memory controllers, so the effective memory
 //! traffic of a cacheable kernel is scaled by the *miss* ratio.
 
-use serde::{Deserialize, Serialize};
-
 /// A shared last-level cache.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlcSpec {
     /// Usable capacity in bytes (e.g. 24.75 MiB for a Xeon Gold 6140).
     pub size_bytes: f64,

@@ -16,7 +16,6 @@
 //! first/last operations (steady state, §V: "we rather focus on the steady
 //! state").
 
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 use mc_topology::NumaId;
@@ -25,7 +24,7 @@ use crate::delta::{ActiveSet, DeltaSolver, DeltaStats};
 use crate::fabric::{Fabric, StreamSpec};
 
 /// What an activity does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActivityKind {
     /// A computing core repeatedly `memset`ting a buffer with non-temporal
     /// stores (the paper's compute kernel).
@@ -64,7 +63,7 @@ pub enum ActivityKind {
 }
 
 /// An activity plus its start offset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Activity {
     /// Behaviour of the activity.
     pub kind: ActivityKind,
@@ -224,7 +223,7 @@ fn check_activity(a: &Activity) {
 }
 
 /// Result for one activity after a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityReport {
     /// Bytes streamed inside the measurement window.
     pub measured_bytes: f64,
@@ -238,7 +237,7 @@ pub struct ActivityReport {
 
 /// Counters of solver work: actual progressive-filling runs vs solves
 /// answered from the memoization cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Times the tiered max-min solver actually ran.
     pub invocations: u64,
@@ -262,7 +261,7 @@ impl From<DeltaStats> for SolverStats {
 /// identical runs may split solver work between fresh solves and cache
 /// hits differently depending on what ran before them, while everything
 /// the run *measured* must still match bit-for-bit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-activity reports, same order as the input.
     pub activities: Vec<ActivityReport>,
@@ -311,7 +310,7 @@ impl RunReport {
 
 /// One sample of the bandwidth timeline: the instantaneous rates that
 /// held from `t` until the next sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSample {
     /// Simulation time of the re-solve, seconds.
     pub t: f64,

@@ -6,7 +6,6 @@
 //! capacities and flow requests, applies the platform quirks, and runs the
 //! tiered max-min solver to obtain every stream's instantaneous rate.
 
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -29,7 +28,7 @@ pub use mc_topology::graph::ResourceKind;
 /// canonicalise a stream multiset — any total order works, it only has to
 /// be consistent, but it fixes the canonical expansion a multiset is
 /// solved on and therefore the last bits of its rates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StreamSpec {
     /// One computing core on socket 0 issuing non-temporal stores to
     /// `numa`. The benchmark always computes on the first socket (§II-B:
@@ -132,7 +131,7 @@ impl StreamSpec {
 }
 
 /// Result of solving the rates of a set of streams.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveResult {
     /// Rate of each stream in GB/s, same order as the input.
     pub rates: Vec<f64>,

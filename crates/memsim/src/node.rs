@@ -59,9 +59,11 @@ pub struct JobLoad {
 /// Per-job outcome of a node run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobFinish {
-    /// Seconds until the job's compute phase drained.
+    /// Seconds until the job's compute phase drained (`inf` if the run
+    /// stalled with it still draining).
     pub compute_done: f64,
-    /// Seconds until the job's communication phase drained.
+    /// Seconds until the job's communication phase drained (`inf` if
+    /// the run stalled with it still draining).
     pub comm_done: f64,
 }
 
@@ -77,7 +79,8 @@ impl JobFinish {
 pub struct NodeRun {
     /// Per-job phase completion times, input order.
     pub jobs: Vec<JobFinish>,
-    /// Time the last phase drained (0 for an empty or all-empty set).
+    /// Time the last phase drained (0 for an empty or all-empty set,
+    /// `inf` if a phase never drains).
     pub makespan: f64,
     /// Phase-boundary rate evaluations (≤ 2 × jobs): one per event-loop
     /// segment, whether the solver answered it from its memo or ran
@@ -228,9 +231,11 @@ impl NodeWorld {
                 }
             }
             if !dt.is_finite() {
-                // Every remaining stream got rate 0 — cannot happen on a
-                // well-formed fabric (capacities are positive), but a
-                // stall must not loop forever.
+                // Every remaining stream got rate 0: a resource with no
+                // capacity. Those phases never drain.
+                for &i in active.iter() {
+                    phases[i].done = f64::INFINITY;
+                }
                 break;
             }
             now += dt;
@@ -395,6 +400,29 @@ mod tests {
             assert_eq!(x.finish().to_bits(), y.finish().to_bits());
         }
         assert!(a.makespan > 0.0 && a.solves > 0);
+    }
+
+    /// A NIC that cannot reach NUMA node 1 stalls every comm phase there:
+    /// the stalled phase reports `inf`, not 0, and so does the makespan.
+    /// The run that follows on the same node starts clean and matches a
+    /// fresh node's field for field.
+    #[test]
+    fn a_stalled_phase_never_finishes_and_the_next_run_starts_clean() {
+        let p = mc_topology::PlatformBuilder::new("half-nic")
+            .nic_numa_efficiency(vec![1.0, 0.0])
+            .build()
+            .unwrap();
+        let mut node = NodeWorld::new(&p);
+        let stalled = node.run(&[job(4, 0, 1, 8.0, 2.0)]);
+        let compute = stalled.jobs[0].compute_done;
+        assert!(compute.is_finite() && compute > 0.0, "compute {compute}");
+        assert_eq!(stalled.jobs[0].comm_done, f64::INFINITY);
+        assert_eq!(stalled.makespan, f64::INFINITY);
+
+        let compute_only = [job(4, 0, 0, 8.0, 0.0)];
+        let after = node.run(&compute_only);
+        assert_eq!(after, NodeWorld::new(&p).run(&compute_only));
+        assert_eq!(after.makespan.to_bits(), compute.to_bits());
     }
 
     #[test]

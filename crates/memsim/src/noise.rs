@@ -6,8 +6,6 @@
 //! order in which sweep points are evaluated (important: the parallel sweep
 //! driver in `mc-membench` evaluates points concurrently).
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 step — a tiny, high-quality 64-bit mixer.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -18,7 +16,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// A stateless deterministic noise source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Noise {
     seed: u64,
 }

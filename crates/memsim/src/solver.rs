@@ -18,13 +18,11 @@
 //! unfrozen flows grow at the same rate; a flow freezes when it reaches its
 //! cap or when a resource on its path saturates.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a resource in the solver input.
 pub type ResourceIdx = usize;
 
 /// Class of a flow, deciding its arbitration tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowClass {
     /// CPU-initiated traffic (loads/stores from computing cores). Higher
     /// priority: memory requests from cores win over PCIe requests.
@@ -35,7 +33,7 @@ pub enum FlowClass {
 }
 
 /// One flow to allocate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowReq {
     /// Resources this flow crosses (deduplicated; order irrelevant).
     pub path: Vec<ResourceIdx>,
@@ -71,7 +69,7 @@ impl FlowReq {
 }
 
 /// Outcome of an allocation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Allocation {
     /// Rate granted to each flow, same order as the input, in GB/s.
     pub rates: Vec<f64>,

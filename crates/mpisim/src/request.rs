@@ -1,7 +1,6 @@
 //! Requests, ranks and tags — the MPI-flavoured vocabulary of the
 //! simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A process rank. The paper's benchmark uses two machines (one receiver,
@@ -11,7 +10,7 @@ pub type Rank = usize;
 /// A message tag. Matching follows MPI semantics: a receive matches a send
 /// with the same `(source, tag)`, where the receive's tag may be
 /// [`Tag::ANY`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tag(pub u32);
 
 impl Tag {
@@ -42,7 +41,7 @@ impl fmt::Display for Tag {
 /// the request is forgotten, and the old handle then answers
 /// [`crate::MpiError::UnknownRequest`]. Its order and magnitude carry no
 /// meaning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 impl fmt::Display for RequestId {
@@ -56,7 +55,7 @@ impl fmt::Display for RequestId {
 ///
 /// Opaque, like [`RequestId`]: a forgotten job's handle answers
 /// [`crate::MpiError::UnknownJob`], even once its slot is reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -66,7 +65,7 @@ impl fmt::Display for JobId {
 }
 
 /// Completion status of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RequestStatus {
     /// Posted, not yet matched with its peer operation.
     Pending,

@@ -52,17 +52,24 @@ struct Transfer {
     src_numa: NumaId,
     dst_numa: NumaId,
     phase: TransferPhase,
+    /// While `Streaming`: bytes/s granted in the current step, the
+    /// smaller of the two endpoints' rates.
+    rate: f64,
     payload: f64,
     post_len: f64,
 }
 
+/// A running compute job: `cores` identical streams with `left` bytes
+/// to go each.
 #[derive(Debug, Clone)]
-struct JobState {
+struct ActiveJob {
+    id: JobId,
     rank: Rank,
     numa: NumaId,
     cores: usize,
-    bytes_left_per_core: f64,
-    done_at: Option<f64>,
+    left: f64,
+    /// Bytes/s per core granted in the current step.
+    rate: f64,
     history_idx: usize,
 }
 
@@ -192,14 +199,11 @@ pub struct World {
     /// its slab. Only point-queried, never iterated, so handle values
     /// cannot reach a result.
     statuses: Slab<RequestStatus>,
-    jobs: Slab<JobState>,
+    /// Each job's completion time, `None` while it runs.
+    jobs: Slab<Option<f64>>,
     /// Jobs still streaming, compacted on completion.
-    active_jobs: Vec<JobId>,
+    active_jobs: Vec<ActiveJob>,
     transfers: Vec<Transfer>,
-    /// Step buffers, reused across steps: per-core rates parallel to
-    /// `active_jobs` and transfer rates parallel to `transfers`.
-    job_rates: Vec<f64>,
-    transfer_rates: Vec<f64>,
     /// Unmatched operations, one queue per posting rank in post order.
     /// A match scans for the first op naming the right peer, and the
     /// ops of one `(rank, peer)` pair keep their relative order, so
@@ -246,8 +250,6 @@ impl World {
             jobs: Slab::default(),
             active_jobs: Vec::new(),
             transfers: Vec::new(),
-            job_rates: Vec::new(),
-            transfer_rates: Vec::new(),
             pending_sends: vec![Vec::new(); n],
             pending_recvs: vec![Vec::new(); n],
             transfer_history: Vec::new(),
@@ -312,7 +314,7 @@ impl World {
     /// was dropped (`false` while it is still running).
     pub fn forget_job(&mut self, job: JobId) -> bool {
         match self.jobs.get(job.0) {
-            Some(state) if state.done_at.is_some() => {
+            Some(Some(_)) => {
                 self.jobs.remove(job.0);
                 true
             }
@@ -396,15 +398,6 @@ impl World {
 
     fn fresh_request(&mut self) -> RequestId {
         RequestId(self.statuses.insert(RequestStatus::Pending))
-    }
-
-    /// Move a posted request on. Only done requests can be forgotten, so
-    /// one still moving is always in the table.
-    fn set_status(&mut self, req: RequestId, status: RequestStatus) {
-        *self
-            .statuses
-            .get_mut(req.0)
-            .expect("a request stays tracked until it is done") = status;
     }
 
     fn check_rank(&self, r: Rank) -> Result<(), MpiError> {
@@ -492,14 +485,13 @@ impl World {
     }
 
     fn start_transfer(&mut self, send: PendingOp, recv: PendingOp) {
+        let reqs = [send.req, recv.req];
         if send.bytes > recv.bytes {
-            self.set_status(send.req, RequestStatus::Truncated);
-            self.set_status(recv.req, RequestStatus::Truncated);
+            set_status(&mut self.statuses, reqs, RequestStatus::Truncated);
             return;
         }
         let plan = self.protocol.plan(send.bytes);
-        self.set_status(send.req, RequestStatus::InFlight);
-        self.set_status(recv.req, RequestStatus::InFlight);
+        set_status(&mut self.statuses, reqs, RequestStatus::InFlight);
         let history_idx = if self.record_history {
             self.transfer_history.push(TransferRecord {
                 src: send.rank,
@@ -521,6 +513,7 @@ impl World {
             src_numa: send.numa,
             dst_numa: recv.numa,
             phase: TransferPhase::Pre(self.time + plan.pre_transfer),
+            rate: 0.0,
             payload: send.bytes as f64,
             post_len: plan.post_transfer,
         });
@@ -537,11 +530,7 @@ impl World {
     ) -> Result<JobId, MpiError> {
         self.check_rank(rank)?;
         assert!(cores > 0, "a compute job needs at least one core");
-        let done_at = if bytes_per_core == 0 {
-            Some(self.time)
-        } else {
-            None
-        };
+        let done_at = (bytes_per_core == 0).then_some(self.time);
         let history_idx = if self.record_history {
             self.job_history.push(JobRecord {
                 rank,
@@ -553,16 +542,17 @@ impl World {
         } else {
             NO_HISTORY
         };
-        let id = JobId(self.jobs.insert(JobState {
-            rank,
-            numa,
-            cores,
-            bytes_left_per_core: bytes_per_core as f64,
-            done_at,
-            history_idx,
-        }));
+        let id = JobId(self.jobs.insert(done_at));
         if done_at.is_none() {
-            self.active_jobs.push(id);
+            self.active_jobs.push(ActiveJob {
+                id,
+                rank,
+                numa,
+                cores,
+                left: bytes_per_core as f64,
+                rate: 0.0,
+                history_idx,
+            });
             self.node_sets[rank].add_n(StreamSpec::CpuWrite { numa }, cores);
         }
         Ok(id)
@@ -590,7 +580,7 @@ impl World {
                 RequestStatus::Complete(t) => return Ok(t),
                 RequestStatus::Truncated => return Err(MpiError::Truncated(req)),
                 _ => {
-                    if !self.step() {
+                    if !self.poll() {
                         return Err(MpiError::Deadlock(req));
                     }
                 }
@@ -610,15 +600,10 @@ impl World {
     /// Advance simulated time until job completion; returns that time.
     pub fn wait_job(&mut self, job: JobId) -> Result<f64, MpiError> {
         loop {
-            let done = self
-                .jobs
-                .get(job.0)
-                .ok_or(MpiError::UnknownJob(job))?
-                .done_at;
-            if let Some(t) = done {
+            if let Some(t) = self.job_status(job)? {
                 return Ok(t);
             }
-            if !self.step() {
+            if !self.poll() {
                 // A compute job can always progress unless its rate is
                 // zero, which the fabric never produces for CPU streams
                 // with positive demand.
@@ -634,7 +619,7 @@ impl World {
     pub fn job_status(&self, job: JobId) -> Result<Option<f64>, MpiError> {
         self.jobs
             .get(job.0)
-            .map(|j| j.done_at)
+            .copied()
             .ok_or(MpiError::UnknownJob(job))
     }
 
@@ -645,7 +630,7 @@ impl World {
     /// interleave posting with time (the trace replayer) call it in a
     /// loop, re-examining completions after every step.
     pub fn poll(&mut self) -> bool {
-        self.step()
+        self.step_until(f64::INFINITY)
     }
 
     /// Advance by `dt` seconds of simulated time, processing events.
@@ -681,75 +666,50 @@ impl World {
         rate.expect("an active entity's spec is in its node's stream set")
     }
 
-    /// Fill the step buffers with the effective rate of each active
-    /// entity: per-core job rates (parallel to `active_jobs`) and
-    /// transfer rates (min of both endpoints, parallel to `transfers`;
-    /// non-streaming phases get 0).
-    fn effective_rates(&mut self) {
+    /// Advance to the next event (bounded by `deadline`). Returns false if
+    /// nothing can progress.
+    ///
+    /// Two walks over the running jobs and transfers. The first stores
+    /// each entity's rate on it and takes the earliest next event; it
+    /// reads jobs before transfers and a transfer's receiver before its
+    /// sender, the order that decides which solves the state cache
+    /// answers. The second integrates each entity up to that event and
+    /// applies its transition.
+    fn step_until(&mut self, deadline: f64) -> bool {
+        if self.transfers.is_empty() && self.active_jobs.is_empty() {
+            return false;
+        }
         self.epoch += 1;
-        self.job_rates.clear();
+        let mut next = deadline;
         for i in 0..self.active_jobs.len() {
-            let job = self.active_job(i);
-            let (rank, spec) = (job.rank, StreamSpec::CpuWrite { numa: job.numa });
+            let ActiveJob { rank, numa, .. } = self.active_jobs[i];
             // All cores of a job are identical; the rate of one core
             // stands for all of them (equal by max-min symmetry).
-            let rate = self.stream_rate(rank, spec);
-            self.job_rates.push(rate);
-        }
-        self.transfer_rates.clear();
-        for ti in 0..self.transfers.len() {
-            let tr = &self.transfers[ti];
-            if !matches!(tr.phase, TransferPhase::Streaming(_)) {
-                self.transfer_rates.push(0.0);
-                continue;
+            let rate = self.stream_rate(rank, StreamSpec::CpuWrite { numa }) * GB;
+            let job = &mut self.active_jobs[i];
+            job.rate = rate;
+            if rate > 0.0 {
+                next = next.min(self.time + job.left / rate);
             }
+        }
+        for i in 0..self.transfers.len() {
+            let tr = &self.transfers[i];
+            let bytes = match tr.phase {
+                TransferPhase::Pre(t) | TransferPhase::Post(t) => {
+                    next = next.min(t);
+                    continue;
+                }
+                TransferPhase::Streaming(bytes) => bytes,
+            };
             let (src, dst) = (tr.src, tr.dst);
             let (src_spec, dst_spec) =
                 transfer_specs(self.comm_mode, self.cxl_pool, tr.src_numa, tr.dst_numa);
             let rate_in = self.stream_rate(dst, dst_spec);
             let rate_out = self.stream_rate(src, src_spec);
-            self.transfer_rates.push(rate_in.min(rate_out));
-        }
-    }
-
-    /// The `i`-th running job. `forget_job` refuses running jobs, so an
-    /// active handle is always live.
-    fn active_job(&self, i: usize) -> &JobState {
-        self.jobs
-            .get(self.active_jobs[i].0)
-            .expect("an active job is live")
-    }
-
-    fn step(&mut self) -> bool {
-        self.step_until(f64::INFINITY)
-    }
-
-    /// Advance to the next event (bounded by `deadline`). Returns false if
-    /// nothing can progress.
-    fn step_until(&mut self, deadline: f64) -> bool {
-        if self.transfers.is_empty() && self.active_jobs.is_empty() {
-            return false;
-        }
-        self.effective_rates();
-
-        // Earliest next event.
-        let mut next = deadline;
-        for (i, &rate) in self.job_rates.iter().enumerate() {
-            let job = self.active_job(i);
-            let rate = rate * GB;
+            let rate = rate_in.min(rate_out) * GB;
+            self.transfers[i].rate = rate;
             if rate > 0.0 {
-                next = next.min(self.time + job.bytes_left_per_core / rate);
-            }
-        }
-        for (ti, tr) in self.transfers.iter().enumerate() {
-            match tr.phase {
-                TransferPhase::Pre(t) | TransferPhase::Post(t) => next = next.min(t),
-                TransferPhase::Streaming(bytes) => {
-                    let rate = self.transfer_rates[ti] * GB;
-                    if rate > 0.0 {
-                        next = next.min(self.time + bytes / rate);
-                    }
-                }
+                next = next.min(self.time + bytes / rate);
             }
         }
         if !next.is_finite() || next <= self.time + EPS {
@@ -761,86 +721,82 @@ impl World {
             }
         }
         let dt = next - self.time;
-
-        // Integrate.
-        for (&jid, &rate) in self.active_jobs.iter().zip(&self.job_rates) {
-            let job = self.jobs.get_mut(jid.0).expect("an active job is live");
-            let rate = rate * GB;
-            job.bytes_left_per_core = (job.bytes_left_per_core - rate * dt).max(0.0);
-        }
-        for (tr, &rate) in self.transfers.iter_mut().zip(&self.transfer_rates) {
-            if let TransferPhase::Streaming(ref mut bytes) = tr.phase {
-                let rate = rate * GB;
-                *bytes = (*bytes - rate * dt).max(0.0);
-            }
-        }
         self.time = next;
 
-        // Transitions. Each one updates the affected nodes' stream sets,
-        // which invalidates only those nodes' cached solutions — the
-        // delta solver re-solves (or cache-hits) exactly where the
-        // active multiset changed.
-        let now = self.time;
+        // Each transition edits the affected nodes' stream sets, which
+        // invalidates only those nodes' cached solutions — the delta
+        // solver re-solves (or cache-hits) exactly where the active
+        // multiset changed.
+        let now = next;
         let (comm_mode, cxl_pool) = (self.comm_mode, self.cxl_pool);
         let Self {
-            active_jobs,
+            statuses,
             jobs,
-            node_sets,
-            job_history,
+            active_jobs,
             transfers,
+            job_history,
             transfer_history,
+            node_sets,
             ..
         } = self;
-        active_jobs.retain(|&jid| {
-            let job = jobs.get_mut(jid.0).expect("an active job is live");
-            if job.bytes_left_per_core > 1.0 {
+        active_jobs.retain_mut(|job| {
+            job.left = (job.left - job.rate * dt).max(0.0);
+            if job.left > 1.0 {
                 return true;
             }
-            job.done_at = Some(now);
+            *jobs.get_mut(job.id.0).expect("a running job is live") = Some(now);
             if job.history_idx != NO_HISTORY {
                 job_history[job.history_idx].finished_at = Some(now);
             }
             node_sets[job.rank].remove_n(StreamSpec::CpuWrite { numa: job.numa }, job.cores);
             false
         });
-        let mut finished: Vec<(RequestId, RequestId)> = Vec::new();
-        for tr in transfers.iter_mut() {
+        let specs = |tr: &Transfer| transfer_specs(comm_mode, cxl_pool, tr.src_numa, tr.dst_numa);
+        transfers.retain_mut(|tr| {
             match tr.phase {
                 TransferPhase::Pre(t) if t <= now + EPS => {
                     tr.phase = TransferPhase::Streaming(tr.payload);
-                    let (src_spec, dst_spec) =
-                        transfer_specs(comm_mode, cxl_pool, tr.src_numa, tr.dst_numa);
+                    let (src_spec, dst_spec) = specs(tr);
                     node_sets[tr.dst].add(dst_spec);
                     node_sets[tr.src].add(src_spec);
                 }
-                TransferPhase::Streaming(bytes) if bytes <= 1.0 => {
-                    tr.phase = TransferPhase::Post(now + tr.post_len);
-                    let (src_spec, dst_spec) =
-                        transfer_specs(comm_mode, cxl_pool, tr.src_numa, tr.dst_numa);
-                    node_sets[tr.dst].remove(dst_spec);
-                    node_sets[tr.src].remove(src_spec);
+                TransferPhase::Streaming(bytes) => {
+                    let bytes = (bytes - tr.rate * dt).max(0.0);
+                    tr.phase = if bytes > 1.0 {
+                        TransferPhase::Streaming(bytes)
+                    } else {
+                        let (src_spec, dst_spec) = specs(tr);
+                        node_sets[tr.dst].remove(dst_spec);
+                        node_sets[tr.src].remove(src_spec);
+                        TransferPhase::Post(now + tr.post_len)
+                    };
                 }
                 TransferPhase::Post(t) if t <= now + EPS => {
-                    finished.push((tr.send_req, tr.recv_req));
+                    set_status(
+                        statuses,
+                        [tr.send_req, tr.recv_req],
+                        RequestStatus::Complete(now),
+                    );
                     if tr.history_idx != NO_HISTORY {
                         transfer_history[tr.history_idx].finished_at = Some(now);
                     }
+                    return false;
                 }
                 _ => {}
             }
-        }
-        if !finished.is_empty() {
-            // `finished` lists transfers in `transfers` order, so one
-            // ordered pass removes them all.
-            let mut next = finished.iter().peekable();
-            self.transfers
-                .retain(|tr| next.next_if(|&&(s, _)| s == tr.send_req).is_none());
-            for (s, r) in finished {
-                self.set_status(s, RequestStatus::Complete(now));
-                self.set_status(r, RequestStatus::Complete(now));
-            }
-        }
+            true
+        });
         true
+    }
+}
+
+/// Move posted requests on. Only done requests can be forgotten, so one
+/// still moving is always in the table.
+fn set_status(statuses: &mut Slab<RequestStatus>, reqs: [RequestId; 2], status: RequestStatus) {
+    for req in reqs {
+        *statuses
+            .get_mut(req.0)
+            .expect("a request stays tracked until it is done") = status;
     }
 }
 
@@ -848,6 +804,7 @@ impl World {
 mod tests {
     use super::*;
     use mc_topology::platforms;
+    use proptest::prelude::*;
 
     const MB64: u64 = 64 << 20;
 
@@ -1395,5 +1352,280 @@ mod tests {
             "{} slots after 64 allreduces",
             w.statuses.slots()
         );
+    }
+
+    /// The four-walk step that [`World::step_until`] replaced, kept as
+    /// its oracle over the same fields: every rate into local buffers
+    /// (GB/s), then the earliest event, then the integration, then the
+    /// transitions. It ignores the `rate` fields the two-walk step keeps.
+    fn four_walk_step_until(w: &mut World, deadline: f64) -> bool {
+        if w.transfers.is_empty() && w.active_jobs.is_empty() {
+            return false;
+        }
+        w.epoch += 1;
+        let mut job_rates = Vec::new();
+        for i in 0..w.active_jobs.len() {
+            let ActiveJob { rank, numa, .. } = w.active_jobs[i];
+            job_rates.push(w.stream_rate(rank, StreamSpec::CpuWrite { numa }));
+        }
+        let mut transfer_rates = Vec::new();
+        for i in 0..w.transfers.len() {
+            let tr = &w.transfers[i];
+            if !matches!(tr.phase, TransferPhase::Streaming(_)) {
+                transfer_rates.push(0.0);
+                continue;
+            }
+            let (src, dst) = (tr.src, tr.dst);
+            let (src_spec, dst_spec) =
+                transfer_specs(w.comm_mode, w.cxl_pool, tr.src_numa, tr.dst_numa);
+            let rate_in = w.stream_rate(dst, dst_spec);
+            let rate_out = w.stream_rate(src, src_spec);
+            transfer_rates.push(rate_in.min(rate_out));
+        }
+
+        let mut next = deadline;
+        for (job, &rate) in w.active_jobs.iter().zip(&job_rates) {
+            let rate = rate * GB;
+            if rate > 0.0 {
+                next = next.min(w.time + job.left / rate);
+            }
+        }
+        for (tr, &rate) in w.transfers.iter().zip(&transfer_rates) {
+            match tr.phase {
+                TransferPhase::Pre(t) | TransferPhase::Post(t) => next = next.min(t),
+                TransferPhase::Streaming(bytes) => {
+                    let rate = rate * GB;
+                    if rate > 0.0 {
+                        next = next.min(w.time + bytes / rate);
+                    }
+                }
+            }
+        }
+        if !next.is_finite() || next <= w.time + EPS {
+            next = (w.time + EPS).max(next.min(deadline));
+            if !next.is_finite() {
+                return false;
+            }
+        }
+        let dt = next - w.time;
+
+        for (job, &rate) in w.active_jobs.iter_mut().zip(&job_rates) {
+            let rate = rate * GB;
+            job.left = (job.left - rate * dt).max(0.0);
+        }
+        for (tr, &rate) in w.transfers.iter_mut().zip(&transfer_rates) {
+            if let TransferPhase::Streaming(ref mut bytes) = tr.phase {
+                let rate = rate * GB;
+                *bytes = (*bytes - rate * dt).max(0.0);
+            }
+        }
+        w.time = next;
+
+        let now = w.time;
+        let (comm_mode, cxl_pool) = (w.comm_mode, w.cxl_pool);
+        let World {
+            statuses,
+            jobs,
+            active_jobs,
+            transfers,
+            job_history,
+            transfer_history,
+            node_sets,
+            ..
+        } = w;
+        active_jobs.retain(|job| {
+            if job.left > 1.0 {
+                return true;
+            }
+            *jobs.get_mut(job.id.0).unwrap() = Some(now);
+            if job.history_idx != NO_HISTORY {
+                job_history[job.history_idx].finished_at = Some(now);
+            }
+            node_sets[job.rank].remove_n(StreamSpec::CpuWrite { numa: job.numa }, job.cores);
+            false
+        });
+        let mut finished = Vec::new();
+        for tr in transfers.iter_mut() {
+            let (src_spec, dst_spec) =
+                transfer_specs(comm_mode, cxl_pool, tr.src_numa, tr.dst_numa);
+            match tr.phase {
+                TransferPhase::Pre(t) if t <= now + EPS => {
+                    tr.phase = TransferPhase::Streaming(tr.payload);
+                    node_sets[tr.dst].add(dst_spec);
+                    node_sets[tr.src].add(src_spec);
+                }
+                TransferPhase::Streaming(bytes) if bytes <= 1.0 => {
+                    tr.phase = TransferPhase::Post(now + tr.post_len);
+                    node_sets[tr.dst].remove(dst_spec);
+                    node_sets[tr.src].remove(src_spec);
+                }
+                TransferPhase::Post(t) if t <= now + EPS => {
+                    finished.push((tr.send_req, tr.recv_req));
+                    if tr.history_idx != NO_HISTORY {
+                        transfer_history[tr.history_idx].finished_at = Some(now);
+                    }
+                }
+                _ => {}
+            }
+        }
+        transfers.retain(|tr| !finished.iter().any(|&(s, _)| s == tr.send_req));
+        for (s, r) in finished {
+            set_status(statuses, [s, r], RequestStatus::Complete(now));
+        }
+        true
+    }
+
+    /// Which step function moves a scripted world.
+    #[derive(Debug, Clone, Copy)]
+    enum Stepper {
+        TwoWalk,
+        FourWalk,
+    }
+
+    impl Stepper {
+        fn poll(self, w: &mut World) -> bool {
+            match self {
+                Stepper::TwoWalk => w.poll(),
+                Stepper::FourWalk => four_walk_step_until(w, f64::INFINITY),
+            }
+        }
+
+        /// [`World::advance_by`], with the reference step in its loop.
+        fn advance_by(self, w: &mut World, dt: f64) {
+            let Stepper::FourWalk = self else {
+                return w.advance_by(dt);
+            };
+            let deadline = w.time + dt;
+            while w.time < deadline - EPS {
+                if !four_walk_step_until(w, deadline) {
+                    w.time = deadline;
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Everything a scripted world shows, with times as bits.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        /// `now()` after every scripted op and after the drain.
+        clock: Vec<u64>,
+        requests: Vec<(RequestStatus, u64)>,
+        jobs: Vec<Option<u64>>,
+        stats: WorldSolverStats,
+        history: String,
+    }
+
+    /// Play `ops` on a fresh world of `ranks` ranks, then drain it.
+    /// Each op is `(kind, a, b, size, flag)`: a compute job (zero bytes
+    /// when `flag` is 0), a rendezvous or an eager message (sent before
+    /// its receive is posted when `flag` is odd, truncated when `flag` is
+    /// 3), an `advance_by`, or a few polls.
+    fn play(
+        ranks: usize,
+        cxl: bool,
+        contended: bool,
+        ops: &[(u8, usize, usize, u64, u8)],
+        stepper: Stepper,
+    ) -> Outcome {
+        let platform = if cxl {
+            platforms::henri_cxl()
+        } else {
+            platforms::henri()
+        };
+        let numas = platform.topology.numa_count();
+        let mut w = World::homogeneous(&platform, ranks);
+        if cxl {
+            w.set_comm_mode(CommMode::Cxl).unwrap();
+        }
+        w.set_contended(contended);
+        let (mut reqs, mut jobs, mut clock) = (Vec::new(), Vec::new(), Vec::new());
+        for &(kind, a, b, size, flag) in ops {
+            let (src, numa) = (a % ranks, NumaId::new((b % numas) as u16));
+            match kind {
+                0 => {
+                    let bytes = if flag == 0 { 0 } else { size << 20 };
+                    let cores = 1 + size as usize % 8;
+                    jobs.push(w.start_compute(src, numa, cores, bytes).unwrap());
+                }
+                1 | 2 => {
+                    // Rendezvous payloads up to 16 MiB; eager ones stay
+                    // under the 32 KiB threshold, zero bytes included.
+                    let bytes = if kind == 1 {
+                        (size + 1) << 18
+                    } else {
+                        size << 9
+                    };
+                    let room = if flag == 3 { bytes / 2 } else { bytes };
+                    let dst = (src + 1 + b % (ranks - 1)) % ranks;
+                    let dst_numa = NumaId::new((size as usize % numas) as u16);
+                    let tag = Tag(u32::from(flag));
+                    if flag % 2 == 1 {
+                        reqs.push(w.isend(src, dst, numa, bytes, tag).unwrap());
+                        reqs.push(w.irecv(dst, src, dst_numa, room, tag).unwrap());
+                    } else {
+                        reqs.push(w.irecv(dst, src, dst_numa, room, tag).unwrap());
+                        reqs.push(w.isend(src, dst, numa, bytes, tag).unwrap());
+                    }
+                }
+                3 => stepper.advance_by(&mut w, size as f64 * 1e-4),
+                _ => {
+                    for _ in 0..=size % 4 {
+                        stepper.poll(&mut w);
+                    }
+                }
+            }
+            clock.push(w.now().to_bits());
+        }
+        let mut steps = 0;
+        while stepper.poll(&mut w) {
+            steps += 1;
+            assert!(steps < 100_000, "the world drains");
+        }
+        clock.push(w.now().to_bits());
+        let time_bits = |status: RequestStatus| match status {
+            RequestStatus::Complete(t) => t.to_bits(),
+            _ => 0,
+        };
+        Outcome {
+            clock,
+            requests: reqs
+                .iter()
+                .map(|&r| {
+                    let status = w.status(r).unwrap();
+                    (status, time_bits(status))
+                })
+                .collect(),
+            jobs: jobs
+                .iter()
+                .map(|&j| w.job_status(j).unwrap().map(f64::to_bits))
+                .collect(),
+            stats: w.solver_stats(),
+            history: format!("{:?}\n{:?}", w.transfer_history(), w.job_history()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The two-walk step against the four-walk reference, bit for
+        /// bit: every completion time, the clock after every op, the
+        /// solver counters and both histories. Worlds of 2–8 ranks mix
+        /// compute jobs (some empty) with eager, rendezvous and truncated
+        /// messages, posted between `advance_by`s and polls, in both comm
+        /// modes, contended and against the uncontended baseline.
+        #[test]
+        fn two_walk_step_matches_the_four_walk_reference(
+            ranks in 2usize..9,
+            cxl in 0u8..2,
+            contended in 0u8..2,
+            ops in proptest::collection::vec(
+                (0u8..5, 0usize..8, 0usize..8, 0u64..64, 0u8..4),
+                1..24,
+            ),
+        ) {
+            let run = |stepper| play(ranks, cxl == 1, contended == 1, &ops, stepper);
+            prop_assert_eq!(run(Stepper::TwoWalk), run(Stepper::FourWalk));
+        }
     }
 }

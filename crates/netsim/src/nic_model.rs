@@ -1,8 +1,6 @@
 //! The receive-side NIC model: turns message streams into engine
 //! activities and answers bandwidth questions.
 
-use serde::{Deserialize, Serialize};
-
 use mc_memsim::engine::{Activity, ActivityKind};
 use mc_memsim::fabric::Fabric;
 use mc_topology::NumaId;
@@ -20,7 +18,7 @@ pub struct NicModel {
 }
 
 /// Summary of the NIC's nominal behaviour towards one NUMA node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NominalReceive {
     /// DMA payload rate granted by an otherwise idle fabric, GB/s.
     pub payload_rate: f64,

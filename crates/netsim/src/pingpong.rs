@@ -7,15 +7,13 @@
 //! ping-pongs instead of only pongs)". The `pingpong` example uses this
 //! module to contrast unidirectional and bidirectional behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use mc_memsim::fabric::{Fabric, StreamSpec};
 use mc_topology::NumaId;
 
 use crate::protocol::ProtocolConfig;
 
 /// One point of a ping-pong curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PingPongPoint {
     /// Message size in bytes.
     pub bytes: u64,

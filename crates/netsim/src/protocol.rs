@@ -9,12 +9,10 @@
 //! exchanges 64 MB messages, firmly in rendezvous territory; the eager path
 //! is implemented for completeness (and for the ping-pong example).
 
-use serde::{Deserialize, Serialize};
-
 use mc_topology::NetworkTech;
 
 /// Protocol configuration for one NIC/library pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolConfig {
     /// Messages up to this size (bytes) are sent eagerly.
     pub eager_threshold: u64,
@@ -66,7 +64,7 @@ impl ProtocolConfig {
 }
 
 /// Which protocol path a message takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
     /// Payload piggybacks on the first packet(s).
     Eager,
@@ -77,7 +75,7 @@ pub enum TransferMode {
 /// Timing skeleton of one message transfer. The payload phase streams at
 /// whatever rate the memory fabric grants the DMA flow; the pre/post phases
 /// are fixed latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferPlan {
     /// Protocol path taken.
     pub mode: TransferMode,

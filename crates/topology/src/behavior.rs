@@ -14,10 +14,8 @@
 //! 5. computing cores also contend with *each other*: effective capacity
 //!    decreases slightly for every extra accessor beyond a knee.
 //!
-//! Everything in this module is plain data (serde-serialisable); the engine
+//! Everything in this module is plain data; the engine
 //! lives in `mc-memsim`.
-
-use serde::{Deserialize, Serialize};
 
 /// Effective-capacity description of one memory controller.
 ///
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// `min_capacity_fraction · base_capacity`. A single knee gives the linear
 /// decrease the paper observes on Intel machines (Fig. 2's `δ` slopes); two
 /// knees give the stronger curvature of pyxis' ThunderX2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemCtrlSpec {
     /// Non-temporal store capacity of one controller in GB/s, with few
     /// accessors.
@@ -55,7 +53,7 @@ impl MemCtrlSpec {
 }
 
 /// Per-core streaming behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreStreamSpec {
     /// Single-core non-temporal store bandwidth to a local NUMA node, GB/s
     /// (the paper quotes ≈ 5 GB/s per core).
@@ -86,7 +84,7 @@ impl CoreStreamSpec {
 }
 
 /// How the platform arbitrates between CPU and DMA streams under pressure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArbitrationSpec {
     /// Fraction of the DMA demand that is always guaranteed (the hardware
     /// origin of the paper's `α`). 1.0 means DMA is never throttled (the
@@ -118,7 +116,7 @@ pub struct ArbitrationSpec {
 /// run-to-run variability ("the run-to-run variability is very low",
 /// §IV-B); we reproduce a small multiplicative jitter, seeded so every run
 /// of the test-suite sees identical numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseSpec {
     /// Relative standard deviation of compute-bandwidth measurements.
     pub compute_sigma: f64,
@@ -131,7 +129,7 @@ pub struct NoiseSpec {
 }
 
 /// Full behavioural ground truth of one platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HwBehavior {
     /// Memory-controller behaviour (same spec for every NUMA node of the
     /// machine — all paper platforms are homogeneous).

@@ -10,8 +10,6 @@
 //! ("Modeling the Potential of Message-Free Communication via
 //! CXL.mem").
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{PoolId, SocketId};
 
 /// One CXL.mem pool attached to the node.
@@ -19,7 +17,7 @@ use crate::ids::{PoolId, SocketId};
 /// All bandwidths are GB/s, the latency is in seconds. Every bandwidth
 /// must be finite and positive (enforced by
 /// [`crate::machine::MachineTopology::validate`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CxlPool {
     /// Identifier (also its index in
     /// [`crate::machine::MachineTopology::cxl_pools`]).

@@ -32,13 +32,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{NumaId, PoolId, SocketId};
 use crate::machine::MachineTopology;
 
 /// What kind of hardware component a resource node denotes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// The memory controller of one NUMA node.
     MemCtrl(NumaId),

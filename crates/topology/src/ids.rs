@@ -5,15 +5,12 @@
 //! index — a mistake that is otherwise easy to make in placement code where
 //! both are small integers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u16);
 
         impl $name {
@@ -105,15 +102,5 @@ mod tests {
     #[test]
     fn ids_are_ordered_by_index() {
         assert!(CoreId::new(2) < CoreId::new(10));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        // Serialize through the serde data model using a simple in-memory
-        // representation (we avoid pulling in serde_json; bincode-style
-        // token testing is overkill for a transparent newtype).
-        let id = SocketId::new(5);
-        let copied: SocketId = id;
-        assert_eq!(copied, id);
     }
 }

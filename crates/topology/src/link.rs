@@ -1,6 +1,5 @@
 //! Inter-component links: inter-socket buses and PCIe attachments.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::ids::SocketId;
@@ -9,7 +8,7 @@ use crate::ids::SocketId;
 /// called *Ultra Path Interconnect* (UPI) on Intel, *Infinity Fabric* (IF) on
 /// AMD; ARM ThunderX2 uses *Cavium Coherent Processor Interconnect* (CCPI),
 /// and the older occigen platform uses *QuickPath Interconnect* (QPI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterSocketTech {
     /// Intel Ultra Path Interconnect (Skylake-SP and later).
     Upi,
@@ -34,7 +33,7 @@ impl fmt::Display for InterSocketTech {
 }
 
 /// A PCI Express generation/width, used for the NIC attachment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PcieGen {
     /// PCIe generation (3 or 4 on the paper's platforms).
     pub generation: u8,
@@ -83,7 +82,7 @@ impl fmt::Display for PcieGen {
 /// Capacities are *per direction*: the benchmark only streams data in one
 /// direction at a time (computation writes, communication receives), so the
 /// simulator models each direction as an independent resource.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterSocketLink {
     /// One endpoint.
     pub a: SocketId,

@@ -5,8 +5,6 @@
 //! "does a DMA to this node cross the inter-socket bus?") and enumerates
 //! placement combinations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cxl::CxlPool;
 use crate::error::TopologyError;
 use crate::ids::{NumaId, SocketId};
@@ -14,7 +12,7 @@ use crate::link::{InterSocketLink, InterSocketTech};
 use crate::nic::Nic;
 
 /// One processor package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Socket {
     /// Identifier (also its index in [`MachineTopology::sockets`]).
     pub id: SocketId,
@@ -27,7 +25,7 @@ pub struct Socket {
 }
 
 /// One NUMA node: a memory bank plus its memory controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NumaNode {
     /// Identifier (also its index in [`MachineTopology::numa_nodes`]).
     pub id: NumaId,
@@ -50,7 +48,7 @@ pub struct NumaNode {
 /// * CXL pools are numbered densely, attach to existing sockets, and
 ///   every bandwidth on a link, the NIC, or a pool is finite and
 ///   positive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineTopology {
     /// Machine name (Table I "Name" column).
     pub name: String,
@@ -64,7 +62,6 @@ pub struct MachineTopology {
     pub nic: Nic,
     /// CXL.mem pools attached to the node (usually empty; the paper's
     /// Table I machines have none).
-    #[serde(default)]
     pub cxl_pools: Vec<CxlPool>,
 }
 

@@ -1,6 +1,5 @@
 //! Network interface description: technology, wire rate, attachment point.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::ids::{NumaId, SocketId};
@@ -9,7 +8,7 @@ use crate::link::PcieGen;
 /// High-speed interconnect technologies used by the paper's testbed
 /// (Table I). Only fast networks are considered, "where contention occurs
 /// more".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkTech {
     /// InfiniBand FDR: 56 Gb/s signalling, ≈ 6.8 GB/s payload.
     InfinibandFdr,
@@ -80,7 +79,7 @@ impl fmt::Display for NetworkTech {
 /// the attachment socket is essential: the paper observes (diablo) that
 /// network bandwidth can almost double when the destination buffer is local
 /// to the NIC's socket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Nic {
     /// Interconnect technology.
     pub tech: NetworkTech,

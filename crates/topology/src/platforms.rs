@@ -16,8 +16,6 @@
 //! | pyxis          | 2× Cavium ThunderX2 99xx   | 32    | 2    | InfiniBand EDR |
 //! | occigen        | 2× Intel Xeon E5-2690v4    | 14    | 2    | InfiniBand FDR |
 
-use serde::{Deserialize, Serialize};
-
 use crate::behavior::{ArbitrationSpec, CoreStreamSpec, HwBehavior, MemCtrlSpec, NoiseSpec};
 use crate::cxl::CxlPool;
 use crate::ids::{NumaId, PoolId, SocketId};
@@ -27,7 +25,7 @@ use crate::nic::{NetworkTech, Nic};
 
 /// A complete simulated platform: structural topology plus behavioural
 /// ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Structural description (Table I facts).
     pub topology: MachineTopology,

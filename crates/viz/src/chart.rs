@@ -3,12 +3,10 @@
 //! bandwidth for computations on the right Y-axis (orange), measurements as
 //! markers (● alone, ▼ parallel) and model predictions as lines.
 
-use serde::{Deserialize, Serialize};
-
 use crate::svg::{Scale, Svg};
 
 /// Which Y-axis a series reads on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum YAxis {
     /// Left axis (network bandwidth in the paper).
     Left,
@@ -17,7 +15,7 @@ pub enum YAxis {
 }
 
 /// How a series is drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeriesStyle {
     /// Solid line (model predictions).
     Line,
@@ -30,7 +28,7 @@ pub enum SeriesStyle {
 }
 
 /// One data series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Display name (legend).
     pub label: String,
@@ -45,7 +43,7 @@ pub struct Series {
 }
 
 /// A dual-axis chart description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DualAxisChart {
     /// Title above the plot (the paper writes the placement there).
     pub title: String,

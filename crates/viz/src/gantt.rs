@@ -1,12 +1,10 @@
 //! Gantt charts — execution timelines of overlapped compute phases and
 //! message transfers from the MPI simulator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::svg::{Scale, Svg};
 
 /// One bar on a Gantt row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GanttBar {
     /// Start time, seconds.
     pub t0: f64,
@@ -33,7 +31,7 @@ impl GanttBar {
 }
 
 /// One row (entity) of a Gantt chart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GanttRow {
     /// Row label (e.g. "rank 0 compute").
     pub label: String,
@@ -42,7 +40,7 @@ pub struct GanttRow {
 }
 
 /// A Gantt chart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gantt {
     /// Figure title.
     pub title: String,

@@ -1,12 +1,10 @@
 //! Heatmaps — used for the per-placement prediction-error matrix (an
 //! extended-report-style view the paper's Table II aggregates away).
 
-use serde::{Deserialize, Serialize};
-
 use crate::svg::Svg;
 
 /// A labelled matrix of values rendered as coloured cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Heatmap {
     /// Figure title.
     pub title: String,

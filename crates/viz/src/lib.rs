@@ -4,7 +4,7 @@
 //! regenerate the paper's figures: dual-axis subplots (Figs. 3-8), the
 //! stacked-bandwidth chart (Fig. 2), subplot grids, and a terminal
 //! rendering of the machine diagram (Fig. 1), plus self-contained HTML
-//! run reports ([`HtmlReport`]). No dependencies beyond `serde` and the
+//! run reports ([`HtmlReport`]). The only crate the code uses is the
 //! workspace's own `mc-obs`.
 
 #![warn(missing_docs)]

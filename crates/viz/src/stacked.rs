@@ -7,13 +7,11 @@
 //! `(Nmax_seq, Tmax_seq)`, `(Nmax_seq, Tmax2_par)`, `(1, Bcomp_seq)`) are
 //! marked.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chart::{ALONE_COLOR, COMM_COLOR, COMP_COLOR};
 use crate::svg::{Scale, Svg};
 
 /// One labelled calibration point drawn over the stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkedPoint {
     /// Core count (x).
     pub n: f64,
@@ -24,7 +22,7 @@ pub struct MarkedPoint {
 }
 
 /// Input data of the stacked chart: one entry per core count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackedData {
     /// Chart title.
     pub title: String,

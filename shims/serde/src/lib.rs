@@ -2,15 +2,15 @@
 //!
 //! The build environment has no access to crates.io, and the repository
 //! never serialises through serde at runtime — every persisted artefact
-//! (calibrated models, CSV sweeps) uses hand-rolled text codecs. The
-//! `#[derive(Serialize, Deserialize)]` attributes scattered over the data
-//! types are forward-looking markers only. This shim keeps those derives
-//! compiling: the traits are empty markers with blanket impls and the
-//! derive macros expand to nothing.
+//! (calibrated models, CSV sweeps, JSON lines) uses hand-rolled codecs.
+//! No source in the workspace derives or names these traits any more;
+//! the crate stays only because manifests still list it (perfbench
+//! builds `--locked` against its lock file). The traits are empty markers
+//! with blanket impls and the derive macros expand to nothing.
 //!
 //! If real serialisation is ever needed, replace the `serde` entry in the
-//! workspace `Cargo.toml` with the crates.io dependency — no source
-//! changes required.
+//! workspace `Cargo.toml` with the crates.io dependency and add the
+//! derives where they are wanted.
 
 pub use serde_derive::{Deserialize, Serialize};
 

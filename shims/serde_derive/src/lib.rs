@@ -1,8 +1,8 @@
 //! No-op derive macros backing the offline `serde` shim.
 //!
-//! The repository only uses `#[derive(Serialize, Deserialize)]` as a
-//! marker (all persistence is hand-rolled text/CSV), so the derives can
-//! expand to nothing: the shim traits carry blanket impls.
+//! Nothing in the workspace derives `Serialize` or `Deserialize` any
+//! more (all persistence is hand-rolled text/CSV/JSON lines); the macros
+//! expand to nothing and the shim traits carry blanket impls.
 
 use proc_macro::TokenStream;
 
