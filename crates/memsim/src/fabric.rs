@@ -1,25 +1,47 @@
-//! The fabric: resources and flow construction for a concrete platform.
+//! The fabric: streams, their routes and flow construction for a
+//! concrete platform.
 //!
-//! A [`Fabric`] is built once per [`Platform`]. Given the set of currently
-//! active streams (CPU cores writing to a NUMA node, NIC DMA writing
-//! received data to a NUMA node), it builds the corresponding resource
-//! capacities and flow requests, applies the platform quirks, and runs the
-//! tiered max-min solver to obtain every stream's instantaneous rate.
+//! A [`Fabric`] is built once per [`Platform`]. The resource graph of
+//! `mc-topology` names the capacity-bearing nodes; the fabric is the one
+//! place that knows streams. It routes every [`StreamSpec`] the topology
+//! admits to the ordered node indices the stream occupies, once, into a
+//! path table keyed by the spec. Given the set of currently active
+//! streams (CPU cores writing to a NUMA node, NIC DMA into or out of a
+//! NUMA node, cores moving data through a CXL pool), it builds the
+//! resource capacities and flow requests, applies the platform quirks,
+//! and runs the tiered max-min solver to obtain every stream's
+//! instantaneous rate.
+//!
+//! ## Hop orders
+//!
+//! Routes keep the hop orders of the hardwired builder that predates the
+//! graph, so solves stay bit-identical to it:
+//!
+//! * CPU write: the target's controller, then the inter-socket link when
+//!   the core's socket is not the target's (`CpuWrite` writes from
+//!   socket 0);
+//! * NIC DMA: wire, PCIe, controller, then the link between the NIC's
+//!   socket and the buffer's when they differ — towards the buffer for a
+//!   receive, towards the NIC for a send;
+//! * CXL write: the buffer's controller, the link to the pool's socket
+//!   when they differ, port, pool controller; a CXL read takes the same
+//!   hops in reverse, the link towards the buffer.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use mc_topology::graph::{CapacityRule, ResourceGraph, RouteSpec};
-use mc_topology::{NumaId, Platform, PoolId, SocketId};
+use mc_topology::graph::{CapacityRule, ResourceGraph};
+use mc_topology::{MachineTopology, NumaId, Platform, PoolId, SocketId};
 
+use crate::fxhash::FxMap;
 use crate::solver::{allocate_into, Allocation, FlowClass, FlowSet, SolverScratch};
 
 /// What kind of hardware component a resource index denotes.
 ///
 /// Re-exported from the declarative resource graph in `mc-topology`
-/// ([`mc_topology::graph`]), where the node set and routes of a platform
-/// are now defined; the fabric consumes the graph and keeps the solver
-/// on plain indices.
+/// ([`mc_topology::graph`]), where the node set of a platform is
+/// defined; the fabric routes streams over it and keeps the solver on
+/// plain indices.
 pub use mc_topology::graph::ResourceKind;
 
 /// One active stream, as seen by the fabric.
@@ -174,10 +196,10 @@ impl SolveResult {
     }
 }
 
-/// A flow path as stored in the precomputed path table: at most four
-/// resource indices (NIC wire, PCIe, memory controller, inter-socket
-/// link — or controller, link, CXL port, pool controller), inline so
-/// lookups touch no heap.
+/// A flow path as stored in the path table: at most four resource
+/// indices (NIC wire, PCIe, memory controller, inter-socket link — or
+/// controller, link, CXL port, pool controller), inline so lookups touch
+/// no heap.
 #[derive(Debug, Clone, Copy, Default)]
 struct SmallPath {
     len: u8,
@@ -195,50 +217,49 @@ impl SmallPath {
     }
 }
 
-/// Every flow path the fabric can ever hand to the solver, precomputed at
-/// [`Fabric::new`] per `(StreamSpec kind, source socket, target NUMA)`
-/// by resolving [`RouteSpec`]s against the platform's [`ResourceGraph`].
-/// Replaces the per-solve `HashMap<ResourceKind, usize>` lookups of the
-/// old path builders.
-#[derive(Debug, Clone)]
-struct PathTable {
-    n_numa: usize,
-    /// Memory-controller resource index per NUMA node.
-    ctrl: Vec<u32>,
-    /// CPU write path per `(source socket, target NUMA)`, indexed by
-    /// `socket.index() * n_numa + numa.index()`.
-    cpu: Vec<SmallPath>,
-    /// NIC DMA receive path per target NUMA node.
-    dma_recv: Vec<SmallPath>,
-    /// NIC DMA send (NIC read) path per source NUMA node.
-    dma_send: Vec<SmallPath>,
-    /// CXL pool write path per `(pool, source NUMA)`, indexed by
-    /// `pool.index() * n_numa + numa.index()`. Empty without pools.
-    cxl_write: Vec<SmallPath>,
-    /// CXL pool read path per `(pool, destination NUMA)`, same layout.
-    cxl_read: Vec<SmallPath>,
+/// Index of a node the topology guarantees; panics naming the kind if
+/// the graph lacks it.
+fn node(graph: &ResourceGraph, kind: ResourceKind) -> usize {
+    graph
+        .index_of(kind)
+        .unwrap_or_else(|| panic!("resource graph is missing {kind:?}"))
 }
 
-impl PathTable {
-    fn cpu(&self, socket: SocketId, numa: NumaId) -> &[u32] {
-        self.cpu[socket.index() * self.n_numa + numa.index()].as_slice()
-    }
-
-    fn dma_recv(&self, numa: NumaId) -> &[u32] {
-        self.dma_recv[numa.index()].as_slice()
-    }
-
-    fn dma_send(&self, numa: NumaId) -> &[u32] {
-        self.dma_send[numa.index()].as_slice()
-    }
-
-    fn cxl_write(&self, pool: PoolId, numa: NumaId) -> &[u32] {
-        self.cxl_write[pool.index() * self.n_numa + numa.index()].as_slice()
-    }
-
-    fn cxl_read(&self, pool: PoolId, numa: NumaId) -> &[u32] {
-        self.cxl_read[pool.index() * self.n_numa + numa.index()].as_slice()
-    }
+/// The ordered resource indices `spec` occupies, in the hop orders the
+/// module documents.
+fn route(graph: &ResourceGraph, topo: &MachineTopology, spec: StreamSpec) -> SmallPath {
+    let link = |from: SocketId, to: SocketId| {
+        (from != to).then(|| node(graph, ResourceKind::LinkDir { from, to }))
+    };
+    let home = topo.socket_of_numa(spec.numa());
+    let ctrl = Some(node(graph, ResourceKind::MemCtrl(spec.numa())));
+    let nic = topo.nic.socket;
+    let wire = Some(node(graph, ResourceKind::NicWire));
+    let pcie = Some(node(graph, ResourceKind::Pcie(nic)));
+    let pool_hops = |pool: PoolId| {
+        (
+            topo.cxl_pools[pool.index()].socket,
+            Some(node(graph, ResourceKind::CxlPort(pool))),
+            Some(node(graph, ResourceKind::CxlCtrl(pool))),
+        )
+    };
+    let hops = match spec {
+        StreamSpec::CpuWrite { .. } => [ctrl, link(SocketId::new(0), home), None, None],
+        StreamSpec::CpuWriteFrom { socket, .. } => [ctrl, link(socket, home), None, None],
+        StreamSpec::DmaRecv { .. } => [wire, pcie, ctrl, link(nic, home)],
+        StreamSpec::DmaSend { .. } => [wire, pcie, ctrl, link(home, nic)],
+        StreamSpec::CxlWrite { pool, .. } => {
+            let (attach, port, pool_ctrl) = pool_hops(pool);
+            [ctrl, link(home, attach), port, pool_ctrl]
+        }
+        StreamSpec::CxlRead { pool, .. } => {
+            let (attach, port, pool_ctrl) = pool_hops(pool);
+            [pool_ctrl, port, link(attach, home), ctrl]
+        }
+    };
+    let mut path = SmallPath::default();
+    hops.into_iter().flatten().for_each(|i| path.push(i));
+    path
 }
 
 /// Reusable buffers for [`Fabric::solve_into`]. Holding one per thread (or
@@ -258,7 +279,10 @@ pub struct FabricScratch {
 pub struct Fabric {
     platform: Arc<Platform>,
     graph: ResourceGraph,
-    paths: PathTable,
+    /// Memory-controller resource index per NUMA node.
+    ctrl: Vec<u32>,
+    /// The flow path of every stream spec the topology admits.
+    paths: FxMap<StreamSpec, SmallPath>,
 }
 
 impl Fabric {
@@ -270,71 +294,46 @@ impl Fabric {
 
     /// Build the fabric around a shared platform without cloning it.
     ///
-    /// The node set comes from [`ResourceGraph::for_topology`] and every
-    /// path the solver can ever see is resolved here, once, via
-    /// [`ResourceGraph::route`]. The graph preserves the historical node
-    /// emission and hop orders (see its module docs), so solves on
-    /// platforms without CXL pools stay bit-identical to the old
-    /// hardwired builder.
+    /// The node set comes from [`ResourceGraph::for_topology`], and every
+    /// path the solver can ever see is routed here, once: for each NUMA
+    /// node, a CPU write from socket 0 and from every socket, a DMA
+    /// receive and send, and a CXL write and read per pool. The graph
+    /// keeps the historical node order and the routes the historical hop
+    /// orders, so solves on platforms without CXL pools stay
+    /// bit-identical to the old hardwired builder.
     pub fn from_arc(platform: Arc<Platform>) -> Self {
         let topo = &platform.topology;
         let graph = ResourceGraph::for_topology(topo);
-
-        let n_numa = topo.numa_ids().count();
-        let n_sockets = topo.sockets.len();
-        let n_pools = topo.cxl_pools.len();
-        let mut hops: Vec<u32> = Vec::with_capacity(4);
-        let mut resolve = |spec: RouteSpec| -> SmallPath {
-            hops.clear();
-            graph.route(topo, spec, &mut hops);
-            let mut path = SmallPath::default();
-            for &i in &hops {
-                path.push(i as usize);
-            }
-            path
-        };
-
-        let mut ctrl = Vec::with_capacity(n_numa);
-        let mut dma_recv = Vec::with_capacity(n_numa);
-        let mut dma_send = Vec::with_capacity(n_numa);
-        let mut cpu = Vec::with_capacity(n_sockets * n_numa);
-        for s in 0..n_sockets {
-            let socket = SocketId::new(s as u16);
-            for numa in topo.numa_ids() {
-                cpu.push(resolve(RouteSpec::CpuWrite { socket, numa }));
-            }
-        }
+        let ctrl = topo
+            .numa_ids()
+            .map(|numa| node(&graph, ResourceKind::MemCtrl(numa)) as u32)
+            .collect();
+        let mut paths = FxMap::default();
         for numa in topo.numa_ids() {
-            dma_recv.push(resolve(RouteSpec::DmaRecv { numa }));
-            dma_send.push(resolve(RouteSpec::DmaSend { numa }));
-        }
-        let mut cxl_write = Vec::with_capacity(n_pools * n_numa);
-        let mut cxl_read = Vec::with_capacity(n_pools * n_numa);
-        for pool in topo.cxl_pools.iter().map(|p| p.id) {
-            for numa in topo.numa_ids() {
-                cxl_write.push(resolve(RouteSpec::CxlWrite { numa, pool }));
-                cxl_read.push(resolve(RouteSpec::CxlRead { numa, pool }));
+            let fixed = [
+                StreamSpec::CpuWrite { numa },
+                StreamSpec::DmaRecv { numa },
+                StreamSpec::DmaSend { numa },
+            ];
+            let cpu = topo
+                .sockets
+                .iter()
+                .map(|s| StreamSpec::CpuWriteFrom { socket: s.id, numa });
+            let cxl = topo.cxl_pools.iter().flat_map(|p| {
+                [
+                    StreamSpec::CxlWrite { numa, pool: p.id },
+                    StreamSpec::CxlRead { numa, pool: p.id },
+                ]
+            });
+            for spec in fixed.into_iter().chain(cpu).chain(cxl) {
+                paths.insert(spec, route(&graph, topo, spec));
             }
         }
-        for numa in topo.numa_ids() {
-            let ctrl_idx = graph
-                .index_of(ResourceKind::MemCtrl(numa))
-                .expect("every NUMA node has a controller");
-            ctrl.push(ctrl_idx as u32);
-        }
-
         Fabric {
             platform,
             graph,
-            paths: PathTable {
-                n_numa,
-                ctrl,
-                cpu,
-                dma_recv,
-                dma_send,
-                cxl_write,
-                cxl_read,
-            },
+            ctrl,
+            paths,
         }
     }
 
@@ -377,7 +376,7 @@ impl Fabric {
     /// `scratch.cpu_on` / `scratch.dma_on`).
     fn capacities_into(&self, streams: &[StreamSpec], scratch: &mut FabricScratch) {
         let behavior = &self.platform.behavior;
-        let n_numa = self.paths.n_numa;
+        let n_numa = self.ctrl.len();
         scratch.cpu_on.clear();
         scratch.cpu_on.resize(n_numa, 0);
         scratch.dma_on.clear();
@@ -422,61 +421,26 @@ impl Fabric {
         flows.clear();
 
         for s in streams {
+            let path = self.paths[s].as_slice();
             match *s {
-                StreamSpec::CpuWrite { numa } => {
-                    let local = topo.is_local(SocketId::new(0), numa);
+                StreamSpec::CpuWrite { numa } | StreamSpec::CpuWriteFrom { numa, .. } => {
+                    let local = s.cpu_socket().is_some_and(|c| topo.is_local(c, numa));
                     let demand = behavior.core_stream.demand(n_cpu, local) * cpu_scale;
-                    flows.push(
-                        FlowClass::Cpu,
-                        demand,
-                        0.0,
-                        self.paths.cpu(SocketId::new(0), numa),
-                    );
+                    flows.push(FlowClass::Cpu, demand, 0.0, path);
                 }
-                StreamSpec::CpuWriteFrom { socket, numa } => {
-                    let local = topo.is_local(socket, numa);
-                    let demand = behavior.core_stream.demand(n_cpu, local) * cpu_scale;
-                    flows.push(FlowClass::Cpu, demand, 0.0, self.paths.cpu(socket, numa));
-                }
-                StreamSpec::DmaRecv { numa } => {
+                StreamSpec::DmaRecv { numa } | StreamSpec::DmaSend { numa } => {
                     let demand = self.dma_demand(numa);
                     let floor = behavior.arbitration.dma_floor_fraction * demand;
                     let capped =
                         self.dma_pressure_cap(streams, caps, numa, demand, floor, cpu_scale);
-                    flows.push(
-                        FlowClass::Dma,
-                        capped,
-                        floor.min(capped),
-                        self.paths.dma_recv(numa),
-                    );
-                }
-                StreamSpec::DmaSend { numa } => {
-                    let demand = self.dma_demand(numa);
-                    let floor = behavior.arbitration.dma_floor_fraction * demand;
-                    let capped =
-                        self.dma_pressure_cap(streams, caps, numa, demand, floor, cpu_scale);
-                    flows.push(
-                        FlowClass::Dma,
-                        capped,
-                        floor.min(capped),
-                        self.paths.dma_send(numa),
-                    );
+                    flows.push(FlowClass::Dma, capped, floor.min(capped), path);
                 }
                 // CXL pool streams are core-issued, so they compete in the
                 // CPU class: no arbitration floor, no issue-pressure cap.
                 // Their demand is the pool's per-stream sustainable rate.
-                StreamSpec::CxlWrite { numa, pool } => {
+                StreamSpec::CxlWrite { pool, .. } | StreamSpec::CxlRead { pool, .. } => {
                     let demand = topo.cxl_pools[pool.index()].stream_bandwidth;
-                    flows.push(
-                        FlowClass::Cpu,
-                        demand,
-                        0.0,
-                        self.paths.cxl_write(pool, numa),
-                    );
-                }
-                StreamSpec::CxlRead { numa, pool } => {
-                    let demand = topo.cxl_pools[pool.index()].stream_bandwidth;
-                    flows.push(FlowClass::Cpu, demand, 0.0, self.paths.cxl_read(pool, numa));
+                    flows.push(FlowClass::Cpu, demand, 0.0, path);
                 }
             }
         }
@@ -560,7 +524,7 @@ impl Fabric {
         let mut n_domains = 0;
         // Target memory controller: pressure from CPU streams writing to
         // the same node, delivery-capped when they cross the link.
-        let ctrl = self.paths.ctrl[numa.index()] as usize;
+        let ctrl = self.ctrl[numa.index()] as usize;
         let mc_pressure = grouped_pressure(target_socket, &|s| s.numa() == numa);
         domains[n_domains] = (capacities[ctrl], mc_pressure * cross_factor);
         n_domains += 1;
@@ -668,16 +632,6 @@ impl Fabric {
             v.push(StreamSpec::DmaRecv { numa: mm });
         }
         v
-    }
-}
-
-/// Check that `FlowClass` mapping matches `StreamSpec` (compile-time
-/// assurance for maintainers; used in tests).
-pub fn class_of(stream: &StreamSpec) -> FlowClass {
-    if stream.is_dma() {
-        FlowClass::Dma
-    } else {
-        FlowClass::Cpu
     }
 }
 
@@ -956,30 +910,6 @@ mod tests {
     }
 
     #[test]
-    fn class_of_matches_stream_kind() {
-        assert_eq!(
-            class_of(&StreamSpec::CpuWrite {
-                numa: NumaId::new(0)
-            }),
-            FlowClass::Cpu
-        );
-        assert_eq!(
-            class_of(&StreamSpec::DmaRecv {
-                numa: NumaId::new(0)
-            }),
-            FlowClass::Dma
-        );
-        // CXL pool streams are core-issued: CPU class.
-        assert_eq!(
-            class_of(&StreamSpec::CxlRead {
-                numa: NumaId::new(0),
-                pool: PoolId::new(0)
-            }),
-            FlowClass::Cpu
-        );
-    }
-
-    #[test]
     fn cxl_platforms_grow_port_and_pool_resources() {
         let p = platforms::henri_cxl();
         let f = Fabric::new(&p);
@@ -1082,6 +1012,74 @@ mod tests {
         );
     }
 
+    /// The hops the fabric hands the solver for one stream.
+    fn path_of(f: &Fabric, s: StreamSpec) -> Vec<u32> {
+        f.paths[&s].as_slice().to_vec()
+    }
+
+    #[test]
+    fn cxl_routes_pin_their_hops_on_every_pool_and_numa_node() {
+        // Both platforms share one layout: controllers 0 and 1, link
+        // 0->1 at 2 and 1->0 at 3, PCIe 4, wire 5, then the pool's port
+        // 6 and controller 7. The pool hangs off socket 0.
+        for p in [platforms::henri_cxl(), platforms::dahu_cxl()] {
+            let f = Fabric::new(&p);
+            assert_eq!(p.topology.cxl_pools.len(), 1, "{}", p.name());
+            assert_eq!(p.topology.numa_count(), 2, "{}", p.name());
+            let pool = PoolId::new(0);
+            for (m, write, read) in [
+                (0, [0, 6, 7].as_slice(), [7, 6, 0].as_slice()),
+                (1, &[1, 3, 6, 7], &[7, 6, 2, 1]),
+            ] {
+                let numa = NumaId::new(m);
+                assert_eq!(
+                    path_of(&f, StreamSpec::CxlWrite { numa, pool }),
+                    write,
+                    "{}: write {m}",
+                    p.name()
+                );
+                assert_eq!(
+                    path_of(&f, StreamSpec::CxlRead { numa, pool }),
+                    read,
+                    "{}: read {m}",
+                    p.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cxl_routes_cross_the_link_only_when_needed() {
+        let p = platforms::henri_cxl();
+        let f = Fabric::new(&p);
+        let pool = p.topology.cxl_pools[0].id;
+        // Pool attached to socket 0; a buffer on numa 0 stays on-socket.
+        let local = path_of(
+            &f,
+            StreamSpec::CxlWrite {
+                numa: NumaId::new(0),
+                pool,
+            },
+        );
+        assert_eq!(local.len(), 3);
+        // A buffer on numa 1 (socket 1) crosses the inter-socket link.
+        let remote = path_of(
+            &f,
+            StreamSpec::CxlRead {
+                numa: NumaId::new(1),
+                pool,
+            },
+        );
+        assert_eq!(remote.len(), 4);
+        let link = f
+            .resource_index(ResourceKind::LinkDir {
+                from: SocketId::new(0),
+                to: SocketId::new(1),
+            })
+            .unwrap() as u32;
+        assert!(remote.contains(&link));
+    }
+
     /// Rebuild a fabric whose path table comes from the pre-graph
     /// hardwired builder (the construction `Fabric::from_arc` used
     /// before the resource graph existed), so the tests below can pin
@@ -1157,18 +1155,23 @@ mod tests {
             }
             dma_send.push(send);
         }
+        let mut paths = FxMap::default();
+        for numa in topo.numa_ids() {
+            let m = numa.index();
+            // `CpuWrite` writes from socket 0: the first row.
+            paths.insert(StreamSpec::CpuWrite { numa }, cpu[m]);
+            for socket in topo.sockets.iter().map(|s| s.id) {
+                let path = cpu[socket.index() * n_numa + m];
+                paths.insert(StreamSpec::CpuWriteFrom { socket, numa }, path);
+            }
+            paths.insert(StreamSpec::DmaRecv { numa }, dma_recv[m]);
+            paths.insert(StreamSpec::DmaSend { numa }, dma_send[m]);
+        }
         Fabric {
             platform,
             graph,
-            paths: PathTable {
-                n_numa,
-                ctrl,
-                cpu,
-                dma_recv,
-                dma_send,
-                cxl_write: Vec::new(),
-                cxl_read: Vec::new(),
-            },
+            ctrl,
+            paths,
         }
     }
 
@@ -1178,30 +1181,13 @@ mod tests {
             let name = p.topology.name.clone();
             let f = Fabric::new(&p);
             let l = legacy_fabric(&p);
-            assert_eq!(f.paths.ctrl, l.paths.ctrl, "{name}: ctrl");
-            let n_numa = f.paths.n_numa;
-            for s in 0..p.topology.sockets.len() {
-                for m in 0..n_numa {
-                    let (socket, numa) = (SocketId::new(s as u16), NumaId::new(m as u16));
-                    assert_eq!(
-                        f.paths.cpu(socket, numa),
-                        l.paths.cpu(socket, numa),
-                        "{name}: cpu {s}->{m}"
-                    );
-                }
-            }
-            for m in 0..n_numa {
-                let numa = NumaId::new(m as u16);
-                assert_eq!(
-                    f.paths.dma_recv(numa),
-                    l.paths.dma_recv(numa),
-                    "{name}: recv {m}"
-                );
-                assert_eq!(
-                    f.paths.dma_send(numa),
-                    l.paths.dma_send(numa),
-                    "{name}: send {m}"
-                );
+            assert_eq!(f.ctrl, l.ctrl, "{name}: ctrl");
+            // Every DRAM and NIC spec the legacy builder knew; the fabric
+            // adds only the CXL specs on top.
+            let cxl = f.paths.keys().filter(|s| s.pool().is_some()).count();
+            assert_eq!(f.paths.len(), l.paths.len() + cxl, "{name}: specs");
+            for (&spec, legacy) in &l.paths {
+                assert_eq!(path_of(&f, spec), legacy.as_slice(), "{name}: {spec:?}");
             }
         }
     }

@@ -1,22 +1,17 @@
 //! The declarative resource graph: every capacity-bearing hardware
-//! component of a platform as a named node, plus the routes streams
-//! take through them.
+//! component of a platform as a named node with its capacity rule.
 //!
-//! Historically the simulator hardwired its resource kinds and built
-//! flow paths inline in `Fabric::new`, so adding a new link or memory
-//! type meant editing the solver's plumbing. The graph inverts that:
-//! [`ResourceGraph::for_topology`] enumerates the nodes (each with a
-//! [`CapacityRule`] saying how its effective capacity is computed) and
-//! [`ResourceGraph::route`] resolves a stream's contention footprint —
-//! the ordered list of node indices it occupies — from a declarative
-//! [`RouteSpec`]. The progressive-filling solver downstream consumes
-//! plain indices and never learns what a node *is*.
+//! [`ResourceGraph::for_topology`] enumerates the nodes of a
+//! [`MachineTopology`], each a [`ResourceKind`] with a [`CapacityRule`]
+//! saying how its effective capacity is computed. The graph knows
+//! nothing of streams: `mc_memsim::fabric` routes each stream to the
+//! ordered node indices it occupies, and the progressive-filling solver
+//! downstream consumes plain indices and never learns what a node *is*.
 //!
 //! ## Bit-identity invariants
 //!
-//! The node emission order and the per-route hop order reproduce the
-//! historical hardwired builders exactly, so solves on pre-existing
-//! platforms stay bit-identical:
+//! The node emission order reproduces the historical hardwired builder
+//! exactly, so solves on pre-existing platforms stay bit-identical:
 //!
 //! * nodes: one `MemCtrl` per NUMA node (machine order), then two
 //!   `LinkDir` per inter-socket link (a→b, then b→a), then
@@ -24,9 +19,6 @@
 //!   those, CXL ports/controllers (two nodes per pool, port before
 //!   controller), so platforms without pools get the same indices as
 //!   before the graph existed;
-//! * routes: controller first for CPU writes (link second when the
-//!   write crosses sockets); wire, PCIe, controller, then link for NIC
-//!   DMA;
 //! * `Fixed` capacities are evaluated here with the same expressions
 //!   the legacy builder used, so the floats are identical to the bit.
 
@@ -77,50 +69,7 @@ pub struct ResourceNode {
     pub capacity: CapacityRule,
 }
 
-/// A stream's endpoint pair, declaratively: the graph resolves it to
-/// the ordered node indices the stream occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteSpec {
-    /// Cores on `socket` issuing stores to the DRAM of `numa`.
-    CpuWrite {
-        /// Socket hosting the cores.
-        socket: SocketId,
-        /// Target NUMA node.
-        numa: NumaId,
-    },
-    /// The NIC DMA engine writing received data into `numa`.
-    DmaRecv {
-        /// NUMA node holding the receive buffer.
-        numa: NumaId,
-    },
-    /// The NIC DMA engine reading outgoing data from `numa`.
-    DmaSend {
-        /// NUMA node holding the send buffer.
-        numa: NumaId,
-    },
-    /// A core pushing a message from its buffer on `numa` into a CXL
-    /// pool: local controller, the inter-socket link when the buffer's
-    /// socket is not the pool's attach point, then port and pool
-    /// controller.
-    CxlWrite {
-        /// NUMA node holding the source buffer.
-        numa: NumaId,
-        /// Destination pool.
-        pool: PoolId,
-    },
-    /// A core pulling a message from a CXL pool into its buffer on
-    /// `numa`: pool controller, port, link when crossing, then the
-    /// local controller.
-    CxlRead {
-        /// NUMA node holding the destination buffer.
-        numa: NumaId,
-        /// Source pool.
-        pool: PoolId,
-    },
-}
-
-/// The resource graph of one machine. Build once per platform; route
-/// resolution is intended for `Fabric` build time, not per solve.
+/// The resource graph of one machine. Build once per platform.
 #[derive(Debug, Clone)]
 pub struct ResourceGraph {
     nodes: Vec<ResourceNode>,
@@ -199,70 +148,6 @@ impl ResourceGraph {
     pub fn index_of(&self, kind: ResourceKind) -> Option<usize> {
         self.index.get(&kind).copied()
     }
-
-    fn require(&self, kind: ResourceKind) -> usize {
-        self.index_of(kind)
-            .unwrap_or_else(|| panic!("resource graph is missing {kind:?}"))
-    }
-
-    fn link_dir(&self, from: SocketId, to: SocketId) -> usize {
-        self.require(ResourceKind::LinkDir { from, to })
-    }
-
-    /// Resolve a route to the ordered node indices the stream occupies,
-    /// appended to `out`. Hop order follows the module invariants.
-    pub fn route(&self, topo: &MachineTopology, spec: RouteSpec, out: &mut Vec<u32>) {
-        let push = |out: &mut Vec<u32>, i: usize| out.push(i as u32);
-        match spec {
-            RouteSpec::CpuWrite { socket, numa } => {
-                push(out, self.require(ResourceKind::MemCtrl(numa)));
-                let target = topo.socket_of_numa(numa);
-                if target != socket {
-                    push(out, self.link_dir(socket, target));
-                }
-            }
-            RouteSpec::DmaRecv { numa } => {
-                let nic_socket = topo.nic.socket;
-                push(out, self.require(ResourceKind::NicWire));
-                push(out, self.require(ResourceKind::Pcie(nic_socket)));
-                push(out, self.require(ResourceKind::MemCtrl(numa)));
-                let target = topo.socket_of_numa(numa);
-                if target != nic_socket {
-                    push(out, self.link_dir(nic_socket, target));
-                }
-            }
-            RouteSpec::DmaSend { numa } => {
-                let nic_socket = topo.nic.socket;
-                push(out, self.require(ResourceKind::NicWire));
-                push(out, self.require(ResourceKind::Pcie(nic_socket)));
-                push(out, self.require(ResourceKind::MemCtrl(numa)));
-                let target = topo.socket_of_numa(numa);
-                if target != nic_socket {
-                    push(out, self.link_dir(target, nic_socket));
-                }
-            }
-            RouteSpec::CxlWrite { numa, pool } => {
-                push(out, self.require(ResourceKind::MemCtrl(numa)));
-                let src = topo.socket_of_numa(numa);
-                let attach = topo.cxl_pools[pool.index()].socket;
-                if src != attach {
-                    push(out, self.link_dir(src, attach));
-                }
-                push(out, self.require(ResourceKind::CxlPort(pool)));
-                push(out, self.require(ResourceKind::CxlCtrl(pool)));
-            }
-            RouteSpec::CxlRead { numa, pool } => {
-                push(out, self.require(ResourceKind::CxlCtrl(pool)));
-                push(out, self.require(ResourceKind::CxlPort(pool)));
-                let dst = topo.socket_of_numa(numa);
-                let attach = topo.cxl_pools[pool.index()].socket;
-                if dst != attach {
-                    push(out, self.link_dir(attach, dst));
-                }
-                push(out, self.require(ResourceKind::MemCtrl(numa)));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -334,37 +219,5 @@ mod tests {
                 other => panic!("unexpected node {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn cxl_routes_cross_the_link_only_when_needed() {
-        let p = platforms::henri_cxl();
-        let topo = &p.topology;
-        let g = ResourceGraph::for_topology(topo);
-        let pool = topo.cxl_pools[0].id;
-        // Pool attached to socket 0; a buffer on numa 0 stays on-socket.
-        let mut local = Vec::new();
-        g.route(
-            topo,
-            RouteSpec::CxlWrite {
-                numa: NumaId::new(0),
-                pool,
-            },
-            &mut local,
-        );
-        assert_eq!(local.len(), 3);
-        // A buffer on numa 1 (socket 1) crosses the inter-socket link.
-        let mut remote = Vec::new();
-        g.route(
-            topo,
-            RouteSpec::CxlRead {
-                numa: NumaId::new(1),
-                pool,
-            },
-            &mut remote,
-        );
-        assert_eq!(remote.len(), 4);
-        let link = g.link_dir(SocketId::new(0), SocketId::new(1)) as u32;
-        assert!(remote.contains(&link));
     }
 }

@@ -39,7 +39,7 @@ pub use behavior::{ArbitrationSpec, CoreStreamSpec, HwBehavior, MemCtrlSpec, Noi
 pub use builder::PlatformBuilder;
 pub use cxl::CxlPool;
 pub use error::TopologyError;
-pub use graph::{CapacityRule, ResourceGraph, ResourceKind, ResourceNode, RouteSpec};
+pub use graph::{CapacityRule, ResourceGraph, ResourceKind, ResourceNode};
 pub use ids::{CoreId, LinkId, NumaId, PoolId, SocketId};
 pub use link::{InterSocketLink, InterSocketTech, PcieGen};
 pub use machine::{MachineTopology, NumaNode, Socket};
