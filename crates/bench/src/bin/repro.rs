@@ -14,6 +14,7 @@ use mc_cli::exports::Exports;
 use mc_cli::{Args, CliError};
 use mc_membench::{Backend, BenchConfig, PlatformSweep};
 use mc_model::McError;
+use mc_obs::tags;
 use mc_topology::platforms;
 
 /// Usage text. Its synopsis (`  repro TARGET...` and the lines it
@@ -156,7 +157,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         if wants(&format!("fig{fig}")) {
             let _span = mc_obs::span(
                 "repro.figure",
-                &[("figure", mc_obs::TagValue::U64(fig as u64))],
+                &[(tags::FIGURE, mc_obs::TagValue::U64(fig as u64))],
             );
             run_figure(fig, config, out_dir)?;
         }

@@ -3,8 +3,8 @@
 //! predictions).
 
 use mc_membench::{calibration_placements, sweep_platform_parallel, BenchConfig, PlatformSweep};
-use mc_memsim::engine::{Activity, ActivityKind, Engine};
-use mc_memsim::fabric::Fabric;
+use mc_memsim::engine::{Activity, Engine};
+use mc_memsim::fabric::{Fabric, StreamSpec};
 use mc_model::ContentionModel;
 use mc_model::Mape;
 use mc_model::McError;
@@ -323,15 +323,14 @@ pub fn timeline_figure() -> DualAxisChart {
     // One new core joins every 20 ms.
     let mut acts: Vec<Activity> = (0..platform.max_compute_cores())
         .map(|i| Activity {
-            kind: ActivityKind::Compute {
-                numa,
-                bytes_per_pass: 64e6,
-                pass_overhead: 2e-6,
-            },
+            spec: StreamSpec::CpuWrite { numa },
+            unit_bytes: 64e6,
+            lead: 0.0,
+            tail: 2e-6,
             start: i as f64 * 0.02,
         })
         .collect();
-    acts.push(nic.receive_activity(numa, 64 << 20, 0.0));
+    acts.push(nic.activity(StreamSpec::DmaRecv { numa }, 64 << 20, 0.0));
     let (_, trace) = Engine::new(&fabric).run_traced(&acts, 0.0, 0.40);
 
     // Events can land inside the µs-scale rendezvous/gap windows where the

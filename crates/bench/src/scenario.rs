@@ -180,7 +180,8 @@ fn mixed_queue(jobs: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-/// `schedule`: one BENCH_4 row. Schedules [`mixed_queue`] with all
+/// `schedule`: one BENCH_4 row. Schedules an adversarial mixed queue
+/// (comm-heavy shuffles alternating with compute-heavy solvers) with all
 /// three policies on an identical fleet and reports each policy's
 /// makespan, throughput and threshold violations, plus the
 /// contention-aware speedup over the naive baselines.

@@ -14,6 +14,7 @@ use std::process::ExitCode;
 
 use mc_cli::exports::Exports;
 use mc_cli::{run, Args, CliError};
+use mc_obs::tags;
 
 fn fail(e: &CliError) -> ExitCode {
     if e.is_usage() {
@@ -38,7 +39,7 @@ fn main() -> ExitCode {
         exports.around(report, || {
             let _span = mc_obs::span(
                 "memcontend",
-                &[("command", mc_obs::TagValue::Str(&args.command))],
+                &[(tags::COMMAND, mc_obs::TagValue::Str(&args.command))],
             );
             // Printed before the exports are written, so a failed export
             // still leaves the command's output behind.

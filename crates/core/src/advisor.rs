@@ -8,7 +8,7 @@
 //! the advisor scores every `(n, m_comp, m_comm)` choice by a **two-phase
 //! makespan**: both streams progress at the *contended* bandwidths the
 //! model predicts until the shorter one finishes, after which the survivor
-//! speeds up to its *alone* bandwidth — the transient Langguth et al. [13]
+//! speeds up to its *alone* bandwidth — the transient Langguth et al. \[13\]
 //! model and the paper's §V discussion describe. The configuration with
 //! the smallest makespan wins.
 

@@ -6,6 +6,7 @@
 //! the model […] are computed."
 
 use mc_membench::record::{PlacementSweep, SweepColumn};
+use mc_obs::tags;
 
 use crate::params::{ModelParams, ParamError};
 
@@ -168,8 +169,8 @@ fn checked_points(
 /// same NUMA node — for the parameters to mean what the model expects).
 pub fn calibrate(sweep: &PlacementSweep) -> Result<ModelParams, CalibrationError> {
     let tags = [
-        ("m_comp", mc_obs::TagValue::U64(sweep.m_comp.0 as u64)),
-        ("m_comm", mc_obs::TagValue::U64(sweep.m_comm.0 as u64)),
+        (tags::M_COMP, mc_obs::TagValue::U64(sweep.m_comp.0 as u64)),
+        (tags::M_COMM, mc_obs::TagValue::U64(sweep.m_comm.0 as u64)),
     ];
     let _span = mc_obs::span("calibrate", &tags);
     let result = calibrate_inner(sweep);
@@ -177,7 +178,7 @@ pub fn calibrate(sweep: &PlacementSweep) -> Result<ModelParams, CalibrationError
         if let Err(e) = &result {
             rec.add(
                 "calibrate.rejects",
-                &[("reason", mc_obs::TagValue::Str(e.reason()))],
+                &[(tags::REASON, mc_obs::TagValue::Str(e.reason()))],
                 1,
             );
         }
@@ -191,14 +192,14 @@ fn calibrate_inner(sweep: &PlacementSweep) -> Result<ModelParams, CalibrationErr
         if repairs.unsorted {
             rec.add(
                 "calibrate.repairs",
-                &[("rule", mc_obs::TagValue::Str("unsorted"))],
+                &[(tags::RULE, mc_obs::TagValue::Str("unsorted"))],
                 1,
             );
         }
         if repairs.duplicates_collapsed > 0 {
             rec.add(
                 "calibrate.repairs",
-                &[("rule", mc_obs::TagValue::Str("duplicate-collapsed"))],
+                &[(tags::RULE, mc_obs::TagValue::Str("duplicate-collapsed"))],
                 repairs.duplicates_collapsed,
             );
         }

@@ -6,6 +6,7 @@
 //! to instantiate the model ("samples") versus all others ("non-samples").
 
 use mc_membench::record::PlatformSweep;
+use mc_obs::tags;
 use mc_topology::NumaId;
 
 use crate::predictor::BandwidthPredictor;
@@ -115,8 +116,8 @@ pub fn evaluate(
     let _span = mc_obs::span(
         "evaluate",
         &[
-            ("platform", mc_obs::TagValue::Str(&sweep.platform)),
-            ("predictor", mc_obs::TagValue::Str(predictor.name())),
+            (tags::PLATFORM, mc_obs::TagValue::Str(&sweep.platform)),
+            (tags::PREDICTOR, mc_obs::TagValue::Str(predictor.name())),
         ],
     );
     let rec = mc_obs::recorder();
@@ -149,8 +150,14 @@ pub fn evaluate(
         }
         if let Some(rec) = &rec {
             let tags = [
-                ("m_comp", mc_obs::TagValue::U64(placement.m_comp.0 as u64)),
-                ("m_comm", mc_obs::TagValue::U64(placement.m_comm.0 as u64)),
+                (
+                    tags::M_COMP,
+                    mc_obs::TagValue::U64(placement.m_comp.0 as u64),
+                ),
+                (
+                    tags::M_COMM,
+                    mc_obs::TagValue::U64(placement.m_comm.0 as u64),
+                ),
             ];
             // Empty buckets carry no error (not a perfect 0 %): skip them
             // rather than export NaN.
@@ -173,7 +180,7 @@ pub fn evaluate(
         if let Some(rec) = &rec {
             rec.add(
                 "evaluate.skipped_pairs",
-                &[("platform", mc_obs::TagValue::Str(&sweep.platform))],
+                &[(tags::PLATFORM, mc_obs::TagValue::Str(&sweep.platform))],
                 skipped as u64,
             );
         }

@@ -50,8 +50,9 @@ impl SparseCalibration {
 /// Run the adaptive calibration protocol for one placement.
 ///
 /// Measures `n = 1, 2, …` until both the compute-alone and the stacked
-/// parallel bandwidth have declined for [`PEAK_CONFIRM`] consecutive
-/// points, then measures only the final core count (needed for `δr`).
+/// parallel bandwidth have declined for two consecutive points
+/// (`PEAK_CONFIRM`), then measures only the final core count (needed for
+/// `δr`).
 pub fn calibrate_sparse(
     runner: &BenchRunner,
     m_comp: NumaId,

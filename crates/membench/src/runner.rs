@@ -12,11 +12,12 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use mc_memsim::delta::DeltaSolver;
-use mc_memsim::engine::{Activity, ActivityKind, Engine, SolverStats};
+use mc_memsim::engine::{Activity, Engine, SolverStats};
 use mc_memsim::fabric::{Fabric, StreamSpec};
 use mc_memsim::fxhash::FxMap;
 use mc_memsim::noise::Noise;
 use mc_netsim::nic_model::NicModel;
+use mc_obs::tags;
 use mc_topology::{NumaId, Platform};
 
 use crate::config::{Backend, BenchConfig};
@@ -131,7 +132,7 @@ impl BenchRunner {
     ) -> f64 {
         if let Some(&raw) = memo.borrow().get(&key) {
             if let Some(rec) = mc_obs::recorder() {
-                let tags = [("platform", mc_obs::TagValue::Str(self.platform.name()))];
+                let tags = [(tags::PLATFORM, mc_obs::TagValue::Str(self.platform.name()))];
                 rec.add("sweep.alone_reused", &tags, 1);
             }
             return raw;
@@ -253,9 +254,9 @@ impl BenchRunner {
         let (comp_par, comm_par) = self.parallel(n, m_comp, m_comm);
         if let (Some(t0), Some(rec)) = (t0, mc_obs::recorder()) {
             let tags = [
-                ("platform", mc_obs::TagValue::Str(self.platform.name())),
-                ("m_comp", mc_obs::TagValue::U64(m_comp.0 as u64)),
-                ("m_comm", mc_obs::TagValue::U64(m_comm.0 as u64)),
+                (tags::PLATFORM, mc_obs::TagValue::Str(self.platform.name())),
+                (tags::M_COMP, mc_obs::TagValue::U64(m_comp.0 as u64)),
+                (tags::M_COMM, mc_obs::TagValue::U64(m_comm.0 as u64)),
             ];
             rec.add("sweep.points", &tags, 1);
             rec.observe("sweep.point_seconds", &tags, t0.elapsed().as_secs_f64());
@@ -285,28 +286,23 @@ impl BenchRunner {
     fn compute_activities(&self, n: usize, m_comp: NumaId) -> Vec<Activity> {
         (0..n)
             .map(|i| Activity {
-                kind: ActivityKind::Compute {
-                    numa: m_comp,
-                    bytes_per_pass: self.config.bytes_per_pass as f64,
-                    pass_overhead: self.config.pass_overhead,
-                },
+                spec: StreamSpec::CpuWrite { numa: m_comp },
+                unit_bytes: self.config.bytes_per_pass as f64,
+                lead: 0.0,
+                tail: self.config.pass_overhead,
                 // Stagger starts so kernel passes do not stay in lockstep.
                 start: i as f64 * 1.3e-5,
             })
             .collect()
     }
 
+    /// One message stream per DMA stream of the configured pattern: the
+    /// same streams the analytic backend solves.
     fn comm_activities(&self, m_comm: NumaId) -> Vec<Activity> {
-        use crate::kernel::CommPattern;
-        let recv = self
-            .nic
-            .receive_activity(m_comm, self.config.msg_bytes, 0.0);
-        let send = self.nic.send_activity(m_comm, self.config.msg_bytes, 0.0);
-        match self.config.comm_pattern {
-            CommPattern::RecvOnly => vec![recv],
-            CommPattern::SendOnly => vec![send],
-            CommPattern::PingPong => vec![recv, send],
-        }
+        self.comm_streams(m_comm)
+            .into_iter()
+            .map(|spec| self.nic.activity(spec, self.config.msg_bytes, 0.0))
+            .collect()
     }
 
     fn engine_run(&self, acts: &[Activity], n: usize) -> mc_memsim::engine::RunReport {

@@ -14,6 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use mc_obs::tags;
 use mc_topology::{NumaId, Platform, SocketId};
 
 use crate::config::BenchConfig;
@@ -46,10 +47,10 @@ pub fn sweep_platform(platform: &Platform, config: BenchConfig) -> PlatformSweep
     let _span = mc_obs::span(
         "sweep",
         &[
-            ("platform", mc_obs::TagValue::Str(platform.name())),
-            ("mode", mc_obs::TagValue::Str("sequential")),
+            (tags::PLATFORM, mc_obs::TagValue::Str(platform.name())),
+            (tags::MODE, mc_obs::TagValue::Str("sequential")),
             (
-                "n_cores",
+                tags::N_CORES,
                 mc_obs::TagValue::U64(platform.max_compute_cores() as u64),
             ),
         ],
@@ -91,10 +92,10 @@ pub fn sweep_platform_parallel(platform: &Platform, config: BenchConfig) -> Plat
     let _span = mc_obs::span(
         "sweep",
         &[
-            ("platform", mc_obs::TagValue::Str(platform.name())),
-            ("mode", mc_obs::TagValue::Str("parallel")),
-            ("n_cores", mc_obs::TagValue::U64(max_n as u64)),
-            ("workers", mc_obs::TagValue::U64(workers as u64)),
+            (tags::PLATFORM, mc_obs::TagValue::Str(platform.name())),
+            (tags::MODE, mc_obs::TagValue::Str("parallel")),
+            (tags::N_CORES, mc_obs::TagValue::U64(max_n as u64)),
+            (tags::WORKERS, mc_obs::TagValue::U64(workers as u64)),
         ],
     );
 
@@ -141,7 +142,10 @@ pub fn sweep_platform_parallel(platform: &Platform, config: BenchConfig) -> Plat
                     if let Some(rec) = mc_obs::recorder() {
                         rec.observe(
                             "sweep.worker_points",
-                            &[("platform", mc_obs::TagValue::Str(shared_platform.name()))],
+                            &[(
+                                tags::PLATFORM,
+                                mc_obs::TagValue::Str(shared_platform.name()),
+                            )],
                             points_measured as f64,
                         );
                     }
@@ -160,7 +164,7 @@ pub fn sweep_platform_parallel(platform: &Platform, config: BenchConfig) -> Plat
         if let Some(rec) = mc_obs::recorder() {
             rec.add(
                 "sweep.fallback_sequential",
-                &[("platform", mc_obs::TagValue::Str(platform.name()))],
+                &[(tags::PLATFORM, mc_obs::TagValue::Str(platform.name()))],
                 1,
             );
         }

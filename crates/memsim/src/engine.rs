@@ -1,7 +1,7 @@
 //! Flow-level discrete-event engine.
 //!
-//! Activities (compute kernels, message receptions) alternate between timed
-//! phases (kernel-launch overhead, rendezvous handshake, inter-message gap)
+//! Activities (compute kernels, message streams) alternate between timed
+//! phases (rendezvous handshake, kernel pass overhead, inter-message gap)
 //! and *streaming* phases where they move bytes through the fabric. While
 //! streaming, their instantaneous rate comes from the tiered max-min solver
 //! ([`crate::fabric::Fabric::solve`]), memoized by a
@@ -18,55 +18,32 @@
 
 use std::cell::RefCell;
 
-use mc_topology::NumaId;
+use mc_obs::tags;
 
 use crate::delta::{ActiveSet, DeltaSolver, DeltaStats};
 use crate::fabric::{Fabric, StreamSpec};
 
-/// What an activity does.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ActivityKind {
-    /// A computing core repeatedly `memset`ting a buffer with non-temporal
-    /// stores (the paper's compute kernel).
-    Compute {
-        /// NUMA node holding the computation buffer.
-        numa: NumaId,
-        /// Bytes written per kernel pass.
-        bytes_per_pass: f64,
-        /// Fixed overhead between passes, seconds (loop control, OpenMP
-        /// barrier).
-        pass_overhead: f64,
-    },
-    /// The communication thread receiving large messages back-to-back.
-    CommRecv {
-        /// NUMA node holding the receive buffer.
-        numa: NumaId,
-        /// Message size in bytes (64 MB in the paper).
-        msg_bytes: f64,
-        /// Rendezvous handshake duration before each message, seconds.
-        handshake: f64,
-        /// Gap after each message before the next is posted, seconds.
-        gap: f64,
-    },
-    /// The communication thread sending large messages back-to-back (the
-    /// NIC reads the payload from memory — the other half of a ping-pong).
-    CommSend {
-        /// NUMA node holding the send buffer.
-        numa: NumaId,
-        /// Message size in bytes.
-        msg_bytes: f64,
-        /// Rendezvous handshake duration before each message, seconds.
-        handshake: f64,
-        /// Gap after each message, seconds.
-        gap: f64,
-    },
-}
-
-/// An activity plus its start offset.
+/// One stream of back-to-back units through the fabric: a computing
+/// core `memset`ting a buffer pass after pass, or the NIC receiving or
+/// sending messages one after another.
+///
+/// After its start delay the activity cycles through a timed *lead*, a
+/// streaming phase that moves `unit_bytes` as `spec`, and a timed
+/// *tail*: start delay, lead, stream, tail, lead, stream, … A compute
+/// kernel is a CPU write with no lead and its pass overhead as tail; a
+/// message stream is a DMA stream with the rendezvous handshake as lead
+/// and the inter-message gap as tail (`mc_netsim`'s
+/// `NicModel::activity` builds one).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Activity {
-    /// Behaviour of the activity.
-    pub kind: ActivityKind,
+    /// The stream the activity moves while streaming.
+    pub spec: StreamSpec,
+    /// Bytes moved per unit (kernel pass, message).
+    pub unit_bytes: f64,
+    /// Timed phase before each unit, seconds (0 for a compute kernel).
+    pub lead: f64,
+    /// Timed phase after each unit, seconds.
+    pub tail: f64,
     /// Simulation time at which the activity starts, seconds.
     pub start: f64,
 }
@@ -81,20 +58,12 @@ enum Phase {
     Streaming(f64),
 }
 
-/// Which timed phase a comm activity is in (handshake vs gap) is tracked by
-/// this tag; compute activities only have one timed phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TimedTag {
-    StartDelay,
-    Overhead,
-    Handshake,
-    Gap,
-}
-
-struct ActState {
-    kind: ActivityKind,
+struct ActState<'a> {
+    act: &'a Activity,
     phase: Phase,
-    tag: TimedTag,
+    /// Whether the current timed phase is a lead (the start delay and a
+    /// tail are not).
+    leading: bool,
     /// Bytes streamed inside the measurement window.
     measured_bytes: f64,
     /// Total bytes streamed since t = 0.
@@ -121,46 +90,27 @@ struct Group {
     min_left: f64,
 }
 
-impl ActState {
+impl ActState<'_> {
     fn is_streaming(&self) -> bool {
         matches!(self.phase, Phase::Streaming(_))
     }
 
-    /// Enter the next phase after the current one completes.
+    /// Enter the next phase after the current one completes: a stream
+    /// ends in the tail, a lead in the stream, and the start delay or a
+    /// tail in the next lead.
     fn advance(&mut self, now: f64) {
-        match (&self.kind, self.phase, self.tag) {
-            (ActivityKind::Compute { bytes_per_pass, .. }, Phase::TimedUntil(_), _) => {
-                self.phase = Phase::Streaming(*bytes_per_pass);
-            }
-            (ActivityKind::Compute { pass_overhead, .. }, Phase::Streaming(_), _) => {
+        match self.phase {
+            Phase::Streaming(_) => {
                 self.units_done += 1;
-                self.phase = Phase::TimedUntil(now + *pass_overhead);
-                self.tag = TimedTag::Overhead;
+                self.phase = Phase::TimedUntil(now + self.act.tail);
+                self.leading = false;
             }
-            (
-                ActivityKind::CommRecv { msg_bytes, .. } | ActivityKind::CommSend { msg_bytes, .. },
-                Phase::TimedUntil(_),
-                TimedTag::Handshake,
-            ) => {
-                self.phase = Phase::Streaming(*msg_bytes);
+            Phase::TimedUntil(_) if self.leading => {
+                self.phase = Phase::Streaming(self.act.unit_bytes);
             }
-            (
-                ActivityKind::CommRecv { gap, .. } | ActivityKind::CommSend { gap, .. },
-                Phase::Streaming(_),
-                _,
-            ) => {
-                self.units_done += 1;
-                self.phase = Phase::TimedUntil(now + *gap);
-                self.tag = TimedTag::Gap;
-            }
-            (
-                ActivityKind::CommRecv { handshake, .. } | ActivityKind::CommSend { handshake, .. },
-                Phase::TimedUntil(_),
-                _,
-            ) => {
-                // StartDelay or Gap ends → handshake for the next message.
-                self.phase = Phase::TimedUntil(now + *handshake);
-                self.tag = TimedTag::Handshake;
+            Phase::TimedUntil(_) => {
+                self.phase = Phase::TimedUntil(now + self.act.lead);
+                self.leading = true;
             }
         }
     }
@@ -179,46 +129,13 @@ impl ActState {
     }
 }
 
-/// The stream an activity moves while it is streaming.
-fn stream_spec(kind: &ActivityKind) -> StreamSpec {
-    match *kind {
-        ActivityKind::Compute { numa, .. } => StreamSpec::CpuWrite { numa },
-        ActivityKind::CommRecv { numa, .. } => StreamSpec::DmaRecv { numa },
-        ActivityKind::CommSend { numa, .. } => StreamSpec::DmaSend { numa },
-    }
-}
-
 /// Panic on a negative (or NaN) duration, or on a cycle that moves at
 /// most one byte with no timed phase: the engine would never leave it.
 fn check_activity(a: &Activity) {
-    let (bytes, timed) = match a.kind {
-        ActivityKind::Compute {
-            bytes_per_pass,
-            pass_overhead,
-            ..
-        } => (bytes_per_pass, [pass_overhead, 0.0]),
-        ActivityKind::CommRecv {
-            msg_bytes,
-            handshake,
-            gap,
-            ..
-        }
-        | ActivityKind::CommSend {
-            msg_bytes,
-            handshake,
-            gap,
-            ..
-        } => (msg_bytes, [handshake, gap]),
-    };
+    assert!(a.lead >= 0.0 && a.tail >= 0.0, "negative duration in {a:?}");
     assert!(
-        timed.iter().all(|&d| d >= 0.0),
-        "negative duration in {:?}",
-        a.kind
-    );
-    assert!(
-        bytes > 1.0 || timed[0] + timed[1] > EPS,
-        "zero-length cycle in {:?}",
-        a.kind
+        a.unit_bytes > 1.0 || a.lead + a.tail > EPS,
+        "zero-length cycle in {a:?}"
     );
 }
 
@@ -287,7 +204,7 @@ impl RunReport {
         self.activities
             .iter()
             .zip(activities)
-            .filter(|(_, a)| matches!(a.kind, ActivityKind::Compute { .. }))
+            .filter(|(_, a)| !a.spec.is_dma())
             .map(|(r, _)| r.bandwidth)
             .sum()
     }
@@ -297,12 +214,7 @@ impl RunReport {
         self.activities
             .iter()
             .zip(activities)
-            .filter(|(_, a)| {
-                matches!(
-                    a.kind,
-                    ActivityKind::CommRecv { .. } | ActivityKind::CommSend { .. }
-                )
-            })
+            .filter(|(_, a)| a.spec.is_dma())
             .map(|(r, _)| r.bandwidth)
             .sum()
     }
@@ -330,18 +242,18 @@ const EPS: f64 = 1e-12;
 /// The discrete-event engine.
 ///
 /// ```
-/// use mc_memsim::engine::{Activity, ActivityKind, Engine};
-/// use mc_memsim::fabric::Fabric;
+/// use mc_memsim::engine::{Activity, Engine};
+/// use mc_memsim::fabric::{Fabric, StreamSpec};
 /// use mc_topology::{platforms, NumaId};
 ///
 /// let platform = platforms::henri();
 /// let fabric = Fabric::new(&platform);
+/// // A compute kernel: 64 MB passes, 1 µs overhead after each.
 /// let acts = vec![Activity {
-///     kind: ActivityKind::Compute {
-///         numa: NumaId::new(0),
-///         bytes_per_pass: 64e6,
-///         pass_overhead: 1e-6,
-///     },
+///     spec: StreamSpec::CpuWrite { numa: NumaId::new(0) },
+///     unit_bytes: 64e6,
+///     lead: 0.0,
+///     tail: 1e-6,
 ///     start: 0.0,
 /// }];
 /// let report = Engine::new(&fabric).run(&acts, 0.01, 0.05);
@@ -435,7 +347,7 @@ impl<'f> Engine<'f> {
         let mut groups: Vec<Group> = activities
             .iter()
             .map(|a| Group {
-                spec: stream_spec(&a.kind),
+                spec: a.spec,
                 gbps: 0.0,
                 bps: 0.0,
                 live: false,
@@ -444,20 +356,19 @@ impl<'f> Engine<'f> {
             .collect();
         groups.sort_unstable_by_key(|g| g.spec);
         groups.dedup_by_key(|g| g.spec);
-        let mut states: Vec<ActState> = activities
+        let mut states: Vec<ActState<'_>> = activities
             .iter()
             .map(|a| {
                 check_activity(a);
-                let spec = stream_spec(&a.kind);
                 let mut st = ActState {
-                    kind: a.kind.clone(),
+                    act: a,
                     phase: Phase::TimedUntil(a.start),
-                    tag: TimedTag::StartDelay,
+                    leading: false,
                     measured_bytes: 0.0,
                     total_bytes: 0.0,
                     units_done: 0,
                     group: groups
-                        .binary_search_by_key(&spec, |g| g.spec)
+                        .binary_search_by_key(&a.spec, |g| g.spec)
                         .expect("every spec has a group"),
                 };
                 // An activity starting now moves into its first real phase.
@@ -603,7 +514,7 @@ impl<'f> Engine<'f> {
         // allocation-free when observability is off.
         if let Some(rec) = mc_obs::recorder() {
             let tags = [(
-                "platform",
+                tags::PLATFORM,
                 mc_obs::TagValue::Str(self.fabric.platform().name()),
             )];
             rec.add("engine.runs", &tags, 1);
@@ -633,27 +544,28 @@ impl<'f> Engine<'f> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_topology::platforms;
+    use mc_topology::{platforms, NumaId};
 
     fn compute_act(numa: u16, start: f64) -> Activity {
         Activity {
-            kind: ActivityKind::Compute {
+            spec: StreamSpec::CpuWrite {
                 numa: NumaId::new(numa),
-                bytes_per_pass: 64e6,
-                pass_overhead: 2e-6,
             },
+            unit_bytes: 64e6,
+            lead: 0.0,
+            tail: 2e-6,
             start,
         }
     }
 
     fn comm_act(numa: u16) -> Activity {
         Activity {
-            kind: ActivityKind::CommRecv {
+            spec: StreamSpec::DmaRecv {
                 numa: NumaId::new(numa),
-                msg_bytes: 64e6 * 1.048_576, // 64 MiB
-                handshake: 4e-6,
-                gap: 1e-6,
             },
+            unit_bytes: 64e6 * 1.048_576, // 64 MiB
+            lead: 4e-6,
+            tail: 1e-6,
             start: 0.0,
         }
     }
@@ -820,31 +732,33 @@ mod tests {
     }
 
     /// Bandwidth and completed units of one activity alone on henri.
-    fn lone(kind: ActivityKind, measure_start: f64, horizon: f64) -> (f64, u64) {
+    fn lone(act: Activity, measure_start: f64, horizon: f64) -> (f64, u64) {
         let p = platforms::henri();
         let f = Fabric::new(&p);
-        let report = Engine::new(&f).run(&[Activity { kind, start: 0.0 }], measure_start, horizon);
+        let report = Engine::new(&f).run(&[act], measure_start, horizon);
         (
             report.activities[0].bandwidth,
             report.activities[0].units_done,
         )
     }
 
-    fn recv(handshake: f64, gap: f64) -> ActivityKind {
-        ActivityKind::CommRecv {
-            numa: NumaId::new(0),
-            msg_bytes: 64e6,
-            handshake,
-            gap,
+    fn recv(handshake: f64, gap: f64) -> Activity {
+        Activity {
+            spec: StreamSpec::DmaRecv {
+                numa: NumaId::new(0),
+            },
+            unit_bytes: 64e6,
+            lead: handshake,
+            tail: gap,
+            start: 0.0,
         }
     }
 
     #[test]
     fn zero_length_timed_phases_do_not_stall() {
-        let compute = |pass_overhead| ActivityKind::Compute {
-            numa: NumaId::new(0),
-            bytes_per_pass: 64e6,
-            pass_overhead,
+        let compute = |pass_overhead| Activity {
+            tail: pass_overhead,
+            ..compute_act(0, 0.0)
         };
         let cases = [
             (compute(0.0), compute(1e-9), 0.05),
@@ -872,12 +786,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-length cycle")]
     fn zero_length_cycle_panics() {
-        let kind = ActivityKind::CommSend {
-            numa: NumaId::new(0),
-            msg_bytes: 1.0,
-            handshake: 0.0,
-            gap: 0.0,
+        let act = Activity {
+            spec: StreamSpec::DmaSend {
+                numa: NumaId::new(0),
+            },
+            unit_bytes: 1.0,
+            ..recv(0.0, 0.0)
         };
-        lone(kind, 0.01, 0.05);
+        lone(act, 0.01, 0.05);
     }
 }

@@ -8,7 +8,7 @@
 //! the run completes, the unperturbed activities keep their steady-state
 //! rates, and the victim simply streams less. Nothing here may panic.
 
-use crate::engine::{Activity, ActivityKind};
+use crate::engine::Activity;
 
 /// One way to perturb a set of engine [`Activity`]s.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,10 +21,10 @@ pub enum EngineFault {
         /// Additional start delay, seconds.
         delay: f64,
     },
-    /// Multiply every *timed* (non-streaming) phase of activity `victim`
-    /// by `factor`: kernel pass overhead for compute, handshake and gap
-    /// for communications. With `factor > 1` the victim spends more time
-    /// off the memory system and streams fewer bytes.
+    /// Multiply both *timed* (non-streaming) phases of activity `victim`,
+    /// its lead and its tail, by `factor`: a kernel's pass overhead, a
+    /// message's handshake and gap. With `factor > 1` the victim spends
+    /// more time off the memory system and streams fewer bytes.
     SlowDown {
         /// Index of the activity to slow down.
         victim: usize,
@@ -45,16 +45,8 @@ pub fn inject(activities: &mut [Activity], fault: &EngineFault) {
         }
         EngineFault::SlowDown { victim, factor } => {
             if let Some(a) = activities.get_mut(victim) {
-                match &mut a.kind {
-                    ActivityKind::Compute { pass_overhead, .. } => {
-                        *pass_overhead *= factor;
-                    }
-                    ActivityKind::CommRecv { handshake, gap, .. }
-                    | ActivityKind::CommSend { handshake, gap, .. } => {
-                        *handshake *= factor;
-                        *gap *= factor;
-                    }
-                }
+                a.lead *= factor;
+                a.tail *= factor;
             }
         }
     }
@@ -71,27 +63,25 @@ pub fn inject_all(activities: &mut [Activity], faults: &[EngineFault]) {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::fabric::Fabric;
+    use crate::fabric::{Fabric, StreamSpec};
     use mc_topology::{platforms, NumaId};
 
     fn scenario() -> Vec<Activity> {
+        let numa = NumaId::new(0);
         let mut acts: Vec<Activity> = (0..4)
             .map(|i| Activity {
-                kind: ActivityKind::Compute {
-                    numa: NumaId::new(0),
-                    bytes_per_pass: 64e6,
-                    pass_overhead: 2e-6,
-                },
+                spec: StreamSpec::CpuWrite { numa },
+                unit_bytes: 64e6,
+                lead: 0.0,
+                tail: 2e-6,
                 start: i as f64 * 1e-5,
             })
             .collect();
         acts.push(Activity {
-            kind: ActivityKind::CommRecv {
-                numa: NumaId::new(0),
-                msg_bytes: 64e6,
-                handshake: 4e-6,
-                gap: 1e-6,
-            },
+            spec: StreamSpec::DmaRecv { numa },
+            unit_bytes: 64e6,
+            lead: 4e-6,
+            tail: 1e-6,
             start: 0.0,
         });
         acts

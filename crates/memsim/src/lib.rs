@@ -16,8 +16,10 @@
 //!   extra accessor beyond a knee.
 //!
 //! A small discrete-event engine ([`engine`]) runs benchmark scenarios
-//! (kernel passes, rendezvous handshakes, back-to-back 64 MB messages)
-//! against the solver and reports steady-state bandwidths; [`noise`]
+//! against the solver and reports steady-state bandwidths. Each activity
+//! is one stream of back-to-back units (kernel passes, 64 MB messages)
+//! with a timed lead and tail around each unit (a rendezvous handshake,
+//! a pass overhead or message gap); [`noise`]
 //! supplies deterministic run-to-run jitter.
 //!
 //! ```
@@ -49,9 +51,7 @@ pub mod solver;
 
 pub use cache::LlcSpec;
 pub use delta::{ActiveSet, DeltaSolver, DeltaStats, SolvedState};
-pub use engine::{
-    Activity, ActivityKind, ActivityReport, Engine, RunReport, SolverStats, TraceSample,
-};
+pub use engine::{Activity, ActivityReport, Engine, RunReport, SolverStats, TraceSample};
 pub use fabric::{Fabric, FabricScratch, ResourceKind, SolveResult, StreamSpec};
 pub use faults::{inject, inject_all, EngineFault};
 pub use node::{JobFinish, JobLoad, NodeRun, NodeWorld};

@@ -1,17 +1,18 @@
-//! The receive-side NIC model: turns message streams into engine
-//! activities and answers bandwidth questions.
+//! The NIC model: turns message streams into engine activities and
+//! answers bandwidth questions.
 
-use mc_memsim::engine::{Activity, ActivityKind};
-use mc_memsim::fabric::Fabric;
+use mc_memsim::engine::Activity;
+use mc_memsim::fabric::{Fabric, StreamSpec};
 use mc_topology::NumaId;
 
 use crate::protocol::ProtocolConfig;
 
-/// Receive-side model of the platform's NIC.
+/// Model of the platform's NIC.
 ///
-/// Wraps the fabric's DMA path with the message protocol: a stream of
-/// back-to-back messages becomes a [`mc_memsim::engine::ActivityKind::CommRecv`]
-/// whose handshake/gap timings come from the protocol plan.
+/// Wraps the fabric's DMA paths with the message protocol: a stream of
+/// back-to-back messages becomes an [`Activity`] whose lead is the
+/// rendezvous handshake and whose tail is the inter-message gap, both
+/// from the protocol plan.
 #[derive(Debug, Clone)]
 pub struct NicModel {
     protocol: ProtocolConfig,
@@ -41,34 +42,16 @@ impl NicModel {
         &self.protocol
     }
 
-    /// Build the engine activity for receiving `msg_bytes`-sized messages
-    /// back to back into `numa`, starting at `start`.
-    pub fn receive_activity(&self, numa: NumaId, msg_bytes: u64, start: f64) -> Activity {
+    /// Build the engine activity that moves `msg_bytes`-sized messages
+    /// back to back as the DMA stream `spec` (a receive or a send: the
+    /// handshake and gap are symmetric), starting at `start`.
+    pub fn activity(&self, spec: StreamSpec, msg_bytes: u64, start: f64) -> Activity {
         let plan = self.protocol.plan(msg_bytes);
         Activity {
-            kind: ActivityKind::CommRecv {
-                numa,
-                msg_bytes: plan.payload as f64,
-                handshake: plan.pre_transfer,
-                gap: plan.post_transfer,
-            },
-            start,
-        }
-    }
-
-    /// Build the engine activity for sending `msg_bytes`-sized messages
-    /// back to back out of `numa` (the NIC reads the payload from memory),
-    /// starting at `start`. Timings mirror [`NicModel::receive_activity`]:
-    /// the rendezvous handshake and inter-message gap are symmetric.
-    pub fn send_activity(&self, numa: NumaId, msg_bytes: u64, start: f64) -> Activity {
-        let plan = self.protocol.plan(msg_bytes);
-        Activity {
-            kind: ActivityKind::CommSend {
-                numa,
-                msg_bytes: plan.payload as f64,
-                handshake: plan.pre_transfer,
-                gap: plan.post_transfer,
-            },
+            spec,
+            unit_bytes: plan.payload as f64,
+            lead: plan.pre_transfer,
+            tail: plan.post_transfer,
             start,
         }
     }
@@ -90,54 +73,36 @@ mod tests {
     use mc_memsim::engine::Engine;
     use mc_topology::platforms;
 
+    fn recv(numa: NumaId) -> StreamSpec {
+        StreamSpec::DmaRecv { numa }
+    }
+
     #[test]
     fn activity_carries_protocol_timings() {
         let f = Fabric::new(&platforms::henri());
         let nic = NicModel::new(&f);
-        let act = nic.receive_activity(NumaId::new(0), 64 << 20, 0.0);
-        match act.kind {
-            ActivityKind::CommRecv {
-                msg_bytes,
-                handshake,
-                gap,
-                ..
-            } => {
-                assert_eq!(msg_bytes, (64u64 << 20) as f64);
-                assert!(handshake > 0.0);
-                assert!(gap > 0.0);
-            }
-            _ => panic!("wrong activity kind"),
-        }
+        let act = nic.activity(recv(NumaId::new(0)), 64 << 20, 0.0);
+        assert_eq!(act.spec, recv(NumaId::new(0)));
+        assert_eq!(act.unit_bytes, (64u64 << 20) as f64);
+        assert!(act.lead > 0.0);
+        assert!(act.tail > 0.0);
     }
 
     #[test]
     fn send_activity_mirrors_receive_timings() {
         let f = Fabric::new(&platforms::henri());
         let nic = NicModel::new(&f);
-        let recv = nic.receive_activity(NumaId::new(0), 64 << 20, 0.0);
-        let send = nic.send_activity(NumaId::new(0), 64 << 20, 0.0);
-        match (recv.kind, send.kind) {
-            (
-                ActivityKind::CommRecv {
-                    msg_bytes: rb,
-                    handshake: rh,
-                    gap: rg,
-                    numa: rn,
-                },
-                ActivityKind::CommSend {
-                    msg_bytes: sb,
-                    handshake: sh,
-                    gap: sg,
-                    numa: sn,
-                },
-            ) => {
-                assert_eq!(rb, sb);
-                assert_eq!(rh, sh);
-                assert_eq!(rg, sg);
-                assert_eq!(rn, sn);
-            }
-            _ => panic!("wrong activity kinds"),
-        }
+        let numa = NumaId::new(0);
+        let recv = nic.activity(recv(numa), 64 << 20, 0.0);
+        let send = nic.activity(StreamSpec::DmaSend { numa }, 64 << 20, 0.0);
+        assert_eq!(send.spec, StreamSpec::DmaSend { numa });
+        assert_eq!(
+            Activity {
+                spec: recv.spec,
+                ..send
+            },
+            recv
+        );
     }
 
     #[test]
@@ -145,7 +110,7 @@ mod tests {
         let f = Fabric::new(&platforms::henri());
         let nic = NicModel::new(&f);
         let nominal = nic.nominal_receive(&f, NumaId::new(0), 64 << 20);
-        let act = nic.receive_activity(NumaId::new(0), 64 << 20, 0.0);
+        let act = nic.activity(recv(NumaId::new(0)), 64 << 20, 0.0);
         let report = Engine::new(&f).run(&[act], 0.05, 0.4);
         let measured = report.activities[0].bandwidth;
         assert!(

@@ -6,16 +6,15 @@
 //! every call site spells it identically. Instrumented code should take
 //! keys from here rather than inlining string literals.
 //!
-//! The vocabulary grows in layers:
+//! The vocabulary, by layer (every key is used by some series):
 //!
-//! * pipeline tags (PR 3): [`PLATFORM`], [`M_COMP`], [`M_COMM`],
-//!   [`N_CORES`], [`MODE`], [`RULE`], [`REASON`], [`TARGET`],
-//!   [`COMMAND`], [`WORKERS`], [`PREDICTOR`];
-//! * serving tags (PR 4): [`OP`], [`RESULT`], [`CACHE`], [`BATCH_SIZE`],
-//!   [`CONFIG`];
-//! * replay tags (PR 5): [`RANKS`], [`EVENT`], [`PATTERN`];
-//! * multi-tenant serving tags (PR 7): [`TENANT`], [`TRANSPORT`];
-//! * scheduler tags (PR 8): [`POLICY`], [`FLEET`].
+//! * pipeline tags: [`PLATFORM`], [`M_COMP`], [`M_COMM`], [`N_CORES`],
+//!   [`MODE`], [`RULE`], [`REASON`], [`FIGURE`], [`COMMAND`],
+//!   [`WORKERS`], [`PREDICTOR`];
+//! * serving tags: [`OP`], [`RESULT`], [`BATCH_SIZE`], [`TENANT`],
+//!   [`TRANSPORT`];
+//! * replay tags: [`RANKS`], [`RANK`], [`EVENT`];
+//! * scheduler tags: [`POLICY`], [`FLEET`], [`NODE`], [`JOB`].
 
 /// Platform name (`henri`, `dahu`, …) or `file:<path>` pseudo-platforms.
 pub const PLATFORM: &str = "platform";
@@ -31,8 +30,8 @@ pub const MODE: &str = "mode";
 pub const RULE: &str = "rule";
 /// Why a fallback or degradation happened.
 pub const REASON: &str = "reason";
-/// Reproduction target (`fig3`, `table2`, …).
-pub const TARGET: &str = "target";
+/// Paper figure number a reproduction stage renders (3–8).
+pub const FIGURE: &str = "figure";
 /// CLI subcommand being executed.
 pub const COMMAND: &str = "command";
 /// Worker-pool size.
@@ -45,12 +44,8 @@ pub const PREDICTOR: &str = "predictor";
 pub const OP: &str = "op";
 /// Outcome of a request: `ok` or the error class (`usage`, `data`, `io`).
 pub const RESULT: &str = "result";
-/// Registry outcome for a request: `hit` or `miss`.
-pub const CACHE: &str = "cache";
 /// Number of requests in a batch envelope.
 pub const BATCH_SIZE: &str = "batch_size";
-/// Benchmark-configuration tag a model was calibrated under.
-pub const CONFIG: &str = "config";
 
 /// Number of ranks a replayed trace defines.
 pub const RANKS: &str = "ranks";
@@ -59,8 +54,6 @@ pub const RANKS: &str = "ranks";
 pub const RANK: &str = "rank";
 /// Trace event kind (`compute`, `send`, `recv`, `collective`, `wait`).
 pub const EVENT: &str = "event";
-/// Synthetic trace generator (`halo2d`, `allreduce`, `pipeline`).
-pub const PATTERN: &str = "pattern";
 
 /// Authenticated tenant id of a serve connection (`anonymous` for the
 /// stdin transport).
@@ -91,19 +84,16 @@ mod tests {
             super::MODE,
             super::RULE,
             super::REASON,
-            super::TARGET,
+            super::FIGURE,
             super::COMMAND,
             super::WORKERS,
             super::PREDICTOR,
             super::OP,
             super::RESULT,
-            super::CACHE,
             super::BATCH_SIZE,
-            super::CONFIG,
             super::RANKS,
             super::RANK,
             super::EVENT,
-            super::PATTERN,
             super::TENANT,
             super::TRANSPORT,
             super::POLICY,

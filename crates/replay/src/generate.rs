@@ -126,7 +126,7 @@ enum TagSchedule {
 }
 
 /// A lazily-evaluated synthetic trace: one iteration block per rank
-/// (the events of iteration 0) plus a [`TagSchedule`] mapping the block
+/// (the events of iteration 0) plus a tag schedule mapping the block
 /// onto later iterations. Holds ranks × block-size events, independent
 /// of the iteration count — the memory form the streaming replay path
 /// and [`write_interleaved`](LazyGen::write_interleaved) rely on.
@@ -176,60 +176,15 @@ impl LazyGen {
 
     /// The `pos`-th event of rank `rank`'s `iter`-th iteration.
     fn event(&self, rank: usize, iter: usize, pos: usize) -> EventKind {
-        let ev = self.blocks[rank][pos];
-        match (self.schedule, ev) {
-            (
-                TagSchedule::Stride(stride),
-                EventKind::Send {
-                    peer,
-                    numa,
-                    bytes,
-                    tag,
-                },
-            ) => EventKind::Send {
-                peer,
-                numa,
-                bytes,
-                tag: tag + stride * iter as u32,
-            },
-            (
-                TagSchedule::Stride(stride),
-                EventKind::Recv {
-                    peer,
-                    numa,
-                    bytes,
-                    tag,
-                },
-            ) => EventKind::Recv {
-                peer,
-                numa,
-                bytes,
-                tag: tag + stride * iter as u32,
-            },
-            (
-                TagSchedule::Iteration,
-                EventKind::Send {
-                    peer, numa, bytes, ..
-                },
-            ) => EventKind::Send {
-                peer,
-                numa,
-                bytes,
-                tag: iter as u32,
-            },
-            (
-                TagSchedule::Iteration,
-                EventKind::Recv {
-                    peer, numa, bytes, ..
-                },
-            ) => EventKind::Recv {
-                peer,
-                numa,
-                bytes,
-                tag: iter as u32,
-            },
-            (_, ev) => ev,
+        let mut ev = self.blocks[rank][pos];
+        if let EventKind::Send { tag, .. } | EventKind::Recv { tag, .. } = &mut ev {
+            match self.schedule {
+                TagSchedule::Stride(stride) => *tag += stride * iter as u32,
+                TagSchedule::Iteration => *tag = iter as u32,
+                TagSchedule::None => {}
+            }
         }
+        ev
     }
 
     /// Materialize the full trace, unless it would hold more than 2^24

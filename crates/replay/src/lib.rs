@@ -23,7 +23,7 @@
 //!   straight off a [`std::io::BufRead`] in memory bounded by ranks,
 //!   not events;
 //! * [`engine`] — the replay loop on [`mc_mpisim::World`];
-//! * [`search`] — brute-force placement search over `(n, m_comp,
+//! * [`search`](mod@search) — brute-force placement search over `(n, m_comp,
 //!   m_comm)` plus a cross-check against the model's advisor;
 //! * [`report`] — deterministic text reports and per-rank Gantt charts.
 //!

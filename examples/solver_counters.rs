@@ -4,7 +4,7 @@
 //! counts from before the runner reused alone phases). Run with
 //! `--release` for realistic timing.
 use memory_contention::membench::{BenchConfig, BenchRunner};
-use memory_contention::memsim::{Activity, ActivityKind, Engine, Fabric};
+use memory_contention::memsim::{Activity, Engine, Fabric, StreamSpec};
 use memory_contention::topology::{platforms, NumaId};
 
 fn main() {
@@ -12,21 +12,22 @@ fn main() {
     let f = Fabric::new(&p);
     let mut acts: Vec<Activity> = (0..17)
         .map(|i| Activity {
-            kind: ActivityKind::Compute {
+            spec: StreamSpec::CpuWrite {
                 numa: NumaId::new(0),
-                bytes_per_pass: 64e6,
-                pass_overhead: 2e-6,
             },
+            unit_bytes: 64e6,
+            lead: 0.0,
+            tail: 2e-6,
             start: i as f64 * 1.3e-5,
         })
         .collect();
     acts.push(Activity {
-        kind: ActivityKind::CommRecv {
+        spec: StreamSpec::DmaRecv {
             numa: NumaId::new(0),
-            msg_bytes: 64e6 * 1.048_576,
-            handshake: 4e-6,
-            gap: 1e-6,
         },
+        unit_bytes: 64e6 * 1.048_576,
+        lead: 4e-6,
+        tail: 1e-6,
         start: 0.0,
     });
     let uncached = Engine::new(&f).uncached().run(&acts, 0.05, 0.3);

@@ -3,7 +3,8 @@
 //! engine, and the request-level MPI world — must agree on steady-state
 //! bandwidths.
 
-use memory_contention::memsim::{Engine, Fabric};
+use memory_contention::membench::CommPattern;
+use memory_contention::memsim::{Activity, Engine, Fabric, StreamSpec};
 use memory_contention::netsim::NicModel;
 use memory_contention::prelude::*;
 
@@ -62,16 +63,20 @@ fn engine_matches_solver_in_steady_state() {
         let solved = fabric.solve(&streams);
 
         let mut acts: Vec<_> = (0..cores)
-            .map(|i| memory_contention::memsim::Activity {
-                kind: memory_contention::memsim::ActivityKind::Compute {
+            .map(|i| Activity {
+                spec: StreamSpec::CpuWrite {
                     numa: NumaId::new(0),
-                    bytes_per_pass: 256e6,
-                    pass_overhead: 2e-6,
                 },
+                unit_bytes: 256e6,
+                lead: 0.0,
+                tail: 2e-6,
                 start: i as f64 * 1.1e-5,
             })
             .collect();
-        acts.push(nic.receive_activity(NumaId::new(0), MB64, 0.0));
+        let recv = StreamSpec::DmaRecv {
+            numa: NumaId::new(0),
+        };
+        acts.push(nic.activity(recv, MB64, 0.0));
         let report = Engine::new(&fabric).run(&acts, 0.05, 0.35);
 
         let comp_engine = report.compute_bandwidth(&acts);
@@ -89,30 +94,39 @@ fn engine_matches_solver_in_steady_state() {
     }
 }
 
+/// Every communication pattern, so both backends read a pattern's DMA
+/// streams alike: one receive, one send, or both at once.
 #[test]
 fn membench_backends_agree_across_a_whole_placement() {
     let platform = platforms::occigen();
-    let exact_analytic = BenchRunner::new(&platform, BenchConfig::exact());
-    let mut ed = BenchConfig::event_driven();
-    ed.noisy = false;
-    let exact_event = BenchRunner::new(&platform, ed);
-    let a = exact_analytic.run_placement(NumaId::new(0), NumaId::new(0));
-    let e = exact_event.run_placement(NumaId::new(0), NumaId::new(0));
-    for (pa, pe) in a.points.iter().zip(&e.points) {
-        assert!(
-            (pa.comp_par - pe.comp_par).abs() / pa.comp_par < 0.04,
-            "n={}: {} vs {}",
-            pa.n_cores,
-            pa.comp_par,
-            pe.comp_par
-        );
-        assert!(
-            (pa.comm_par - pe.comm_par).abs() / pa.comm_par < 0.06,
-            "n={}: {} vs {}",
-            pa.n_cores,
-            pa.comm_par,
-            pe.comm_par
-        );
+    for pattern in [
+        CommPattern::RecvOnly,
+        CommPattern::SendOnly,
+        CommPattern::PingPong,
+    ] {
+        let exact_analytic =
+            BenchRunner::new(&platform, BenchConfig::exact().with_pattern(pattern));
+        let mut ed = BenchConfig::event_driven().with_pattern(pattern);
+        ed.noisy = false;
+        let exact_event = BenchRunner::new(&platform, ed);
+        let a = exact_analytic.run_placement(NumaId::new(0), NumaId::new(0));
+        let e = exact_event.run_placement(NumaId::new(0), NumaId::new(0));
+        for (pa, pe) in a.points.iter().zip(&e.points) {
+            assert!(
+                (pa.comp_par - pe.comp_par).abs() / pa.comp_par < 0.04,
+                "{pattern:?} n={}: {} vs {}",
+                pa.n_cores,
+                pa.comp_par,
+                pe.comp_par
+            );
+            assert!(
+                (pa.comm_par - pe.comm_par).abs() / pa.comm_par < 0.06,
+                "{pattern:?} n={}: {} vs {}",
+                pa.n_cores,
+                pa.comm_par,
+                pe.comm_par
+            );
+        }
     }
 }
 

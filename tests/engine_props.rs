@@ -5,42 +5,43 @@
 use proptest::prelude::*;
 
 use memory_contention::memsim::{
-    allocate, allocate_into, ActiveSet, Activity, ActivityKind, Allocation, DeltaSolver, Engine,
-    Fabric, FlowReq, FlowSet, RunReport, SolverScratch, SolverStats, StreamSpec, TraceSample,
+    allocate, allocate_into, ActiveSet, Activity, Allocation, DeltaSolver, Engine, Fabric, FlowReq,
+    FlowSet, RunReport, SolverScratch, SolverStats, StreamSpec, TraceSample,
 };
 use memory_contention::prelude::*;
 
 fn compute_activity(numa: u16, bytes_per_pass: f64, start: f64) -> Activity {
     Activity {
-        kind: ActivityKind::Compute {
+        spec: StreamSpec::CpuWrite {
             numa: NumaId::new(numa),
-            bytes_per_pass,
-            pass_overhead: 2e-6,
         },
+        unit_bytes: bytes_per_pass,
+        lead: 0.0,
+        tail: 2e-6,
         start,
     }
 }
 
 fn comm_activity(numa: u16, msg_bytes: f64) -> Activity {
     Activity {
-        kind: ActivityKind::CommRecv {
+        spec: StreamSpec::DmaRecv {
             numa: NumaId::new(numa),
-            msg_bytes,
-            handshake: 3e-6,
-            gap: 1e-6,
         },
+        unit_bytes: msg_bytes,
+        lead: 3e-6,
+        tail: 1e-6,
         start: 0.0,
     }
 }
 
 fn send_activity(numa: u16, msg_bytes: f64) -> Activity {
     Activity {
-        kind: ActivityKind::CommSend {
+        spec: StreamSpec::DmaSend {
             numa: NumaId::new(numa),
-            msg_bytes,
-            handshake: 2e-6,
-            gap: 1.5e-6,
         },
+        unit_bytes: msg_bytes,
+        lead: 2e-6,
+        tail: 1.5e-6,
         start: 0.0,
     }
 }
@@ -67,7 +68,9 @@ fn measured_bits(report: &RunReport) -> (Vec<[u64; 4]>, u64) {
 /// activity's rate (a consecutive activity of the same spec reuses the
 /// last one), the trace sums and the earliest phase end; walk 2
 /// integrates every activity over the step and advances the ones whose
-/// phase ended.
+/// phase ended. Its phase rules are the former per-kind ones: a compute
+/// activity goes from any timed phase straight to its stream, and a
+/// message stream runs handshake, stream, gap.
 mod reference {
     use super::*;
 
@@ -89,7 +92,7 @@ mod reference {
     }
 
     struct Act {
-        kind: ActivityKind,
+        act: Activity,
         phase: Phase,
         tag: Tag,
         measured: f64,
@@ -100,11 +103,7 @@ mod reference {
 
     impl Act {
         fn spec(&self) -> StreamSpec {
-            match self.kind {
-                ActivityKind::Compute { numa, .. } => StreamSpec::CpuWrite { numa },
-                ActivityKind::CommRecv { numa, .. } => StreamSpec::DmaRecv { numa },
-                ActivityKind::CommSend { numa, .. } => StreamSpec::DmaSend { numa },
-            }
+            self.act.spec
         }
 
         fn streaming(&self) -> bool {
@@ -112,37 +111,23 @@ mod reference {
         }
 
         fn advance(&mut self, now: f64) {
-            match (&self.kind, self.phase, self.tag) {
-                (ActivityKind::Compute { bytes_per_pass, .. }, Phase::TimedUntil(_), _) => {
-                    self.phase = Phase::Streaming(*bytes_per_pass);
+            let a = &self.act;
+            match (a.spec.is_dma(), self.phase, self.tag) {
+                (false, Phase::TimedUntil(_), _) | (true, Phase::TimedUntil(_), Tag::Handshake) => {
+                    self.phase = Phase::Streaming(a.unit_bytes);
                 }
-                (ActivityKind::Compute { pass_overhead, .. }, Phase::Streaming(_), _) => {
+                (false, Phase::Streaming(_), _) => {
                     self.units += 1;
-                    self.phase = Phase::TimedUntil(now + *pass_overhead);
+                    self.phase = Phase::TimedUntil(now + a.tail);
                     self.tag = Tag::Overhead;
                 }
-                (
-                    ActivityKind::CommRecv { msg_bytes, .. }
-                    | ActivityKind::CommSend { msg_bytes, .. },
-                    Phase::TimedUntil(_),
-                    Tag::Handshake,
-                ) => self.phase = Phase::Streaming(*msg_bytes),
-                (
-                    ActivityKind::CommRecv { gap, .. } | ActivityKind::CommSend { gap, .. },
-                    Phase::Streaming(_),
-                    _,
-                ) => {
+                (true, Phase::Streaming(_), _) => {
                     self.units += 1;
-                    self.phase = Phase::TimedUntil(now + *gap);
+                    self.phase = Phase::TimedUntil(now + a.tail);
                     self.tag = Tag::Gap;
                 }
-                (
-                    ActivityKind::CommRecv { handshake, .. }
-                    | ActivityKind::CommSend { handshake, .. },
-                    Phase::TimedUntil(_),
-                    _,
-                ) => {
-                    self.phase = Phase::TimedUntil(now + *handshake);
+                (true, Phase::TimedUntil(_), _) => {
+                    self.phase = Phase::TimedUntil(now + a.lead);
                     self.tag = Tag::Handshake;
                 }
             }
@@ -177,7 +162,7 @@ mod reference {
             .iter()
             .map(|a| {
                 let mut act = Act {
-                    kind: a.kind.clone(),
+                    act: a.clone(),
                     phase: Phase::TimedUntil(a.start),
                     tag: Tag::StartDelay,
                     measured: 0.0,
@@ -341,26 +326,13 @@ proptest! {
                     1 => i as f64 * 1.3e-5,
                     _ => (mb as f64) * 7e-6,
                 };
-                let kind = match kind {
-                    0 => ActivityKind::Compute {
-                        numa,
-                        bytes_per_pass: bytes,
-                        pass_overhead: timed(2e-6),
-                    },
-                    1 => ActivityKind::CommRecv {
-                        numa,
-                        msg_bytes: bytes,
-                        handshake: timed(3e-6),
-                        gap: timed(1e-6),
-                    },
-                    _ => ActivityKind::CommSend {
-                        numa,
-                        msg_bytes: bytes,
-                        handshake: timed(2e-6),
-                        gap: 0.0,
-                    },
+                // A compute kernel (no lead), a receive, a send.
+                let (spec, lead, tail) = match kind {
+                    0 => (StreamSpec::CpuWrite { numa }, 0.0, timed(2e-6)),
+                    1 => (StreamSpec::DmaRecv { numa }, timed(3e-6), timed(1e-6)),
+                    _ => (StreamSpec::DmaSend { numa }, timed(2e-6), 0.0),
                 };
-                Activity { kind, start }
+                Activity { spec, unit_bytes: bytes, lead, tail, start }
             })
             .collect();
         let scale = if half_scale == 1 { 0.5 } else { 1.0 };
@@ -408,9 +380,10 @@ proptest! {
             prop_assert!(r.measured_bytes >= 0.0);
             prop_assert!(r.total_bytes + 1.0 >= r.measured_bytes);
             // No stream can exceed its physical ceiling.
-            let ceiling = match a.kind {
-                ActivityKind::Compute { .. } => 5.6,
-                _ => fabric.dma_demand(NumaId::new(comm_numa)),
+            let ceiling = if a.spec.is_dma() {
+                fabric.dma_demand(NumaId::new(comm_numa))
+            } else {
+                5.6
             };
             prop_assert!(
                 r.bandwidth <= ceiling + 1e-6,

@@ -7,7 +7,7 @@ use memory_contention::membench::faults::Fault;
 use memory_contention::membench::record::SweepColumn;
 use memory_contention::membench::{BenchConfig, BenchRunner, PlacementSweep};
 use memory_contention::memsim::faults::{inject_all, EngineFault};
-use memory_contention::memsim::{Activity, ActivityKind, Engine, Fabric};
+use memory_contention::memsim::{Activity, Engine, Fabric, StreamSpec};
 use memory_contention::model::robustness::fault_spread;
 use memory_contention::model::CalibrationError;
 use memory_contention::topology::{platforms, NumaId, Platform, SocketId};
@@ -137,21 +137,22 @@ fn repeated_harness_runs_are_deterministic() {
 fn contended_scenario() -> Vec<Activity> {
     let mut acts: Vec<Activity> = (0..8)
         .map(|i| Activity {
-            kind: ActivityKind::Compute {
+            spec: StreamSpec::CpuWrite {
                 numa: NumaId::new(0),
-                bytes_per_pass: 64e6,
-                pass_overhead: 2e-6,
             },
+            unit_bytes: 64e6,
+            lead: 0.0,
+            tail: 2e-6,
             start: i as f64 * 1.3e-5,
         })
         .collect();
     acts.push(Activity {
-        kind: ActivityKind::CommRecv {
+        spec: StreamSpec::DmaRecv {
             numa: NumaId::new(0),
-            msg_bytes: 64e6,
-            handshake: 4e-6,
-            gap: 1e-6,
         },
+        unit_bytes: 64e6,
+        lead: 4e-6,
+        tail: 1e-6,
         start: 0.0,
     });
     acts

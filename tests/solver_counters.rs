@@ -8,7 +8,7 @@ use std::hash::Hasher;
 
 use memory_contention::membench::{BenchConfig, BenchRunner};
 use memory_contention::memsim::fxhash::FxHasher;
-use memory_contention::memsim::{Activity, ActivityKind, Engine, Fabric, SolverStats};
+use memory_contention::memsim::{Activity, Engine, Fabric, SolverStats, StreamSpec};
 use memory_contention::topology::{platforms, NumaId};
 
 /// The example's scenario: 17 staggered compute cores and one message
@@ -16,21 +16,22 @@ use memory_contention::topology::{platforms, NumaId};
 fn henri_parallel_activities() -> Vec<Activity> {
     let mut acts: Vec<Activity> = (0..17)
         .map(|i| Activity {
-            kind: ActivityKind::Compute {
+            spec: StreamSpec::CpuWrite {
                 numa: NumaId::new(0),
-                bytes_per_pass: 64e6,
-                pass_overhead: 2e-6,
             },
+            unit_bytes: 64e6,
+            lead: 0.0,
+            tail: 2e-6,
             start: i as f64 * 1.3e-5,
         })
         .collect();
     acts.push(Activity {
-        kind: ActivityKind::CommRecv {
+        spec: StreamSpec::DmaRecv {
             numa: NumaId::new(0),
-            msg_bytes: 64e6 * 1.048_576,
-            handshake: 4e-6,
-            gap: 1e-6,
         },
+        unit_bytes: 64e6 * 1.048_576,
+        lead: 4e-6,
+        tail: 1e-6,
         start: 0.0,
     });
     acts
