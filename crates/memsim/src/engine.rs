@@ -199,12 +199,13 @@ impl PartialEq for RunReport {
 }
 
 impl RunReport {
-    /// Sum of measured bandwidths of all compute activities.
+    /// Sum of measured bandwidths of all compute activities (by
+    /// [`StreamSpec::is_compute`]: CXL pool moves are not compute).
     pub fn compute_bandwidth(&self, activities: &[Activity]) -> f64 {
         self.activities
             .iter()
             .zip(activities)
-            .filter(|(_, a)| !a.spec.is_dma())
+            .filter(|(_, a)| a.spec.is_compute())
             .map(|(r, _)| r.bandwidth)
             .sum()
     }
@@ -226,7 +227,8 @@ impl RunReport {
 pub struct TraceSample {
     /// Simulation time of the re-solve, seconds.
     pub t: f64,
-    /// Aggregate CPU bandwidth, GB/s.
+    /// Aggregate bandwidth of compute streams, GB/s (by
+    /// [`StreamSpec::is_compute`]: CXL pool moves are not compute).
     pub compute: f64,
     /// Aggregate DMA bandwidth, GB/s.
     pub comm: f64,
@@ -438,7 +440,7 @@ impl<'f> Engine<'f> {
                     let g = &groups[s.group];
                     if g.spec.is_dma() {
                         comm += g.gbps;
-                    } else {
+                    } else if g.spec.is_compute() {
                         compute += g.gbps;
                     }
                     active += 1;
@@ -581,6 +583,40 @@ mod tests {
             report.activities[0].bandwidth
         );
         assert!(report.activities[0].units_done > 0);
+    }
+
+    #[test]
+    fn a_cxl_activity_is_neither_compute_nor_comm_bandwidth() {
+        let p = platforms::henri_cxl();
+        let f = Fabric::new(&p);
+        let cxl = Activity {
+            spec: StreamSpec::CxlWrite {
+                numa: NumaId::new(0),
+                pool: mc_topology::PoolId::new(0),
+            },
+            unit_bytes: 64e6,
+            lead: 0.0,
+            tail: 1e-6,
+            start: 0.0,
+        };
+        let acts = [compute_act(0, 0.0), cxl];
+        let (report, trace) = Engine::new(&f).run_traced(&acts, 0.02, 0.1);
+        assert!(report.activities[1].bandwidth > 0.0);
+        assert_eq!(
+            report.compute_bandwidth(&acts),
+            report.activities[0].bandwidth
+        );
+        assert_eq!(report.comm_bandwidth(&acts), 0.0);
+        // While both stream, a sample's compute is the CPU stream's
+        // rate alone, as `SolveResult::cpu_total` sums it.
+        let specs = acts.map(|a| a.spec);
+        let cpu = f.solve(&specs).cpu_total(&specs);
+        let both: Vec<_> = trace.iter().filter(|s| s.active == 2).collect();
+        assert!(!both.is_empty());
+        for s in both {
+            assert!((s.compute - cpu).abs() <= 1e-9 * cpu, "{s:?} vs {cpu}");
+            assert_eq!(s.comm, 0.0);
+        }
     }
 
     #[test]

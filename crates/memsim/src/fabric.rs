@@ -130,6 +130,13 @@ impl StreamSpec {
         )
     }
 
+    /// Whether this is a compute stream: a core storing to DRAM, neither
+    /// DMA nor a move to or from a CXL pool. The one rule behind every
+    /// compute-bandwidth sum.
+    pub fn is_compute(&self) -> bool {
+        !self.is_dma() && self.pool().is_none()
+    }
+
     /// Source socket of a core-issued stream (`None` for DMA streams).
     /// CXL moves are issued by cores of the computing socket (socket 0,
     /// like [`StreamSpec::CpuWrite`]).
@@ -170,7 +177,7 @@ impl SolveResult {
         self.rates
             .iter()
             .zip(streams)
-            .filter(|(_, s)| !s.is_dma() && s.pool().is_none())
+            .filter(|(_, s)| s.is_compute())
             .map(|(r, _)| r)
             .sum()
     }

@@ -30,13 +30,19 @@
 //! rank count by scanning the whole file first. [`Trace::from_json_lines`]
 //! tolerates the same header, so streamed files remain valid eager
 //! inputs.
+//!
+//! Both readers decode an event line in one pass when it is in the exact
+//! form [`crate::trace::write_event_line`] writes; any other line, and
+//! any line the schema rejects, is read again from its first byte by the
+//! general JSON path, which alone decides what is accepted and how a
+//! line fails.
 
 use std::collections::VecDeque;
 use std::io::BufRead;
 
 use mc_json::Lines;
 
-use crate::trace::{line_error, EventKind, Trace, TraceError, TraceLine};
+use crate::trace::{line_error, read_event, EventKind, Trace, TraceError, TraceLine};
 
 /// A per-rank cursor over an event program, the replay engine's input
 /// abstraction. `peek` returns rank `r`'s next event without consuming
@@ -160,7 +166,7 @@ impl<R: BufRead> TraceReader<R> {
                 }
                 Some(r) => r.map_err(line_error)?,
             };
-            let (r, ev) = TraceLine::parse(text, line)?.event()?;
+            let (r, ev) = read_event(text, line)?;
             if r >= self.ranks {
                 return Err(TraceError::Schema {
                     line,

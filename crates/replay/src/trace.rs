@@ -413,6 +413,128 @@ impl<'a> TraceLine<'a> {
     }
 }
 
+/// Line number `line` as one rank's event: a line in
+/// [`write_event_line`]'s exact form is decoded by [`decode_written`],
+/// any other line goes through [`TraceLine`] from its first byte. The
+/// one entry to the decoder, for both readers.
+#[inline]
+pub(crate) fn read_event(text: &str, line: usize) -> Result<(usize, EventKind), TraceError> {
+    match decode_written(text) {
+        Some(event) => Ok(event),
+        None => TraceLine::parse(text, line)?.event(),
+    }
+}
+
+/// The inverse of [`write_event_line`]: one forward scan of a line in
+/// exactly the writer's bytes (its member order, no whitespace, each
+/// integer of 1–15 digits with no leading zero, nothing after the
+/// closing `}`), checked against every rule [`TraceLine::event`]
+/// applies. Any other byte, and any line the schema rejects, answers
+/// `None`, never an error: the caller then reads the line on the general
+/// path, which stays the one definition of what a trace accepts and how
+/// it fails. Integers of at most 15 digits are below 2^53, so each reads
+/// here as exactly the value the general path's `f64` holds.
+#[inline]
+fn decode_written(text: &str) -> Option<(usize, EventKind)> {
+    let mut s = Written(text);
+    s.lit("{\"rank\":")?;
+    let rank = s.int()? as usize;
+    if rank >= MAX_RANKS {
+        return None;
+    }
+    s.lit(",\"event\":\"")?;
+    let kind = if s.lit("compute\",\"numa\":").is_some() {
+        let numa = s.numa()?;
+        s.lit(",\"cores\":")?;
+        let cores = s.int()? as usize;
+        if cores == 0 || mc_model::core_count(cores).is_err() {
+            return None;
+        }
+        s.lit(",\"bytes\":")?;
+        let bytes = s.int()?;
+        EventKind::Compute { numa, cores, bytes }
+    } else if s.lit("collective\",\"op\":\"").is_some() {
+        let (name, rest) = s.0.split_at(s.0.find('"')?);
+        let op = CollectiveOp::from_name(name)?;
+        s.0 = rest;
+        s.lit("\",\"numa\":")?;
+        let numa = s.numa()?;
+        s.lit(",\"bytes\":")?;
+        let bytes = s.int()?;
+        EventKind::Collective { op, numa, bytes }
+    } else if s.lit("wait\"").is_some() {
+        EventKind::Wait
+    } else {
+        let send = s.lit("send\",\"peer\":").is_some();
+        if !send {
+            s.lit("recv\",\"peer\":")?;
+        }
+        let peer = s.int()? as usize;
+        if peer == rank {
+            return None;
+        }
+        s.lit(",\"numa\":")?;
+        let numa = s.numa()?;
+        s.lit(",\"bytes\":")?;
+        let bytes = s.int()?;
+        s.lit(",\"tag\":")?;
+        let tag = u32::try_from(s.int()?).ok()?;
+        if send {
+            EventKind::Send {
+                peer,
+                numa,
+                bytes,
+                tag,
+            }
+        } else {
+            EventKind::Recv {
+                peer,
+                numa,
+                bytes,
+                tag,
+            }
+        }
+    };
+    (s.0 == "}").then_some((rank, kind))
+}
+
+/// The bytes of a written line not yet decoded.
+struct Written<'a>(&'a str);
+
+impl Written<'_> {
+    /// Step past `lit`, if the rest starts with it.
+    #[inline]
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(lit)?;
+        Some(())
+    }
+
+    /// Step past an integer of 1–15 digits, `0` or with no leading zero.
+    #[inline]
+    fn int(&mut self) -> Option<u64> {
+        let bytes = self.0.as_bytes();
+        let mut n = 0;
+        let mut digits = 0;
+        while let Some(&b) = bytes.get(digits).filter(|b| b.is_ascii_digit()) {
+            if digits == 15 {
+                return None;
+            }
+            n = n * 10 + u64::from(b - b'0');
+            digits += 1;
+        }
+        if digits == 0 || (digits > 1 && bytes[0] == b'0') {
+            return None;
+        }
+        self.0 = &self.0[digits..];
+        Some(n)
+    }
+
+    #[inline]
+    fn numa(&mut self) -> Option<NumaId> {
+        u16::try_from(self.int()?).ok().map(NumaId::new)
+    }
+}
+
 /// The string a member holds, if it holds one.
 fn string(value: Scalar<'_>) -> Option<Cow<'_, str>> {
     match value {
@@ -496,17 +618,19 @@ impl Trace {
         let mut first = true;
         while let Some(next) = lines.next_line() {
             let (line, text) = next.map_err(line_error)?;
-            let members = TraceLine::parse(text, line)?;
-            if first {
+            let (rank, kind) = if first {
                 first = false;
+                let members = TraceLine::parse(text, line)?;
                 if let Some(ranks) = members.header()? {
                     // The header pre-declares ranks so a trailing rank
                     // with no events still counts toward the world size.
                     per_rank.resize_with(ranks, Vec::new);
                     continue;
                 }
-            }
-            let (rank, kind) = members.event()?;
+                members.event()?
+            } else {
+                read_event(text, line)?
+            };
             if per_rank.len() <= rank {
                 per_rank.resize_with(rank + 1, Vec::new);
             }
@@ -841,6 +965,159 @@ mod tests {
                 assert_eq!(line, tree_line(rank, ev), "{ev:?}");
             }
         }
+    }
+
+    /// The general path on one event line.
+    fn general(line: &str) -> Result<(usize, EventKind), TraceError> {
+        TraceLine::parse(line, 1)?.event()
+    }
+
+    /// One valid event of each kind, every collective op among them.
+    fn one_of_each_kind() -> Vec<EventKind> {
+        let mut events = vec![
+            EventKind::Compute {
+                numa: n(1),
+                cores: 4,
+                bytes: 1024,
+            },
+            EventKind::Send {
+                peer: 3,
+                numa: n(0),
+                bytes: 64,
+                tag: 7,
+            },
+            EventKind::Recv {
+                peer: 0,
+                numa: n(1),
+                bytes: 64,
+                tag: 7,
+            },
+            EventKind::Wait,
+        ];
+        for op in [
+            CollectiveOp::Barrier,
+            CollectiveOp::Allreduce,
+            CollectiveOp::Allgather,
+            CollectiveOp::Broadcast,
+        ] {
+            events.push(EventKind::Collective {
+                op,
+                numa: n(2),
+                bytes: 1 << 20,
+            });
+        }
+        events
+    }
+
+    /// `line` with the integer of member `key` spelled `value`.
+    fn with_member(line: &str, key: &str, value: &str) -> Option<String> {
+        let head = format!("\"{key}\":");
+        let start = line.find(&head)? + head.len();
+        let end = start + line[start..].find(|c: char| !c.is_ascii_digit())?;
+        Some(format!("{}{value}{}", &line[..start], &line[end..]))
+    }
+
+    /// Each kind's line as [`write_event_line`] writes it for rank 2,
+    /// then with each integer member in turn at and around every ceiling
+    /// the schema checks: `MAX_RANKS`, `MAX_CORES` ± 1, the `u16` and
+    /// `u32` limits, 15 and 16 digits, a value `f64` cannot hold, and a
+    /// peer equal to the rank.
+    fn written_lines() -> Vec<String> {
+        const VALUES: &[&str] = &[
+            "0",
+            "1",
+            "2",
+            "1023",
+            "1024",
+            "1025",
+            "65535",
+            "65536",
+            "1048575",
+            "1048576",
+            "4294967295",
+            "4294967296",
+            "999999999999999",
+            "1000000000000000",
+            "9007199254740993",
+        ];
+        let mut lines = Vec::new();
+        for ev in one_of_each_kind() {
+            let mut line = String::new();
+            write_event_line(&mut line, 2, &ev);
+            for key in ["rank", "numa", "cores", "bytes", "peer", "tag"] {
+                lines.extend(VALUES.iter().filter_map(|v| with_member(&line, key, v)));
+            }
+            lines.push(line);
+        }
+        lines
+    }
+
+    /// `line` with one byte edit: each byte deleted, duplicated or
+    /// preceded by another byte, each digit swapped for a non-digit, and
+    /// bytes after the closing `}`.
+    fn one_byte_edits(line: &str) -> Vec<String> {
+        let mut edits = Vec::new();
+        for at in 0..=line.len() {
+            for byte in [" ", "0", "7", "x", "}", ",", "\""] {
+                edits.push(format!("{}{byte}{}", &line[..at], &line[at..]));
+            }
+            if at < line.len() {
+                let (head, tail) = (&line[..at], &line[at + 1..]);
+                let byte = &line[at..at + 1];
+                edits.push(format!("{head}{tail}"));
+                edits.push(format!("{head}{byte}{byte}{tail}"));
+                if byte.as_bytes()[0].is_ascii_digit() {
+                    edits.push(format!("{head}.{tail}"));
+                    edits.push(format!("{head}a{tail}"));
+                }
+            }
+        }
+        edits
+    }
+
+    #[test]
+    fn the_decoder_answers_as_the_general_path_on_written_lines() {
+        // Every event line a generator writes is taken.
+        let p = crate::generate::GenParams {
+            ranks: 6,
+            iters: 2,
+            ..Default::default()
+        };
+        for name in crate::generate::names() {
+            let mut bytes = Vec::new();
+            let lazy = crate::generate::LazyGen::new(name, &p).unwrap();
+            lazy.write_interleaved(&mut bytes).unwrap();
+            for line in String::from_utf8(bytes).unwrap().lines().skip(1) {
+                assert_eq!(decode_written(line), Some(general(line).unwrap()), "{line}");
+            }
+        }
+
+        // On each kind's written line, and on it with a value at each
+        // ceiling, the decoder takes exactly the lines the general path
+        // accepts whose integers have at most 15 digits, and reads each
+        // as the general path does.
+        let written = written_lines();
+        for line in &written {
+            let short = line
+                .split(|c: char| !c.is_ascii_digit())
+                .all(|digits| digits.len() <= 15);
+            let expected = general(line).ok().filter(|_| short);
+            assert_eq!(decode_written(line), expected, "{line}");
+        }
+
+        // Whatever the decoder takes off an edited line, the general
+        // path reads the same.
+        let mut edited = 0;
+        for line in &written {
+            for edit in one_byte_edits(line) {
+                if let Some(event) = decode_written(&edit) {
+                    assert_eq!(general(&edit), Ok(event), "{edit}");
+                    edited += 1;
+                }
+            }
+        }
+        // Some edits stay in the written form (a digit doubled, say).
+        assert!(edited > 0);
     }
 
     #[test]

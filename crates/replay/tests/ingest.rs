@@ -13,6 +13,10 @@
 //!   whitespace, duplicate and escaped keys, nested extra members past
 //!   the depth limit, non-object lines, odd numbers, trailing commas and
 //!   lines cut off inside a key or a number;
+//! * on lines exactly as `write_event_line` writes them, which both
+//!   readers decode in one pass, with values at and around every schema
+//!   ceiling, and on such lines with one byte edit, which send the line
+//!   back to the general path;
 //! * on a deterministic fuzz pass over the committed golden trace and a
 //!   generator-written file: seeded byte flips, truncations, inserted
 //!   `\`, `"`, control bytes and invalid UTF-8. Every input ends in `Ok`
@@ -23,6 +27,7 @@ use std::io::BufRead;
 
 use mc_json::{Json, JsonError, JsonErrorKind, MAX_DEPTH};
 use mc_replay::generate::{GenParams, LazyGen};
+use mc_replay::trace::write_event_line;
 use mc_replay::{CollectiveOp, EventKind, EventSource, Trace, TraceError, TraceReader};
 use mc_topology::NumaId;
 use proptest::prelude::*;
@@ -751,8 +756,123 @@ fn event_line(rng: &mut TestRng, ranks: usize, rate: usize) -> String {
     line
 }
 
+/// Values at and around the ceilings a written line's integers meet:
+/// `MAX_CORES` ± 1, the `u16` and `u32` limits, `MAX_RANKS`, 15 and 16
+/// digits, and a 16-digit value that `f64` cannot hold.
+const CEILINGS: &[&str] = &[
+    "0",
+    "1023",
+    "1024",
+    "1025",
+    "65535",
+    "65536",
+    "4294967295",
+    "4294967296",
+    "1048576",
+    "999999999999999",
+    "1000000000000000",
+    "9007199254740993",
+];
+
+/// One event line of `ranks` ranks exactly as `write_event_line` writes
+/// it, every kind and collective op among them; at `rate` percent one
+/// integer member is set to a ceiling value, or a peer to its own rank.
+fn written_line(rng: &mut TestRng, ranks: usize, rate: usize) -> String {
+    let rank = rng.below(ranks);
+    let peer = (rank + 1 + rng.below(ranks - 1)) % ranks;
+    let numa = NumaId::new(rng.below(3) as u16);
+    let bytes = rng.below(1 << 20) as u64;
+    let tag = rng.below(4) as u32;
+    let ev = match rng.below(5) {
+        0 => EventKind::Compute {
+            numa,
+            cores: 1 + rng.below(4),
+            bytes,
+        },
+        1 => EventKind::Send {
+            peer,
+            numa,
+            bytes,
+            tag,
+        },
+        2 => EventKind::Recv {
+            peer,
+            numa,
+            bytes,
+            tag,
+        },
+        3 => EventKind::Collective {
+            op: [
+                CollectiveOp::Barrier,
+                CollectiveOp::Allreduce,
+                CollectiveOp::Allgather,
+                CollectiveOp::Broadcast,
+            ][rng.below(4)],
+            numa,
+            bytes,
+        },
+        _ => EventKind::Wait,
+    };
+    let mut line = String::new();
+    write_event_line(&mut line, rank, &ev);
+    if chance(rng, rate) {
+        let key = pick(rng, &["rank", "numa", "cores", "bytes", "peer", "tag"]);
+        let rank = rank.to_string();
+        let value = if key == "peer" && chance(rng, 30) {
+            &rank
+        } else {
+            pick(rng, CEILINGS)
+        };
+        let head = format!("\"{key}\":");
+        if let Some(start) = line.find(&head).map(|at| at + head.len()) {
+            let end = start + line[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            line.replace_range(start..end, value);
+        }
+    }
+    line
+}
+
+/// `line` with one byte edit: a digit swapped for a non-digit, a byte
+/// deleted or duplicated, a space inserted, a number grown to 16
+/// digits, or the closing `}` dropped or followed by a byte.
+fn edit_one(rng: &mut TestRng, line: &str) -> String {
+    let mut bytes = line.as_bytes().to_vec();
+    let at = rng.below(bytes.len());
+    let digits: Vec<usize> = (0..bytes.len())
+        .filter(|&i| bytes[i].is_ascii_digit())
+        .collect();
+    match rng.below(6) {
+        0 if !digits.is_empty() => {
+            bytes[digits[rng.below(digits.len())]] = b".a- e"[rng.below(5)];
+        }
+        1 => {
+            bytes.remove(at);
+        }
+        2 => bytes.insert(at, bytes[at]),
+        3 => bytes.insert(rng.below(bytes.len() + 1), b' '),
+        4 if !digits.is_empty() => {
+            let start = digits[rng.below(digits.len())];
+            let end = (start..bytes.len())
+                .find(|&i| !bytes[i].is_ascii_digit())
+                .unwrap();
+            let grown = 16usize.saturating_sub(end - start).max(1);
+            bytes.splice(end..end, std::iter::repeat_n(b'7', grown));
+        }
+        _ => {
+            bytes.pop();
+            if chance(rng, 50) {
+                bytes.push(b'}');
+                bytes.push(b"x},0 "[rng.below(5)]);
+            }
+        }
+    }
+    String::from_utf8(bytes).expect("every edit keeps an ASCII line ASCII")
+}
+
 /// A small trace text: usually a header, then event lines among blank,
-/// comment and non-object lines.
+/// comment and non-object lines. About 30 % of the event lines are
+/// written lines, 14 % written lines with one byte edit, and the rest
+/// shuffled.
 fn trace_text(rng: &mut TestRng) -> String {
     let ranks = 2 + rng.below(3);
     let rate = [0, 2, 5, 15][rng.below(4)];
@@ -790,6 +910,11 @@ fn trace_text(rng: &mut TestRng) -> String {
                 rng,
                 &["[1]", "42", "\"wait\"", "null", "{}", "{\"ranks\":2}"],
             ));
+        } else if chance(rng, 30) {
+            text.push_str(&written_line(rng, ranks, rate.max(5)));
+        } else if chance(rng, 20) {
+            let line = written_line(rng, ranks, rate);
+            text.push_str(&edit_one(rng, &line));
         } else {
             text.push_str(&event_line(rng, ranks, rate));
         }
