@@ -237,7 +237,7 @@ fn admin_request(addr: &str, request: &str) -> Option<Json> {
 /// Run the load against `--addr` and summarise it.
 pub fn run(args: &Args) -> Result<Json, CliError> {
     let addr = args.require("addr")?;
-    let conns = args.count_or("conns", 8)?;
+    let conns = args.threads_or("conns", 8)?;
     let tenants = args.count_or("tenants", 8)?;
     let batch = args.count_or("batch", 1)?;
     let rate: f64 = args.num_or("rate", 200.0)?;

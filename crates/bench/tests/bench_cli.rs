@@ -176,6 +176,8 @@ fn usage_mistakes_exit_2() {
         &["loadgen", "--addr", "127.0.0.1:9", "--rate", "1e-300"],
         &["loadgen", "--addr", "127.0.0.1:9", "--duration-s", "inf"],
         &["loadgen", "--conns", "4"],
+        // Past the thread ceiling, before any connection starts.
+        &["loadgen", "--addr", "127.0.0.1:9", "--conns", "1025"],
     ] {
         let out = bench(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

@@ -20,6 +20,11 @@ pub struct Args {
     multi: BTreeMap<String, Vec<String>>,
 }
 
+/// The most threads a count option may ask for: `serve --workers`,
+/// `serve --listen --max-conns` and `bench loadgen --conns` each start up
+/// to that many OS threads, so a typo must not ask for 100,000.
+pub const MAX_THREADS: usize = 1 << 10;
+
 /// Flags that may be given more than once. Everything else repeating is
 /// still a [`CliError::DuplicateFlag`] — last-wins would silently drop a
 /// value. `--warm` repeats because its value embeds a file path, and
@@ -282,6 +287,17 @@ impl Args {
     pub fn cores_or(&self, key: &'static str, default: usize) -> Result<usize, CliError> {
         mc_model::core_count(self.count_or(key, default)?)
             .map_err(|e| CliError::Usage(format!("--{key} {e}")))
+    }
+
+    /// An optional thread count with a default: zero is a
+    /// [`CliError::NonPositive`], more than [`MAX_THREADS`] a usage error.
+    pub fn threads_or(&self, key: &'static str, default: usize) -> Result<usize, CliError> {
+        match self.count_or(key, default)? {
+            n if n <= MAX_THREADS => Ok(n),
+            n => Err(CliError::Usage(format!(
+                "--{key} must be at most {MAX_THREADS} threads, got {n}"
+            ))),
+        }
     }
 
     /// An optional yes/no option, off when absent: `yes`/`true`/`1` mean
@@ -626,6 +642,36 @@ usage:
         };
         assert!(e.to_string().contains("--comp-numa 7"));
         assert!(e.to_string().contains("2 NUMA nodes"));
+    }
+
+    #[test]
+    fn thread_counts_stop_at_the_ceiling() {
+        let threads = |n: &str| {
+            Args::parse(["serve", "--workers", n])
+                .unwrap()
+                .threads_or("workers", 1)
+        };
+        assert_eq!(threads("1024"), Ok(MAX_THREADS));
+        assert_eq!(threads("0"), Err(CliError::NonPositive("workers")));
+        for n in ["1025", "100000", "18446744073709551615"] {
+            let e = threads(n).unwrap_err();
+            assert_eq!(
+                e,
+                CliError::Usage(format!(
+                    "--workers must be at most {MAX_THREADS} threads, got {n}"
+                ))
+            );
+            assert_eq!(e.exit_code(), EXIT_USAGE, "{n}: {e}");
+        }
+        assert!(matches!(
+            threads("18446744073709551616"),
+            Err(CliError::BadValue("workers", _))
+        ));
+        // Absent, the default stands.
+        assert_eq!(
+            Args::parse(["serve"]).unwrap().threads_or("workers", 8),
+            Ok(8)
+        );
     }
 
     #[test]

@@ -261,7 +261,7 @@ impl NetServer {
         let credits = args.count_or("credits", DEFAULT_CREDITS)?;
         let max_queue: usize = args.num_or("queue", credits)?;
         let wait_ms: u64 = args.num_or("wait-ms", DEFAULT_WAIT_MS)?;
-        let max_conns = args.count_or("max-conns", DEFAULT_MAX_CONNS)?;
+        let max_conns = args.threads_or("max-conns", DEFAULT_MAX_CONNS)?;
         let addr = args.require("listen")?;
         let listener = TcpListener::bind(addr).map_err(|e| McError::io(addr, e))?;
         let local = listener.local_addr().map_err(|e| McError::io(addr, e))?;

@@ -50,7 +50,7 @@ const MAX_DEFAULT_WORKERS: usize = 8;
 /// path a serve transport keeps.
 pub(crate) fn build_registry(args: &Args) -> Result<(ModelRegistry, usize), CliError> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = args.count_or("workers", cores.min(MAX_DEFAULT_WORKERS))?;
+    let workers = args.threads_or("workers", cores.min(MAX_DEFAULT_WORKERS))?;
     let registry = ModelRegistry::new(args.count_or("capacity", DEFAULT_CAPACITY)?);
     warm_load(&registry, args)?;
     Ok((registry, workers))

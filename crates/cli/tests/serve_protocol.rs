@@ -180,6 +180,12 @@ fn startup_errors_use_the_process_exit_codes() {
     // A bad flag is a usage error before the loop starts.
     let out = serve(&["--workers", "0"], "");
     assert_eq!(out.status.code(), Some(2));
+    // Past the thread ceiling, before any thread starts or any port is
+    // bound.
+    let out = serve(&["--workers", "1025"], "");
+    assert_eq!(out.status.code(), Some(2));
+    let out = serve(&["--listen", "127.0.0.1:0", "--max-conns", "100000"], "");
+    assert_eq!(out.status.code(), Some(2));
     // An unreadable --warm file is fatal I/O: a service asked to start
     // warm must not silently start cold.
     let out = serve(&["--warm", "henri=/nonexistent/model.txt"], "");

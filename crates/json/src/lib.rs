@@ -33,9 +33,11 @@
 //! from its own copy of the generic [`visit_members`].
 //!
 //! [`Lines`] is the line cursor under [`parse_lines`]: it skips
-//! blank and `#` lines and lends each content line out of chunks it
-//! reads and checks as UTF-8 whole, in reused buffers, with the lines
-//! and errors of `BufRead::read_line`. [`write_num`] is the number
+//! blank and `#` lines and lends each content line where it lies in one
+//! reused buffer, with the lines and errors of `BufRead::read_line`. A
+//! reader with a fixed line form decodes the buffered bytes in place
+//! through [`Lines::next_line_with`]; only a line it declines is checked
+//! as UTF-8 and trimmed. [`write_num`] is the number
 //! writer behind [`Json::render`], public so that writers which skip
 //! the tree produce the same bytes.
 //!
@@ -833,34 +835,38 @@ impl std::fmt::Display for LineError {
 
 impl std::error::Error for LineError {}
 
-/// A cursor over the content lines of a line-oriented stream: each
-/// [`next_line`](Lines::next_line) reads forward past blank and `#`
-/// comment lines and lends out the next line, trimmed, with its 1-based
-/// number. [`ParsedLines`] parses each line as a JSON document; readers
-/// with their own line grammar walk the cursor directly.
+/// A cursor over the content lines of a line-oriented stream: each call
+/// reads forward past blank and `#` comment lines and lends out the next
+/// line with its 1-based number. [`ParsedLines`] parses each line as a
+/// JSON document; readers with their own line grammar walk the cursor
+/// directly.
 ///
-/// The cursor reads the stream in chunks of 16 KiB and checks each
-/// chunk's whole lines as UTF-8 at once; a line is then found with
-/// `memchr` and lent from the chunk, without a copy or a check of its
-/// own. Its two buffers are reused, so memory stays bounded by a chunk
-/// plus the longest line. It reads the same lines as `BufRead::read_line`
-/// and fails the same way: a line that is not UTF-8 is consumed and
-/// answered with `read_line`'s own error, and a failed read loses the
-/// part of the line read before it.
+/// The cursor reads the stream at least 16 KiB at a time into one reused
+/// buffer and lends lines where they lie, so memory stays bounded by a
+/// chunk plus the longest line. A reader that knows its lines' exact form
+/// decodes them there with [`next_line_with`](Lines::next_line_with): a
+/// line its decoder takes costs no newline search, trim or UTF-8 check.
+/// Any other line is found with `memchr`, checked as UTF-8 on its own
+/// and lent trimmed. Either way the cursor reads the same lines as
+/// `BufRead::read_line` and fails the same way: a line that is not UTF-8
+/// is consumed and answered with `read_line`'s own error, and a failed
+/// read loses the part of the line read before it.
 pub struct Lines<R> {
     reader: R,
     line: usize,
-    /// Whole lines, checked as UTF-8, lent out from `pos` on.
-    text: String,
+    /// Bytes read from the stream, `buf[pos..end]` not yet lent out. A
+    /// refill reads over the bytes lent before, so only growth is
+    /// zero-filled.
+    buf: Vec<u8>,
     pos: usize,
-    /// Bytes read after `text`: the start of a line not yet complete,
-    /// or the lines from the first one that is not UTF-8 on.
-    raw: Vec<u8>,
-    /// Whether `raw` starts with a line that is not UTF-8.
-    bad: bool,
+    end: usize,
+    /// Bytes searched for a line end or moved to the front of the
+    /// buffer, which a test bounds.
+    #[cfg(test)]
+    touched: usize,
 }
 
-/// How much [`Lines`] asks of its reader at a time: twice the default
+/// How much [`Lines`] asks of its reader at least: twice the default
 /// `BufReader` capacity, so a `BufReader` of that capacity hands each
 /// read straight to the stream underneath.
 const CHUNK: usize = 16 << 10;
@@ -871,26 +877,82 @@ impl<R: BufRead> Lines<R> {
         Lines {
             reader,
             line: 0,
-            text: String::new(),
+            buf: Vec::new(),
             pos: 0,
-            raw: Vec::new(),
-            bad: false,
+            end: 0,
+            #[cfg(test)]
+            touched: 0,
         }
     }
 
-    /// The next content line and its 1-based number, `None` at the end
-    /// of the stream. A failed read is [`LineError::Io`]; a later call
-    /// reads on from where the stream left off.
+    /// The next content line, trimmed, and its 1-based number; `None` at
+    /// the end of the stream. A failed read is [`LineError::Io`]; a later
+    /// call reads on from where the stream left off.
     pub fn next_line(&mut self) -> Option<Result<(usize, &str), LineError>> {
-        loop {
-            if self.pos == self.text.len() {
+        let next = self.next_line_with(|_| None::<(std::convert::Infallible, usize)>)?;
+        Some(next.map(|(line, text)| {
+            let Err(text) = text;
+            (line, text)
+        }))
+    }
+
+    /// [`next_line`](Lines::next_line), offering each line to `decode`
+    /// first. `decode` sees the buffered bytes from the start of the line
+    /// on and answers `Some((value, len))` when it reads the line in its
+    /// first `len` bytes. If a line end follows them (`\n`, `\r\n`, or
+    /// the end of the stream), the line is `Ok(value)`, taken without a
+    /// newline search, a trim or a UTF-8 check. So `decode` may claim
+    /// only bytes that `next_line` would lend as a whole line: ASCII, no
+    /// line end, no whitespace at either end, no leading `#`. A line that
+    /// `decode` declines, or whose claimed bytes a line end does not
+    /// follow, is `Err(text)`: lent exactly as `next_line` lends it.
+    /// `decode` may see a line more than once, cut short by the end of
+    /// the buffered bytes, until a read completes it; so that a long line
+    /// read in many pieces costs time in its length, not in its length
+    /// times the reads, `decode` should read no more than a bounded
+    /// prefix before it answers.
+    #[allow(clippy::type_complexity)]
+    pub fn next_line_with<T>(
+        &mut self,
+        mut decode: impl FnMut(&[u8]) -> Option<(T, usize)>,
+    ) -> Option<Result<(usize, Result<T, &str>), LineError>> {
+        // Whether the stream ended during this call.
+        let mut ended = false;
+        // How many bytes from `pos` on are known to hold no `\n`: a read
+        // only adds bytes after them, so each byte is searched once.
+        let mut searched = 0;
+        // The loop keeps only offsets: a line lent from inside it would
+        // keep the buffer borrowed across the next refill.
+        let (start, end) = loop {
+            let rest = &self.buf[self.pos..self.end];
+            if let Some((value, len)) = decode(rest) {
+                let taken = match rest.get(len..) {
+                    Some([b'\n', ..]) => Some(len + 1),
+                    Some([b'\r', b'\n', ..]) => Some(len + 2),
+                    Some([]) if ended => Some(len),
+                    _ => None,
+                };
+                if let Some(taken) = taken {
+                    self.pos += taken;
+                    self.line += 1;
+                    return Some(Ok((self.line, Ok(value))));
+                }
+            }
+            let mut unsearched = &rest[searched..];
+            let found = unsearched
+                .skip_until(b'\n')
+                .expect("a slice reads without error");
+            let len = searched + found;
+            let whole = rest[..len].ends_with(b"\n");
+            #[cfg(test)]
+            {
+                self.touched += found;
+            }
+            if !ended && !whole {
+                // No whole line is buffered.
+                searched = len;
                 match self.refill() {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        // As `read_line`'s empty read takes a number.
-                        self.line += 1;
-                        return None;
-                    }
+                    Ok(read) => ended = !read,
                     Err(error) => {
                         self.line += 1;
                         return Some(Err(LineError::Io {
@@ -902,105 +964,87 @@ impl<R: BufRead> Lines<R> {
                 continue;
             }
             self.line += 1;
-            let rest = &self.text[self.pos..];
-            let len = rest.find('\n').map_or(rest.len(), |end| end + 1);
+            if len == 0 {
+                // As `read_line`'s empty read takes a number.
+                return None;
+            }
             let start = self.pos;
             self.pos += len;
-            let line = &self.text[start..self.pos];
-            let end = start + line.trim_end().len();
-            let start = end - self.text[start..end].trim_start().len();
-            if start < end && self.text.as_bytes()[start] != b'#' {
-                return Some(Ok((self.line, &self.text[start..end])));
+            match skipped(&self.buf[start..self.pos]) {
+                Ok(true) => searched = 0,
+                Ok(false) => break (start, self.pos),
+                Err(error) => {
+                    return Some(Err(LineError::Io {
+                        line: self.line,
+                        error,
+                    }))
+                }
             }
-        }
+        };
+        let line = &self.buf[start..end];
+        Some(match std::str::from_utf8(line) {
+            Ok(text) => Ok((self.line, Err(text.trim()))),
+            Err(_) => Err(LineError::Io {
+                line: self.line,
+                error: not_utf8(line),
+            }),
+        })
     }
 
-    /// Refill `text` with the next whole lines: `Ok(false)` at the end
-    /// of the stream. A line that is not UTF-8, or a failed read, is an
-    /// error for the line being read.
+    /// Read on after the bytes not yet lent, which move to the front of
+    /// the buffer unless they are there already: `Ok(false)` at the end
+    /// of the stream. A failed read drops those bytes, the start of the
+    /// line being read.
     fn refill(&mut self) -> std::io::Result<bool> {
-        if self.bad {
-            return Err(self.skip_bad_line());
-        }
-        // Read until `raw` holds a whole line or the stream ends.
-        let mut searched = 0;
-        let last_newline = loop {
-            if let Some(at) = self.raw[searched..].iter().rposition(|&b| b == b'\n') {
-                break Some(searched + at);
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            #[cfg(test)]
+            {
+                self.touched += self.end - self.pos;
             }
-            let filled = self.raw.len();
-            searched = filled;
-            self.raw.resize(filled + CHUNK, 0);
-            let read = loop {
-                match self.reader.read(&mut self.raw[filled..]) {
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    read => break read,
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        if self.buf.len() < self.end + CHUNK {
+            self.buf.resize(self.end + CHUNK, 0);
+        }
+        loop {
+            match self.reader.read(&mut self.buf[self.end..]) {
+                Ok(read) => {
+                    self.end += read;
+                    return Ok(read > 0);
                 }
-            };
-            match read {
-                Ok(0) => {
-                    self.raw.truncate(filled);
-                    break None;
-                }
-                Ok(n) => self.raw.truncate(filled + n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.raw.clear();
+                    self.end = 0;
                     return Err(e);
                 }
             }
-        };
-        // `raw` splits into whole lines and what follows the last one
-        // (at the end of the stream: the last line, if unterminated).
-        let whole = match last_newline {
-            Some(at) => at + 1,
-            None if self.raw.is_empty() => return Ok(false),
-            None => self.raw.len(),
-        };
-        // The whole lines become `text`; the rest moves into the buffer
-        // of the old `text`, all lent out by now, which becomes `raw`.
-        let mut lines =
-            std::mem::replace(&mut self.raw, std::mem::take(&mut self.text).into_bytes());
-        self.raw.clear();
-        self.raw.extend_from_slice(&lines[whole..]);
-        lines.truncate(whole);
-        self.pos = 0;
-        match String::from_utf8(lines) {
-            Ok(text) => self.text = text,
-            Err(e) => {
-                // Lend the lines before the bad one; keep it and the
-                // lines after it in `raw`, ahead of the rest.
-                let valid = e.utf8_error().valid_up_to();
-                let mut lines = e.into_bytes();
-                let good = lines[..valid]
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map_or(0, |at| at + 1);
-                lines.extend_from_slice(&self.raw);
-                self.raw.clear();
-                self.raw.extend_from_slice(&lines[good..]);
-                lines.truncate(good);
-                self.text = String::from_utf8(lines).expect("checked up to the bad line");
-                self.bad = true;
-            }
         }
-        Ok(true)
     }
+}
 
-    /// Drop the line at the start of `raw`, which is not UTF-8, and
-    /// return the error `read_line` gives for it.
-    fn skip_bad_line(&mut self) -> std::io::Error {
-        self.bad = false;
-        let end = self
-            .raw
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(self.raw.len(), |at| at + 1);
-        let error = (&self.raw[..end])
-            .read_line(&mut String::new())
-            .expect_err("the line is not UTF-8");
-        self.raw.drain(..end);
-        error
+/// Whether `line` is blank or a `#` comment, which [`Lines`] skips. A
+/// line that starts, after ASCII whitespace, with any other ASCII byte
+/// is neither, and is checked as UTF-8 only when it is lent; any other
+/// line is checked here.
+fn skipped(line: &[u8]) -> std::io::Result<bool> {
+    match line.iter().find(|b| !matches!(b, b'\t'..=b'\r' | b' ')) {
+        Some(&b) if b.is_ascii() && b != b'#' => Ok(false),
+        _ => match std::str::from_utf8(line) {
+            Ok(text) => {
+                let text = text.trim_start();
+                Ok(text.is_empty() || text.starts_with('#'))
+            }
+            Err(_) => Err(not_utf8(line)),
+        },
     }
+}
+
+/// The error `read_line` gives for `line`, which is not UTF-8.
+fn not_utf8(mut line: &[u8]) -> std::io::Error {
+    line.read_line(&mut String::new())
+        .expect_err("the line is not UTF-8")
 }
 
 /// Iterator over the JSON documents of a line-oriented stream; see
@@ -1400,14 +1444,99 @@ mod tests {
 
     #[test]
     fn line_cursor_lends_trimmed_content_lines() {
-        let mut lines = Lines::new(&b"# c\n\n  {\"a\":1}\r\n\xff\n \t#x\nlast"[..]);
+        let text = b"# c\n\n  {\"a\":1}\r\n\xff\n{\"b\":\"\xff\"}\n \t#x\nlast";
+        let mut lines = Lines::new(&text[..]);
         assert_eq!(lines.next_line().unwrap().unwrap(), (3, "{\"a\":1}"));
-        match lines.next_line() {
-            Some(Err(LineError::Io { line: 4, .. })) => {}
-            other => panic!("expected an I/O error on line 4, got {other:?}"),
+        for bad in [4, 5] {
+            match lines.next_line() {
+                Some(Err(LineError::Io { line, .. })) if line == bad => {}
+                other => panic!("expected an I/O error on line {bad}, got {other:?}"),
+            }
         }
-        assert_eq!(lines.next_line().unwrap().unwrap(), (6, "last"));
+        assert_eq!(lines.next_line().unwrap().unwrap(), (7, "last"));
         assert!(lines.next_line().is_none());
+    }
+
+    /// Every line [`Lines::next_line_with`] lends out of `reader` with a
+    /// decoder that claims `{a}` at the start of any line.
+    fn claiming_braces(reader: impl BufRead) -> Vec<(usize, Result<(), String>)> {
+        let mut lines = Lines::new(reader);
+        let mut lent = Vec::new();
+        while let Some(next) =
+            lines.next_line_with(|rest| rest.starts_with(b"{a}").then_some(((), 3)))
+        {
+            let (line, value) = next.unwrap();
+            lent.push((line, value.map_err(str::to_string)));
+        }
+        lent
+    }
+
+    #[test]
+    fn a_decoded_line_is_taken_only_before_a_line_end() {
+        let text = b"{a}x\n{a}\r\n{a}\r{a}\n\n{a}\n  {a}\n{a}";
+        let text_line = |line, text: &str| (line, Err(text.to_string()));
+        assert_eq!(
+            claiming_braces(&text[..]),
+            [
+                text_line(1, "{a}x"),
+                (2, Ok(())),
+                text_line(3, "{a}\r{a}"),
+                (5, Ok(())),
+                text_line(6, "{a}"),
+                (7, Ok(())),
+            ]
+        );
+        // A read that ends right after the claimed bytes decides nothing:
+        // the next one does.
+        let split = std::io::Read::chain(&b"{a}"[..], &b"x\n{a}"[..]);
+        assert_eq!(claiming_braces(split), [text_line(1, "{a}x"), (2, Ok(()))]);
+    }
+
+    /// A stream that hands out at most `.1` bytes per read.
+    struct Drip<'a>(&'a [u8], usize);
+
+    impl std::io::Read for Drip<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.1.min(buf.len()).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_long_line_read_in_small_pieces_is_searched_and_moved_once() {
+        // Lines of 1 MiB and 2 MiB, in 61-byte reads (a `BufReader` hands
+        // a read larger than its capacity straight through): a search
+        // or a move per read over the whole line so far would touch
+        // about 4.5 * 10^10 bytes.
+        let long = "a".repeat(1 << 20);
+        let longer = format!("{{a}}{}", "b".repeat(2 << 20));
+        let text = format!("x\n{long}\r\n{longer}\n{{a}}");
+        let reader = std::io::BufReader::new(Drip(text.as_bytes(), 61));
+        let mut lines = Lines::new(reader);
+        let mut lent = Vec::new();
+        while let Some(next) =
+            lines.next_line_with(|rest| rest.starts_with(b"{a}").then_some(((), 3)))
+        {
+            let (line, value) = next.unwrap();
+            lent.push((line, value.map_err(str::len)));
+        }
+        assert_eq!(
+            lent,
+            [
+                (1, Err(1)),
+                (2, Err(long.len())),
+                (3, Err(longer.len())),
+                (4, Ok(()))
+            ]
+        );
+        assert!(
+            lines.touched <= 2 * text.len(),
+            "{} bytes touched for {} read",
+            lines.touched,
+            text.len()
+        );
     }
 
     #[test]
@@ -1516,6 +1645,51 @@ mod proptests {
             });
         }
         out
+    }
+
+    /// Everything [`Lines::next_line_with`] lends out of `reader` under
+    /// [`toy_decoder`], in the form of [`read_line_cursor`].
+    fn decoding_cursor(reader: impl BufRead, seed: u64) -> Vec<Result<(usize, String), String>> {
+        let mut rng = TestRng::new(seed);
+        let mut lines = Lines::new(reader);
+        let mut out = Vec::new();
+        while let Some(next) = lines.next_line_with(|rest| toy_decoder(rest, &mut rng)) {
+            out.push(match next {
+                Ok((line, Ok(claimed))) => Ok((line, claimed)),
+                Ok((line, Err(text))) => Ok((line, text.to_string())),
+                Err(LineError::Io { line, error }) => {
+                    Err(format!("line {line}: {:?} {error}", error.kind()))
+                }
+                Err(e) => panic!("the cursor parses nothing: {e}"),
+            });
+        }
+        out
+    }
+
+    /// A decoder that claims, at random, nothing, the content of the
+    /// line that starts `rest`, a prefix of the line up to its end, or
+    /// more bytes than `rest` holds, and holds the claimed bytes as its
+    /// value. It keeps [`Lines::next_line_with`]'s contract and claims
+    /// no bytes a whole line could not be: none that are not ASCII, no
+    /// line end, no whitespace at either end, no leading `#`. So a claim
+    /// short of the line's end, or of one that is buffered, must not be
+    /// taken, and a claim past the buffered bytes never.
+    fn toy_decoder(rest: &[u8], rng: &mut TestRng) -> Option<(String, usize)> {
+        let end = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+        let len = match rng.below(4) {
+            0 => return None,
+            1 => end - usize::from(rest[..end].ends_with(b"\r")),
+            2 => rng.below(end + 1),
+            _ => return Some((String::new(), rest.len() + 1 + rng.below(3))),
+        };
+        let claimed = &rest[..len];
+        let whitespace = |b: &u8| b.is_ascii_whitespace() || *b == b'\x0b';
+        let fits = claimed.is_ascii()
+            && claimed
+                .first()
+                .is_some_and(|b| !whitespace(b) && *b != b'#')
+            && claimed.last().is_some_and(|b| !whitespace(b));
+        fits.then(|| (String::from_utf8(claimed.to_vec()).unwrap(), len))
     }
 
     /// A stream that hands out its bytes a few at a time, is now and
@@ -1660,9 +1834,12 @@ mod proptests {
                     fail_at,
                 })
             };
-            // Whole, and a few bytes at a time with a failure.
+            // Whole, and a few bytes at a time with a failure; then with
+            // a decoder that claims lines, parts of lines and more.
             prop_assert_eq!(chunked_cursor(&bytes[..]), read_line_cursor(&bytes[..]));
             prop_assert_eq!(chunked_cursor(stream()), read_line_cursor(stream()));
+            prop_assert_eq!(decoding_cursor(&bytes[..], seed), read_line_cursor(&bytes[..]));
+            prop_assert_eq!(decoding_cursor(stream(), seed), read_line_cursor(stream()));
         }
     }
 }

@@ -279,7 +279,9 @@ fn jobs_done(world: &World, st: &RankState) -> Result<bool, ReplayError> {
 /// bounded by in-flight work.
 fn reap(world: &mut World, st: &mut RankState, floor: f64) -> Result<f64, ReplayError> {
     let mut end = floor;
-    for (req, kind, posted) in std::mem::take(&mut st.reqs) {
+    // Drained in place and put back, so each rank keeps its capacity.
+    let mut reqs = std::mem::take(&mut st.reqs);
+    for (req, kind, posted) in reqs.drain(..) {
         let t = match world.status(req)? {
             RequestStatus::Complete(t) => t,
             RequestStatus::Truncated => return Err(MpiError::Truncated(req).into()),
@@ -289,7 +291,9 @@ fn reap(world: &mut World, st: &mut RankState, floor: f64) -> Result<f64, Replay
         st.push_span(kind, posted, t);
         end = end.max(t);
     }
-    for (job, started) in std::mem::take(&mut st.jobs) {
+    st.reqs = reqs;
+    let mut jobs = std::mem::take(&mut st.jobs);
+    for (job, started) in jobs.drain(..) {
         let t = world
             .job_status(job)?
             .expect("reap called before job completion");
@@ -297,6 +301,7 @@ fn reap(world: &mut World, st: &mut RankState, floor: f64) -> Result<f64, Replay
         st.push_span("compute", started, t);
         end = end.max(t);
     }
+    st.jobs = jobs;
     Ok(end)
 }
 

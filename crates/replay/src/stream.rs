@@ -31,18 +31,21 @@
 //! tolerates the same header, so streamed files remain valid eager
 //! inputs.
 //!
-//! Both readers decode an event line in one pass when it is in the exact
-//! form [`crate::trace::write_event_line`] writes; any other line, and
-//! any line the schema rejects, is read again from its first byte by the
-//! general JSON path, which alone decides what is accepted and how a
-//! line fails.
+//! Both readers decode an event line in one pass, where it lies in the
+//! line cursor's buffer, when it is in the exact form
+//! [`crate::trace::write_event_line`] writes and a line end (`\n`,
+//! `\r\n` or the end of the stream) follows its `}`; such a line is
+//! never searched, trimmed or checked as UTF-8. Any other line, and
+//! any line the decoder's schema checks reject, is lent as text,
+//! checked and trimmed, and read from its first byte by the general JSON
+//! path, which alone decides what is accepted and how a line fails.
 
 use std::collections::VecDeque;
 use std::io::BufRead;
 
 use mc_json::Lines;
 
-use crate::trace::{line_error, read_event, EventKind, Trace, TraceError, TraceLine};
+use crate::trace::{decode_written, line_error, EventKind, Trace, TraceError, TraceLine};
 
 /// A per-rank cursor over an event program, the replay engine's input
 /// abstraction. `peek` returns rank `r`'s next event without consuming
@@ -159,14 +162,14 @@ impl<R: BufRead> TraceReader<R> {
     /// Read lines until `rank`'s queue is non-empty or the stream ends.
     fn fill(&mut self, rank: usize) -> Result<(), TraceError> {
         while self.queues[rank].is_empty() && !self.eof {
-            let (line, text) = match self.lines.next_line() {
+            let (line, event) = match self.lines.next_line_with(decode_written) {
                 None => {
                     self.eof = true;
                     return Ok(());
                 }
                 Some(r) => r.map_err(line_error)?,
             };
-            let (r, ev) = read_event(text, line)?;
+            let (r, ev) = event.or_else(|text| TraceLine::parse(text, line)?.event())?;
             if r >= self.ranks {
                 return Err(TraceError::Schema {
                     line,

@@ -44,6 +44,14 @@ pub enum CollectiveOp {
 }
 
 impl CollectiveOp {
+    /// Every operation.
+    pub const ALL: [CollectiveOp; 4] = [
+        CollectiveOp::Barrier,
+        CollectiveOp::Allreduce,
+        CollectiveOp::Allgather,
+        CollectiveOp::Broadcast,
+    ];
+
     /// The JSON spelling of this operation.
     pub fn name(self) -> &'static str {
         match self {
@@ -413,71 +421,67 @@ impl<'a> TraceLine<'a> {
     }
 }
 
-/// Line number `line` as one rank's event: a line in
-/// [`write_event_line`]'s exact form is decoded by [`decode_written`],
-/// any other line goes through [`TraceLine`] from its first byte. The
-/// one entry to the decoder, for both readers.
+/// The inverse of [`write_event_line`]: one forward scan of the bytes
+/// of a line in exactly the writer's form (its member order, no
+/// whitespace, each integer of 1–15 digits with no leading zero),
+/// checked against every rule [`TraceLine::event`] applies, and the
+/// number of bytes read through the closing `}`. Whether the line ends
+/// there is the caller's to check. Any other byte, and any line the
+/// schema rejects, answers `None`, never an error: the caller then reads
+/// the line on the general path, which stays the one definition of what
+/// a trace accepts and how it fails. Integers of at most 15 digits are
+/// below 2^53, so each reads here as exactly the value the general
+/// path's `f64` holds. The form is ASCII, so the bytes read are UTF-8.
+/// It reads at most a bounded prefix of any line, so [`Lines`] may offer
+/// it a long line once per read.
+///
+/// Both readers offer it every line through [`Lines::next_line_with`],
+/// and read each line it declines with [`TraceLine`].
 #[inline]
-pub(crate) fn read_event(text: &str, line: usize) -> Result<(usize, EventKind), TraceError> {
-    match decode_written(text) {
-        Some(event) => Ok(event),
-        None => TraceLine::parse(text, line)?.event(),
-    }
-}
-
-/// The inverse of [`write_event_line`]: one forward scan of a line in
-/// exactly the writer's bytes (its member order, no whitespace, each
-/// integer of 1–15 digits with no leading zero, nothing after the
-/// closing `}`), checked against every rule [`TraceLine::event`]
-/// applies. Any other byte, and any line the schema rejects, answers
-/// `None`, never an error: the caller then reads the line on the general
-/// path, which stays the one definition of what a trace accepts and how
-/// it fails. Integers of at most 15 digits are below 2^53, so each reads
-/// here as exactly the value the general path's `f64` holds.
-#[inline]
-fn decode_written(text: &str) -> Option<(usize, EventKind)> {
-    let mut s = Written(text);
-    s.lit("{\"rank\":")?;
+pub(crate) fn decode_written(bytes: &[u8]) -> Option<((usize, EventKind), usize)> {
+    let mut s = Written(bytes);
+    s.lit(b"{\"rank\":")?;
     let rank = s.int()? as usize;
     if rank >= MAX_RANKS {
         return None;
     }
-    s.lit(",\"event\":\"")?;
-    let kind = if s.lit("compute\",\"numa\":").is_some() {
+    s.lit(b",\"event\":\"")?;
+    let kind = if s.lit(b"compute\",\"numa\":").is_some() {
         let numa = s.numa()?;
-        s.lit(",\"cores\":")?;
+        s.lit(b",\"cores\":")?;
         let cores = s.int()? as usize;
         if cores == 0 || mc_model::core_count(cores).is_err() {
             return None;
         }
-        s.lit(",\"bytes\":")?;
+        s.lit(b",\"bytes\":")?;
         let bytes = s.int()?;
         EventKind::Compute { numa, cores, bytes }
-    } else if s.lit("collective\",\"op\":\"").is_some() {
-        let (name, rest) = s.0.split_at(s.0.find('"')?);
-        let op = CollectiveOp::from_name(name)?;
-        s.0 = rest;
-        s.lit("\",\"numa\":")?;
+    } else if s.lit(b"collective\",\"op\":\"").is_some() {
+        // No name is a prefix of another.
+        let op = CollectiveOp::ALL
+            .into_iter()
+            .find(|op| s.lit(op.name().as_bytes()).is_some())?;
+        s.lit(b"\",\"numa\":")?;
         let numa = s.numa()?;
-        s.lit(",\"bytes\":")?;
+        s.lit(b",\"bytes\":")?;
         let bytes = s.int()?;
         EventKind::Collective { op, numa, bytes }
-    } else if s.lit("wait\"").is_some() {
+    } else if s.lit(b"wait\"").is_some() {
         EventKind::Wait
     } else {
-        let send = s.lit("send\",\"peer\":").is_some();
+        let send = s.lit(b"send\",\"peer\":").is_some();
         if !send {
-            s.lit("recv\",\"peer\":")?;
+            s.lit(b"recv\",\"peer\":")?;
         }
         let peer = s.int()? as usize;
         if peer == rank {
             return None;
         }
-        s.lit(",\"numa\":")?;
+        s.lit(b",\"numa\":")?;
         let numa = s.numa()?;
-        s.lit(",\"bytes\":")?;
+        s.lit(b",\"bytes\":")?;
         let bytes = s.int()?;
-        s.lit(",\"tag\":")?;
+        s.lit(b",\"tag\":")?;
         let tag = u32::try_from(s.int()?).ok()?;
         if send {
             EventKind::Send {
@@ -495,24 +499,26 @@ fn decode_written(text: &str) -> Option<(usize, EventKind)> {
             }
         }
     };
-    (s.0 == "}").then_some((rank, kind))
+    s.lit(b"}")?;
+    Some(((rank, kind), bytes.len() - s.0.len()))
 }
 
 /// The bytes of a written line not yet decoded.
-struct Written<'a>(&'a str);
+struct Written<'a>(&'a [u8]);
 
 impl Written<'_> {
     /// Step past `lit`, if the rest starts with it.
     #[inline]
-    fn lit(&mut self, lit: &str) -> Option<()> {
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
         self.0 = self.0.strip_prefix(lit)?;
         Some(())
     }
 
     /// Step past an integer of 1–15 digits, `0` or with no leading zero.
-    #[inline]
+    /// Always inlined: as a call it cost about 15 % of a reader pass.
+    #[inline(always)]
     fn int(&mut self) -> Option<u64> {
-        let bytes = self.0.as_bytes();
+        let bytes = self.0;
         let mut n = 0;
         let mut digits = 0;
         while let Some(&b) = bytes.get(digits).filter(|b| b.is_ascii_digit()) {
@@ -525,7 +531,7 @@ impl Written<'_> {
         if digits == 0 || (digits > 1 && bytes[0] == b'0') {
             return None;
         }
-        self.0 = &self.0[digits..];
+        self.0 = &bytes[digits..];
         Some(n)
     }
 
@@ -616,20 +622,24 @@ impl Trace {
         let mut per_rank: Vec<Vec<EventKind>> = Vec::new();
         let mut any = false;
         let mut first = true;
-        while let Some(next) = lines.next_line() {
-            let (line, text) = next.map_err(line_error)?;
-            let (rank, kind) = if first {
-                first = false;
-                let members = TraceLine::parse(text, line)?;
-                if let Some(ranks) = members.header()? {
-                    // The header pre-declares ranks so a trailing rank
-                    // with no events still counts toward the world size.
-                    per_rank.resize_with(ranks, Vec::new);
-                    continue;
+        while let Some(next) = lines.next_line_with(decode_written) {
+            let (line, event) = next.map_err(line_error)?;
+            let may_be_header = std::mem::replace(&mut first, false);
+            let (rank, kind) = match event {
+                Ok(event) => event,
+                Err(text) => {
+                    let members = TraceLine::parse(text, line)?;
+                    if may_be_header {
+                        if let Some(ranks) = members.header()? {
+                            // The header pre-declares ranks so a trailing
+                            // rank with no events still counts toward the
+                            // world size.
+                            per_rank.resize_with(ranks, Vec::new);
+                            continue;
+                        }
+                    }
+                    members.event()?
                 }
-                members.event()?
-            } else {
-                read_event(text, line)?
             };
             if per_rank.len() <= rank {
                 per_rank.resize_with(rank + 1, Vec::new);
@@ -972,6 +982,18 @@ mod tests {
         TraceLine::parse(line, 1)?.event()
     }
 
+    /// Each line of a trace as both readers read it: decoded in place by
+    /// the line cursor, or lent as text to the general path.
+    fn read(text: &str) -> Vec<Result<(usize, EventKind), TraceError>> {
+        let mut lines = Lines::new(text.as_bytes());
+        let mut read = Vec::new();
+        while let Some(next) = lines.next_line_with(decode_written) {
+            let (line, event) = next.unwrap();
+            read.push(event.or_else(|text| TraceLine::parse(text, line)?.event()));
+        }
+        read
+    }
+
     /// One valid event of each kind, every collective op among them.
     fn one_of_each_kind() -> Vec<EventKind> {
         let mut events = vec![
@@ -994,12 +1016,7 @@ mod tests {
             },
             EventKind::Wait,
         ];
-        for op in [
-            CollectiveOp::Barrier,
-            CollectiveOp::Allreduce,
-            CollectiveOp::Allgather,
-            CollectiveOp::Broadcast,
-        ] {
+        for op in CollectiveOp::ALL {
             events.push(EventKind::Collective {
                 op,
                 numa: n(2),
@@ -1088,7 +1105,8 @@ mod tests {
             let lazy = crate::generate::LazyGen::new(name, &p).unwrap();
             lazy.write_interleaved(&mut bytes).unwrap();
             for line in String::from_utf8(bytes).unwrap().lines().skip(1) {
-                assert_eq!(decode_written(line), Some(general(line).unwrap()), "{line}");
+                let whole = Some((general(line).unwrap(), line.len()));
+                assert_eq!(decode_written(line.as_bytes()), whole, "{line}");
             }
         }
 
@@ -1102,18 +1120,30 @@ mod tests {
                 .split(|c: char| !c.is_ascii_digit())
                 .all(|digits| digits.len() <= 15);
             let expected = general(line).ok().filter(|_| short);
-            assert_eq!(decode_written(line), expected, "{line}");
+            let taken = decode_written(line.as_bytes()).map(|(event, len)| {
+                assert_eq!(len, line.len(), "{line}");
+                event
+            });
+            assert_eq!(taken, expected, "{line}");
         }
 
         // Whatever the decoder takes off an edited line, the general
-        // path reads the same.
+        // path reads the same, and the readers read every edited line as
+        // the general path does: bytes after the `}` are not taken.
         let mut edited = 0;
         for line in &written {
-            for edit in one_byte_edits(line) {
-                if let Some(event) = decode_written(&edit) {
-                    assert_eq!(general(&edit), Ok(event), "{edit}");
+            let edits = one_byte_edits(line);
+            for edit in &edits {
+                if let Some((event, len)) = decode_written(edit.as_bytes()) {
+                    assert_eq!(general(&edit[..len]), Ok(event), "{edit}");
                     edited += 1;
                 }
+            }
+            let read = read(&edits.join("\n"));
+            assert_eq!(read.len(), edits.len());
+            for (at, (edit, read)) in edits.iter().zip(read).enumerate() {
+                let general = TraceLine::parse(edit.trim(), at + 1).and_then(|l| l.event());
+                assert_eq!(read, general, "{edit}");
             }
         }
         // Some edits stay in the written form (a digit doubled, say).

@@ -8,6 +8,10 @@
 //! (a key or string copied out of the line, a tree built for it) would
 //! add one per line and fail the comparison.
 //!
+//! The file is read three ways: as written, where every line is decoded
+//! in place; with a space after every comma, which sends every line to
+//! the general path as text; and with CRLF line ends.
+//!
 //! This file holds a single test, so no other test thread allocates
 //! while a pass is counted.
 
@@ -84,17 +88,48 @@ fn allocations_of_a_pass(bytes: &[u8]) -> (usize, usize) {
     (ALLOCATIONS.load(Ordering::Relaxed) - before, events)
 }
 
+/// `bytes` with every `from` byte replaced by `to`.
+fn replaced(bytes: &[u8], from: u8, to: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &b in bytes {
+        if b == from {
+            out.extend_from_slice(to);
+        } else {
+            out.push(b);
+        }
+    }
+    out
+}
+
 #[test]
 fn a_pass_allocates_the_same_at_one_and_eight_iterations() {
     let (short, long) = (halo2d_file(1), halo2d_file(8));
-    let (at_one, events_one) = allocations_of_a_pass(&short);
-    let (at_eight, events_eight) = allocations_of_a_pass(&long);
-    assert_eq!(events_eight, 8 * events_one);
-    assert_eq!(
-        at_one, at_eight,
-        "{events_one} events cost {at_one} allocations, {events_eight} cost {at_eight}"
-    );
-    // A few per rank: round-robin draining lets each queue grow to one
-    // iteration's events.
-    assert!(at_one < 4 * RANKS, "{at_one} allocations for {RANKS} ranks");
+    let copies = [
+        ("written", short.clone(), long.clone()),
+        (
+            "spaced",
+            replaced(&short, b',', b", "),
+            replaced(&long, b',', b", "),
+        ),
+        (
+            "CRLF",
+            replaced(&short, b'\n', b"\r\n"),
+            replaced(&long, b'\n', b"\r\n"),
+        ),
+    ];
+    for (form, short, long) in &copies {
+        let (at_one, events_one) = allocations_of_a_pass(short);
+        let (at_eight, events_eight) = allocations_of_a_pass(long);
+        assert_eq!(events_eight, 8 * events_one, "{form}");
+        assert_eq!(
+            at_one, at_eight,
+            "{form}: {events_one} events cost {at_one} allocations, {events_eight} cost {at_eight}"
+        );
+        // A few per rank: round-robin draining lets each queue grow to one
+        // iteration's events.
+        assert!(
+            at_one < 4 * RANKS,
+            "{form}: {at_one} allocations for {RANKS} ranks"
+        );
+    }
 }

@@ -4,7 +4,9 @@
 # that select the one test which must then fail.
 #
 # The script copies the checkout (tracked and untracked files, not
-# ignored ones) into a temporary directory and works only there. It
+# ignored ones) into a temporary directory and works only there. The
+# copies are stamped with the time of the copy, so a CARGO_TARGET_DIR
+# shared between runs never serves a mutant built by an earlier run. It
 # first runs every named test on the clean copy, where each must pass;
 # then, one patch at a time, it applies the patch, runs the named test
 # and reverts the patch, so each mutant rebuilds only the crates it
@@ -25,7 +27,7 @@ mkdir "$copy"
     cd "$root"
     git ls-files -z --cached --others --exclude-standard |
         while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
-        tar --null -T - -c | tar -x -C "$copy"
+        tar --null -T - -c | tar -x -m -C "$copy"
 )
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
 
