@@ -184,7 +184,8 @@ fn mixed_queue(jobs: usize) -> Vec<JobSpec> {
 /// (comm-heavy shuffles alternating with compute-heavy solvers) with all
 /// three policies on an identical fleet and reports each policy's
 /// makespan, throughput and threshold violations, plus the
-/// contention-aware speedup over the naive baselines.
+/// contention-aware speedup over the naive baselines and the node
+/// simulations' delta-solver counters.
 pub fn schedule(args: &Args) -> Result<Json, CliError> {
     let jobs = args.count_or("jobs", 8)?;
     let nodes = args.count_or("nodes", 4)?;
@@ -217,6 +218,7 @@ pub fn schedule(args: &Args) -> Result<Json, CliError> {
             .makespan
     };
     let aware = makespan("contention_aware");
+    let solver = ev.solver_stats();
     let speedup = |policy: &str| {
         if aware > 0.0 {
             makespan(policy) / aware
@@ -231,6 +233,15 @@ pub fn schedule(args: &Args) -> Result<Json, CliError> {
         ("seed", Json::Num(seed as f64)),
         ("wall_s", Json::Num(wall)),
         ("node_simulations", Json::Num(ev.sims() as f64)),
+        (
+            "solver",
+            obj(vec![
+                ("requests", Json::Num(solver.requests as f64)),
+                ("reuse_hits", Json::Num(solver.reuse_hits as f64)),
+                ("state_hits", Json::Num(solver.state_hits as f64)),
+                ("full_solves", Json::Num(solver.full_solves as f64)),
+            ]),
+        ),
     ];
     for p in &plans {
         let row = obj(vec![

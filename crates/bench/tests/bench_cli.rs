@@ -86,6 +86,18 @@ fn schedule_pins_makespans_simulations_and_speedups() {
     assert_eq!(text(&j, "fleet"), "henri x2");
     assert_eq!(fixed(&j, "max_slowdown", 2), "1.25");
     assert_eq!(fixed(&j, "node_simulations", 0), "15");
+    for (counter, value) in [
+        ("requests", "64"),
+        ("reuse_hits", "0"),
+        ("state_hits", "30"),
+        ("full_solves", "34"),
+    ] {
+        assert_eq!(
+            fixed(&j, &format!("solver.{counter}"), 0),
+            value,
+            "{counter}"
+        );
+    }
     for (policy, makespan, throughput, colocated, violations) in [
         ("first_fit", "2.438547", "1.6403", "4", "4"),
         ("round_robin", "2.673435", "1.4962", "4", "3"),

@@ -24,60 +24,88 @@
 //!    scratch. This is the *fallback rule* — correctness never depends on
 //!    an incremental update being exact.
 //!
-//! Solves run over the **canonical (sorted) expansion** of the multiset.
-//! Progressive filling is symmetric — equal specs always receive equal
-//! rates — so one rate per *unique* spec fully describes the solution,
-//! and any caller can recover its stream's rate by spec
+//! Sets, states and rates are indexed by [`StreamId`], the number the
+//! [`Fabric`] gives each spec it admits. Solves run over the multiset's
+//! **canonical expansion**: its streams in ascending id order, which is
+//! ascending spec order, since [`Fabric::specs`] numbers the specs in
+//! their derived order. Progressive filling is symmetric — equal specs
+//! always receive equal rates — so one rate per id fully describes the
+//! solution, and any caller can recover its stream's rate by id
 //! ([`SolvedState::rate_of`]). The canonical order is what *defines* a
 //! multiset's rates: the solver sums floors and loads in flow order, so
 //! another expansion of the same multiset can differ in the last bit.
+//!
+//! An [`ActiveSet`] holds a count per id and a running hash of its
+//! `(id, count)` entries that each edit updates, so a memo hit hashes no
+//! multiset: the state cache is keyed by that hash and the scale bits,
+//! and a candidate state is confirmed by comparing its counts exactly.
 
-use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
-use crate::fabric::{Fabric, FabricScratch, SolveResult, StreamSpec};
-use crate::fxhash::{FxHasher, FxMap};
+use crate::fabric::{Fabric, FabricScratch, SolveResult, StreamId, StreamSpec};
+use crate::fxhash::FxMap;
 
-/// One solved machine state: the canonical stream multiset and the rate
-/// granted to each unique spec.
+/// The share of one `(id, count)` entry in a set's running hash: 0 for
+/// an absent id, otherwise a splitmix64 finalizer of the pair. The set's
+/// hash is the wrapping sum of its entries' shares, so it does not depend
+/// on the order of the edits that built the set.
+fn entry_hash(id: usize, count: u32) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let mut z = ((id as u64) << 32 | u64::from(count)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `counts` without its trailing zeros: the one form of a multiset,
+/// whatever length the table that holds it has grown to.
+fn trimmed(counts: &[u32]) -> &[u32] {
+    let len = counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+    &counts[..len]
+}
+
+/// One solved machine state: the stream multiset and the rate granted
+/// to each of its streams, per id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolvedState {
-    /// Unique stream specs, sorted (the canonical multiset support).
-    specs: Box<[StreamSpec]>,
-    /// Multiplicity of each unique spec.
+    /// Multiplicity per id, without trailing zeros.
     counts: Box<[u32]>,
-    /// Rate of each unique spec in GB/s (every stream with that spec
-    /// receives exactly this rate, by max-min symmetry).
+    /// Rate per id in GB/s (every stream of that id receives exactly
+    /// this rate, by max-min symmetry); 0 where the count is 0.
     rates: Box<[f64]>,
     /// CPU demand scale the state was solved at — part of its key.
     cpu_scale: f64,
 }
 
 impl SolvedState {
-    /// Rate granted to every stream of the given spec, or `None` when the
-    /// spec is not part of this state.
-    pub fn rate_of(&self, spec: StreamSpec) -> Option<f64> {
-        self.specs.binary_search(&spec).ok().map(|i| self.rates[i])
+    /// Rate granted to every stream of the given id, or `None` when the
+    /// id has no stream in this state.
+    pub fn rate_of(&self, id: StreamId) -> Option<f64> {
+        let i = id.index();
+        self.counts
+            .get(i)
+            .is_some_and(|&c| c > 0)
+            .then(|| self.rates[i])
     }
 
     /// Number of streams in the state (with multiplicity).
     pub fn stream_count(&self) -> usize {
         self.counts.iter().map(|&c| c as usize).sum()
     }
-
-    /// `(spec, rate)` of every unique spec, in canonical order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (StreamSpec, f64)> + '_ {
-        self.specs.iter().copied().zip(self.rates.iter().copied())
-    }
 }
 
-/// A mutable multiset of active streams with O(log u) add/remove (u =
-/// unique specs) and a cached solution that survives until the next
-/// transition.
+/// A mutable multiset of active streams — a count per [`StreamId`] —
+/// with O(1) add/remove and a cached solution that survives until the
+/// next transition.
 #[derive(Debug, Clone, Default)]
 pub struct ActiveSet {
-    /// `(spec, multiplicity)`, sorted by spec; multiplicities are ≥ 1.
-    counts: Vec<(StreamSpec, u32)>,
+    /// Multiplicity per id; grows to the largest id added.
+    counts: Vec<u32>,
+    /// Wrapping sum of [`entry_hash`] over the entries, kept in step
+    /// with every edit.
+    hash: u64,
     /// Total streams (sum of multiplicities).
     total: u32,
     /// The solution for the current multiset; `None` after any
@@ -94,21 +122,28 @@ impl ActiveSet {
     }
 
     /// Add one stream; invalidates the cached solution.
-    pub fn add(&mut self, spec: StreamSpec) {
-        self.add_n(spec, 1);
+    pub fn add(&mut self, id: StreamId) {
+        self.add_n(id, 1);
     }
 
-    /// Add `n` streams of one spec: the same multiset and transition
-    /// count as `n` calls to [`ActiveSet::add`], in one search.
-    pub fn add_n(&mut self, spec: StreamSpec, n: usize) {
+    /// Add `n` streams of one id: the same multiset and transition count
+    /// as `n` calls to [`ActiveSet::add`].
+    pub fn add_n(&mut self, id: StreamId, n: usize) {
         if n == 0 {
             return;
         }
         let n32 = u32::try_from(n).expect("stream count fits in u32");
-        match self.counts.binary_search_by_key(&spec, |e| e.0) {
-            Ok(i) => self.counts[i].1 += n32,
-            Err(i) => self.counts.insert(i, (spec, n32)),
+        let i = id.index();
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
         }
+        let old = self.counts[i];
+        let new = old + n32;
+        self.counts[i] = new;
+        self.hash = self
+            .hash
+            .wrapping_sub(entry_hash(i, old))
+            .wrapping_add(entry_hash(i, new));
         self.total += n32;
         self.transitions += n as u64;
         self.solution = None;
@@ -119,34 +154,36 @@ impl ActiveSet {
     ///
     /// # Panics
     ///
-    /// Panics if no stream of this spec is active — removals must pair
+    /// Panics if no stream of this id is active — removals must pair
     /// with adds.
-    pub fn remove(&mut self, spec: StreamSpec) {
-        self.remove_n(spec, 1);
+    pub fn remove(&mut self, id: StreamId) {
+        self.remove_n(id, 1);
     }
 
-    /// Remove `n` streams of one spec: the same multiset and transition
-    /// count as `n` calls to [`ActiveSet::remove`], in one search.
+    /// Remove `n` streams of one id: the same multiset and transition
+    /// count as `n` calls to [`ActiveSet::remove`].
     ///
     /// # Panics
     ///
-    /// Panics if fewer than `n` streams of this spec are active.
-    pub fn remove_n(&mut self, spec: StreamSpec, n: usize) {
+    /// Panics if fewer than `n` streams of this id are active.
+    pub fn remove_n(&mut self, id: StreamId, n: usize) {
         if n == 0 {
             return;
         }
-        let i = self
+        let i = id.index();
+        let old = self
             .counts
-            .binary_search_by_key(&spec, |e| e.0)
-            .ok()
-            .filter(|&i| self.counts[i].1 as usize >= n)
-            .unwrap_or_else(|| panic!("removing inactive stream {spec:?}"));
+            .get(i)
+            .copied()
+            .filter(|&c| c as usize >= n)
+            .unwrap_or_else(|| panic!("removing inactive stream {id:?}"));
         let n32 = n as u32;
-        if self.counts[i].1 == n32 {
-            self.counts.remove(i);
-        } else {
-            self.counts[i].1 -= n32;
-        }
+        let new = old - n32;
+        self.counts[i] = new;
+        self.hash = self
+            .hash
+            .wrapping_sub(entry_hash(i, old))
+            .wrapping_add(entry_hash(i, new));
         self.total -= n32;
         self.transitions += n as u64;
         self.solution = None;
@@ -155,7 +192,8 @@ impl ActiveSet {
     /// Empty the multiset and drop its solution, keeping the buffer and
     /// the transition count.
     pub(crate) fn clear(&mut self) {
-        self.counts.clear();
+        self.counts.fill(0);
+        self.hash = 0;
         self.total = 0;
         self.solution = None;
     }
@@ -206,12 +244,13 @@ pub struct DeltaStats {
 /// cached state's key).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaSolver {
-    /// Solved states keyed by the hash of (canonical multiset,
-    /// scale bits); buckets resolve hash collisions exactly.
+    /// Solved states keyed by a set's running hash mixed with the scale
+    /// bits; buckets resolve hash collisions exactly.
     states: FxMap<u64, Vec<Rc<SolvedState>>>,
     /// Memoized single-stream solves (the uncontended baseline's
-    /// "alone" rates), keyed by spec and scale bits.
-    alone: FxMap<(StreamSpec, u64), f64>,
+    /// "alone" rates): per scale bits, a rate per id, `None` until
+    /// first solved.
+    alone: Vec<(u64, Vec<Option<f64>>)>,
     stats: DeltaStats,
     scratch: FabricScratch,
     result: SolveResult,
@@ -264,22 +303,11 @@ impl DeltaSolver {
             }
         }
 
-        let mut hasher = FxHasher::default();
-        set.counts.hash(&mut hasher);
-        scale_bits.hash(&mut hasher);
-        let key = hasher.finish();
-
+        let key = set.hash ^ scale_bits.rotate_left(32);
+        let counts = trimmed(&set.counts);
         if let Some(bucket) = self.states.get(&key) {
             for state in bucket {
-                if state.cpu_scale.to_bits() == scale_bits
-                    && state.specs.len() == set.counts.len()
-                    && state
-                        .specs
-                        .iter()
-                        .zip(state.counts.iter())
-                        .zip(set.counts.iter())
-                        .all(|((s, c), (es, ec))| s == es && c == ec)
-                {
+                if state.cpu_scale.to_bits() == scale_bits && *state.counts == *counts {
                     self.stats.state_hits += 1;
                     set.solution = Some(Rc::clone(state));
                     return Rc::clone(state);
@@ -306,7 +334,7 @@ impl DeltaSolver {
 
     /// The fallback: the bottleneck set may have changed, so run the
     /// tiered progressive filling from scratch over the canonical
-    /// expansion.
+    /// expansion — the streams in ascending id order.
     fn full_solve(
         &mut self,
         fabric: &Fabric,
@@ -314,10 +342,12 @@ impl DeltaSolver {
         cpu_scale: f64,
     ) -> Rc<SolvedState> {
         self.stats.full_solves += 1;
+        let counts = trimmed(&set.counts);
+        let specs = fabric.specs();
         self.expanded.clear();
-        for &(spec, count) in &set.counts {
+        for (i, &count) in counts.iter().enumerate() {
             self.expanded
-                .extend(std::iter::repeat_n(spec, count as usize));
+                .extend(std::iter::repeat_n(specs[i], count as usize));
         }
         fabric.solve_into(
             &self.expanded,
@@ -325,15 +355,18 @@ impl DeltaSolver {
             &mut self.scratch,
             &mut self.result,
         );
-        let mut rates = Vec::with_capacity(set.counts.len());
+        let mut rates = Vec::with_capacity(counts.len());
         let mut pos = 0usize;
-        for &(_, count) in &set.counts {
-            rates.push(self.result.rates[pos]);
+        for &count in counts {
+            rates.push(if count > 0 {
+                self.result.rates[pos]
+            } else {
+                0.0
+            });
             pos += count as usize;
         }
         let state = Rc::new(SolvedState {
-            specs: set.counts.iter().map(|e| e.0).collect(),
-            counts: set.counts.iter().map(|e| e.1).collect(),
+            counts: counts.into(),
             rates: rates.into_boxed_slice(),
             cpu_scale,
         });
@@ -341,26 +374,34 @@ impl DeltaSolver {
         state
     }
 
-    /// The rate a single stream of `spec` gets with the fabric to itself
+    /// The rate a single stream of `id` gets with the fabric to itself
     /// at CPU demand scale `cpu_scale` — the uncontended baseline.
-    /// Memoized; bit-identical to
+    /// Memoized in a table per scale; bit-identical to
     /// `fabric.solve_with(&[spec], cpu_scale).rates[0]`.
-    pub fn alone_rate(&mut self, fabric: &Fabric, spec: StreamSpec, cpu_scale: f64) -> f64 {
+    pub fn alone_rate(&mut self, fabric: &Fabric, id: StreamId, cpu_scale: f64) -> f64 {
         self.stats.requests += 1;
-        let key = (spec, cpu_scale.to_bits());
-        if let Some(&rate) = self.alone.get(&key) {
+        let scale_bits = cpu_scale.to_bits();
+        let table = match self.alone.iter().position(|e| e.0 == scale_bits) {
+            Some(t) => t,
+            None => {
+                self.alone
+                    .push((scale_bits, vec![None; fabric.specs().len()]));
+                self.alone.len() - 1
+            }
+        };
+        if let Some(rate) = self.alone[table].1[id.index()] {
             self.stats.reuse_hits += 1;
             return rate;
         }
         self.stats.full_solves += 1;
         fabric.solve_into(
-            std::slice::from_ref(&spec),
+            &fabric.specs()[id.index()..=id.index()],
             cpu_scale,
             &mut self.scratch,
             &mut self.result,
         );
         let rate = self.result.rates[0];
-        self.alone.insert(key, rate);
+        self.alone[table].1[id.index()] = Some(rate);
         rate
     }
 }
@@ -368,7 +409,7 @@ impl DeltaSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_topology::{platforms, NumaId};
+    use mc_topology::{platforms, NumaId, Platform};
     use proptest::prelude::*;
 
     fn n(i: u16) -> NumaId {
@@ -383,13 +424,37 @@ mod tests {
         StreamSpec::DmaRecv { numa: n(i) }
     }
 
+    /// A set's streams as specs, in ascending id order: its canonical
+    /// expansion.
+    fn expansion(fabric: &Fabric, set: &ActiveSet) -> Vec<StreamSpec> {
+        set.counts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &c)| std::iter::repeat_n(fabric.specs()[i], c as usize))
+            .collect()
+    }
+
+    /// Every stream's rate in `state` equals the rate `reference` gives
+    /// the same stream of `sorted`, bit for bit.
+    fn assert_rates(fabric: &Fabric, state: &SolvedState, sorted: &[StreamSpec], scale: f64) {
+        let reference = fabric.solve_with(sorted, scale);
+        for (spec, rate) in sorted.iter().zip(&reference.rates) {
+            assert_eq!(
+                state.rate_of(fabric.stream_id(*spec)).unwrap().to_bits(),
+                rate.to_bits(),
+                "{spec:?} at scale {scale}"
+            );
+        }
+    }
+
     #[test]
     fn reuse_between_transitions_costs_no_solve() {
         let fabric = Fabric::new(&platforms::henri());
+        let id = |s| fabric.stream_id(s);
         let mut solver = DeltaSolver::new();
         let mut set = ActiveSet::new();
-        set.add(cpu(0));
-        set.add(dma(0));
+        set.add(id(cpu(0)));
+        set.add(id(dma(0)));
         let a = solver.solve(&fabric, &mut set, 1.0);
         let b = solver.solve(&fabric, &mut set, 1.0);
         assert!(Rc::ptr_eq(&a, &b));
@@ -402,16 +467,17 @@ mod tests {
     #[test]
     fn revisited_states_hit_the_shared_cache() {
         let fabric = Fabric::new(&platforms::henri());
+        let id = |s| fabric.stream_id(s);
         let mut solver = DeltaSolver::new();
         let mut set = ActiveSet::new();
         // Cycle: {cpu} -> {cpu, dma} -> {cpu} -> {cpu, dma}.
-        set.add(cpu(0));
+        set.add(id(cpu(0)));
         solver.solve(&fabric, &mut set, 1.0);
-        set.add(dma(0));
+        set.add(id(dma(0)));
         solver.solve(&fabric, &mut set, 1.0);
-        set.remove(dma(0));
+        set.remove(id(dma(0)));
         solver.solve(&fabric, &mut set, 1.0);
-        set.add(dma(0));
+        set.add(id(dma(0)));
         solver.solve(&fabric, &mut set, 1.0);
         let stats = solver.stats();
         assert_eq!(stats.full_solves, 2, "{stats:?}");
@@ -422,17 +488,20 @@ mod tests {
     #[test]
     fn a_second_set_shares_the_state_cache() {
         // Two nodes of a homogeneous world reaching the same machine
-        // state: the second solve is answered from the first's cache.
+        // state, in different orders and with different table lengths:
+        // the second solve is answered from the first's cache.
         let fabric = Fabric::new(&platforms::henri());
+        let id = |s| fabric.stream_id(s);
         let mut solver = DeltaSolver::new();
         let mut a = ActiveSet::new();
         let mut b = ActiveSet::new();
-        for set in [&mut a, &mut b] {
-            for _ in 0..4 {
-                set.add(cpu(0));
-            }
-            set.add(dma(1));
-        }
+        a.add_n(id(cpu(0)), 4);
+        a.add(id(dma(1)));
+        b.add(id(dma(1)));
+        b.add_n(id(cpu(0)), 3);
+        b.add(id(StreamSpec::DmaSend { numa: n(1) }));
+        b.remove(id(StreamSpec::DmaSend { numa: n(1) }));
+        b.add(id(cpu(0)));
         let sa = solver.solve(&fabric, &mut a, 1.0);
         let sb = solver.solve(&fabric, &mut b, 1.0);
         assert!(Rc::ptr_eq(&sa, &sb));
@@ -447,21 +516,15 @@ mod tests {
         let mut set = ActiveSet::new();
         let streams = [cpu(0), cpu(0), cpu(1), dma(2), dma(0), cpu(0)];
         for s in streams {
-            set.add(s);
+            set.add(fabric.stream_id(s));
         }
         let state = solver.solve(&fabric, &mut set, 1.0);
         // Reference: full solve over the canonical (sorted) expansion.
         let mut sorted = streams.to_vec();
         sorted.sort_unstable();
-        let reference = fabric.solve(&sorted);
-        for (spec, rate) in sorted.iter().zip(&reference.rates) {
-            assert_eq!(
-                state.rate_of(*spec).unwrap().to_bits(),
-                rate.to_bits(),
-                "{spec:?}"
-            );
-        }
+        assert_rates(&fabric, &state, &sorted, 1.0);
         assert_eq!(state.stream_count(), streams.len());
+        assert_eq!(state.rate_of(fabric.stream_id(dma(1))), None);
     }
 
     #[test]
@@ -471,7 +534,7 @@ mod tests {
         let mut set = ActiveSet::new();
         let streams = [cpu(0), cpu(0), cpu(1), dma(0), cpu(0)];
         for s in streams {
-            set.add(s);
+            set.add(fabric.stream_id(s));
         }
         let mut sorted = streams.to_vec();
         sorted.sort_unstable();
@@ -482,14 +545,7 @@ mod tests {
         assert_eq!(solver.states_cached(), 2);
         assert_ne!(states[0], states[1]);
         for (state, scale) in states.iter().zip(scales) {
-            let reference = fabric.solve_with(&sorted, scale);
-            for (spec, rate) in sorted.iter().zip(&reference.rates) {
-                assert_eq!(
-                    state.rate_of(*spec).unwrap().to_bits(),
-                    rate.to_bits(),
-                    "{spec:?} at scale {scale}"
-                );
-            }
+            assert_rates(&fabric, state, &sorted, scale);
         }
         // Back to the first scale: answered from the state cache.
         let again = solver.solve(&fabric, &mut set, 1.0);
@@ -503,34 +559,62 @@ mod tests {
         let fabric = Fabric::new(&platforms::henri());
         let mut solver = DeltaSolver::new();
         for spec in [cpu(0), cpu(1), dma(0), dma(1)] {
-            let a = solver.alone_rate(&fabric, spec, 1.0);
-            let b = solver.alone_rate(&fabric, spec, 1.0);
+            let id = fabric.stream_id(spec);
+            let a = solver.alone_rate(&fabric, id, 1.0);
+            let b = solver.alone_rate(&fabric, id, 1.0);
             assert_eq!(a.to_bits(), b.to_bits());
             assert_eq!(
                 a.to_bits(),
                 fabric.solve(&[spec]).rates[0].to_bits(),
                 "{spec:?}"
             );
+            let half = solver.alone_rate(&fabric, id, 0.5);
+            assert_eq!(
+                half.to_bits(),
+                fabric.solve_with(&[spec], 0.5).rates[0].to_bits(),
+                "{spec:?} at half scale"
+            );
         }
-        // 4 solves + 4 memoized repeats.
-        assert_eq!(solver.stats().full_solves, 4);
+        // 8 solves (two scales) + 4 memoized repeats.
+        assert_eq!(solver.stats().full_solves, 8);
         assert_eq!(solver.stats().reuse_hits, 4);
     }
 
     #[test]
     #[should_panic(expected = "removing inactive stream")]
     fn removing_an_absent_stream_panics() {
+        let fabric = Fabric::new(&platforms::henri());
         let mut set = ActiveSet::new();
-        set.add(cpu(0));
-        set.remove(dma(0));
+        set.add(fabric.stream_id(cpu(0)));
+        set.remove(fabric.stream_id(dma(0)));
     }
 
     #[test]
     #[should_panic(expected = "removing inactive stream")]
     fn removing_more_streams_than_are_present_panics() {
+        let fabric = Fabric::new(&platforms::henri());
         let mut set = ActiveSet::new();
-        set.add_n(cpu(0), 3);
-        set.remove_n(cpu(0), 4);
+        set.add_n(fabric.stream_id(cpu(0)), 3);
+        set.remove_n(fabric.stream_id(cpu(0)), 4);
+    }
+
+    /// Up to 24 mixed streams over a platform's NUMA nodes: CPU writes
+    /// from socket 0 and the last socket, DMA receives and sends.
+    fn mixed_streams(p: &Platform, picks: &[(u8, u8)]) -> Vec<StreamSpec> {
+        let numas = p.topology.numa_count();
+        let last = mc_topology::SocketId::new((p.topology.sockets.len() - 1) as u16);
+        picks
+            .iter()
+            .map(|&(kind, m)| {
+                let numa = NumaId::new((m as usize % numas) as u16);
+                match kind % 4 {
+                    0 => StreamSpec::CpuWrite { numa },
+                    1 => StreamSpec::CpuWriteFrom { socket: last, numa },
+                    2 => StreamSpec::DmaRecv { numa },
+                    _ => StreamSpec::DmaSend { numa },
+                }
+            })
+            .collect()
     }
 
     proptest! {
@@ -556,9 +640,9 @@ mod tests {
                 1..60,
             ),
         ) {
-            type Key = (Vec<(StreamSpec, u32)>, u64);
+            type Key = (Vec<u32>, u64);
             let fabric = Fabric::new(&platforms::henri_subnuma());
-            let universe = [cpu(0), cpu(3), dma(0), dma(2)];
+            let universe = [cpu(0), cpu(3), dma(0), dma(2)].map(|s| fabric.stream_id(s));
             let scales = [1.0_f64, 0.6];
             let mut solvers = [DeltaSolver::new(), DeltaSolver::new()];
             let mut seen: [std::collections::HashSet<Key>; 2] = Default::default();
@@ -569,15 +653,15 @@ mod tests {
             for (which, edits, on, scale, memo) in steps {
                 let set = &mut sets[which];
                 for (pick, n, kind) in edits {
-                    let spec = universe[pick];
-                    let present = set.counts.iter().find(|e| e.0 == spec).map_or(0, |e| e.1);
+                    let id = universe[pick];
+                    let present = set.counts.get(id.index()).copied().unwrap_or(0);
                     let n = if kind == 1 { n.min(present as usize) } else { n };
                     match kind {
-                        0 => set.add_n(spec, n),
-                        1 => set.remove_n(spec, n),
+                        0 => set.add_n(id, n),
+                        1 => set.remove_n(id, n),
                         2 => {
-                            set.add_n(spec, n);
-                            set.remove_n(spec, n);
+                            set.add_n(id, n);
+                            set.remove_n(id, n);
                         }
                         _ => set.clear(),
                     }
@@ -602,7 +686,7 @@ mod tests {
                     continue;
                 }
                 let scale = scales[scale];
-                let key: Key = (set.counts.clone(), scale.to_bits());
+                let key: Key = (trimmed(&set.counts).to_vec(), scale.to_bits());
                 let model = &mut expected[on];
                 model.requests += 1;
                 if valid[which] == Some(key.1) {
@@ -616,15 +700,12 @@ mod tests {
                 let state = solvers[on].solve(&fabric, set, scale);
                 prop_assert_eq!(solvers[on].stats(), expected[on]);
                 prop_assert_eq!(solvers[on].states_cached(), seen[on].len());
-                let mut sorted: Vec<StreamSpec> = set
-                    .counts
-                    .iter()
-                    .flat_map(|&(spec, c)| std::iter::repeat_n(spec, c as usize))
-                    .collect();
+                let mut sorted = expansion(&fabric, set);
                 sorted.sort_unstable();
                 let reference = fabric.solve_with(&sorted, scale);
                 for (spec, rate) in sorted.iter().zip(&reference.rates) {
-                    prop_assert_eq!(state.rate_of(*spec).unwrap().to_bits(), rate.to_bits());
+                    let id = fabric.stream_id(*spec);
+                    prop_assert_eq!(state.rate_of(id).unwrap().to_bits(), rate.to_bits());
                 }
             }
         }
@@ -645,11 +726,11 @@ mod tests {
             for (pick, op) in ops {
                 if op == 1 || live.is_empty() {
                     let spec = universe[pick];
-                    set.add(spec);
+                    set.add(fabric.stream_id(spec));
                     live.push(spec);
                 } else {
                     let spec = live.remove(pick % live.len());
-                    set.remove(spec);
+                    set.remove(fabric.stream_id(spec));
                 }
                 if live.is_empty() {
                     continue;
@@ -660,17 +741,58 @@ mod tests {
                 let reference = fabric.solve(&sorted);
                 for (spec, rate) in sorted.iter().zip(&reference.rates) {
                     prop_assert_eq!(
-                        state.rate_of(*spec).unwrap().to_bits(),
+                        state.rate_of(fabric.stream_id(*spec)).unwrap().to_bits(),
                         rate.to_bits()
                     );
                 }
             }
         }
 
+        /// On diablo and pyxis, where another expansion of a multiset
+        /// can change the last bit of its rates, a set built in random
+        /// order expands in id order to exactly its sorted expansion,
+        /// and the memo's rates — cold, then from the state cache of a
+        /// set built in the reverse order — equal `Fabric::solve_with`
+        /// on that expansion bit for bit.
+        #[test]
+        fn id_order_expansion_is_the_sorted_expansion(
+            diablo in 0u8..2,
+            picks in proptest::collection::vec((0u8..4, 0u8..8), 1..24),
+            half_scale in 0u8..2,
+        ) {
+            let p = if diablo == 1 { platforms::diablo() } else { platforms::pyxis() };
+            let fabric = Fabric::new(&p);
+            let streams = mixed_streams(&p, &picks);
+            let scale = if half_scale == 1 { 0.5 } else { 1.0 };
+            let (mut forward, mut backward) = (ActiveSet::new(), ActiveSet::new());
+            for &s in &streams {
+                forward.add(fabric.stream_id(s));
+            }
+            for &s in streams.iter().rev() {
+                backward.add(fabric.stream_id(s));
+            }
+            let mut sorted = streams.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(&expansion(&fabric, &forward), &sorted);
+            let mut solver = DeltaSolver::new();
+            let cold = solver.solve(&fabric, &mut forward, scale);
+            let warm = solver.solve(&fabric, &mut backward, scale);
+            prop_assert!(Rc::ptr_eq(&cold, &warm));
+            prop_assert_eq!(solver.stats().full_solves, 1);
+            let reference = fabric.solve_with(&sorted, scale);
+            for (spec, rate) in sorted.iter().zip(&reference.rates) {
+                prop_assert_eq!(
+                    cold.rate_of(fabric.stream_id(*spec)).unwrap().to_bits(),
+                    rate.to_bits(),
+                    "{:?}", spec
+                );
+            }
+        }
+
         /// `add_n`/`remove_n` are `n` single `add`/`remove` calls: the
-        /// same multiset, length, transition count and solved rates; an
-        /// edit of at least one stream drops the cached solution, an edit
-        /// of none keeps it.
+        /// same multiset, running hash, length, transition count and
+        /// solved rates; an edit of at least one stream drops the cached
+        /// solution, an edit of none keeps it.
         #[test]
         fn bulk_edits_equal_single_edits(
             ops in proptest::collection::vec((0usize..4, 0usize..6, 0usize..2), 1..30),
@@ -678,35 +800,36 @@ mod tests {
             let fabric = Fabric::new(&platforms::henri_subnuma());
             let mut solver = DeltaSolver::new();
             let (mut bulk, mut single) = (ActiveSet::new(), ActiveSet::new());
-            let universe = [cpu(0), cpu(3), dma(0), dma(2)];
+            let universe = [cpu(0), cpu(3), dma(0), dma(2)].map(|s| fabric.stream_id(s));
             for (pick, n, op) in ops {
-                let (spec, add) = (universe[pick], op == 1);
+                let (id, add) = (universe[pick], op == 1);
                 let solved = !bulk.is_empty();
                 if solved {
                     solver.solve(&fabric, &mut bulk, 1.0);
                 }
-                let present = bulk.counts.iter().find(|e| e.0 == spec).map_or(0, |e| e.1);
+                let present = bulk.counts.get(id.index()).copied().unwrap_or(0);
                 let n = if add { n } else { n.min(present as usize) };
                 if add {
-                    bulk.add_n(spec, n);
-                    (0..n).for_each(|_| single.add(spec));
+                    bulk.add_n(id, n);
+                    (0..n).for_each(|_| single.add(id));
                 } else {
-                    bulk.remove_n(spec, n);
-                    (0..n).for_each(|_| single.remove(spec));
+                    bulk.remove_n(id, n);
+                    (0..n).for_each(|_| single.remove(id));
                 }
                 prop_assert_eq!(bulk.len(), single.len());
                 prop_assert_eq!(bulk.transitions(), single.transitions());
-                prop_assert_eq!(&bulk.counts, &single.counts);
+                prop_assert_eq!(trimmed(&bulk.counts), trimmed(&single.counts));
+                prop_assert_eq!(bulk.hash, single.hash);
                 prop_assert_eq!(bulk.solution().is_some(), solved && n == 0);
                 if bulk.is_empty() {
                     continue;
                 }
                 let a = solver.solve(&fabric, &mut bulk, 1.0);
                 let b = solver.solve_uncached(&fabric, &mut single, 1.0);
-                for &(spec, _) in &single.counts {
+                for &id in &universe {
                     prop_assert_eq!(
-                        a.rate_of(spec).unwrap().to_bits(),
-                        b.rate_of(spec).unwrap().to_bits()
+                        a.rate_of(id).map(f64::to_bits),
+                        b.rate_of(id).map(f64::to_bits)
                     );
                 }
             }

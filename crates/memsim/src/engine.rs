@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use mc_obs::tags;
 
 use crate::delta::{ActiveSet, DeltaSolver, DeltaStats};
-use crate::fabric::{Fabric, StreamSpec};
+use crate::fabric::{Fabric, StreamId, StreamSpec};
 
 /// One stream of back-to-back units through the fabric: a computing
 /// core `memset`ting a buffer pass after pass, or the NIC receiving or
@@ -79,6 +79,8 @@ struct ActState<'a> {
 /// streaming end is that of its member with the fewest bytes left.
 struct Group {
     spec: StreamSpec,
+    /// The spec's id on the engine's fabric.
+    id: StreamId,
     /// Rate of each streaming member this event, GB/s.
     gbps: f64,
     /// The same rate in bytes/s (`gbps * GB`).
@@ -344,20 +346,21 @@ impl<'f> Engine<'f> {
             measure_start < horizon,
             "measurement window is empty ({measure_start} >= {horizon})"
         );
-        // One group per distinct spec, in canonical order: the order of
-        // the solution's specs, so one merge walk reads every rate.
+        // One group per distinct spec, in id order; each reads its rate
+        // from the solution by id.
         let mut groups: Vec<Group> = activities
             .iter()
             .map(|a| Group {
                 spec: a.spec,
+                id: self.fabric.stream_id(a.spec),
                 gbps: 0.0,
                 bps: 0.0,
                 live: false,
                 min_left: f64::INFINITY,
             })
             .collect();
-        groups.sort_unstable_by_key(|g| g.spec);
-        groups.dedup_by_key(|g| g.spec);
+        groups.sort_unstable_by_key(|g| g.id);
+        groups.dedup_by_key(|g| g.id);
         let mut states: Vec<ActState<'_>> = activities
             .iter()
             .map(|a| {
@@ -370,7 +373,7 @@ impl<'f> Engine<'f> {
                     total_bytes: 0.0,
                     units_done: 0,
                     group: groups
-                        .binary_search_by_key(&a.spec, |g| g.spec)
+                        .binary_search_by_key(&self.fabric.stream_id(a.spec), |g| g.id)
                         .expect("every spec has a group"),
                 };
                 // An activity starting now moves into its first real phase.
@@ -389,7 +392,7 @@ impl<'f> Engine<'f> {
             let g = &mut groups[s.group];
             match s.phase {
                 Phase::Streaming(left) => {
-                    set.add(g.spec);
+                    set.add(g.id);
                     g.live = true;
                     g.min_left = g.min_left.min(left);
                 }
@@ -422,12 +425,10 @@ impl<'f> Engine<'f> {
             // past `now + EPS` (`settle`).
             let mut next = horizon.min(next_timed);
             if let Some(sol) = &solution {
-                let mut entries = sol.entries();
                 for g in groups.iter_mut().filter(|g| g.live) {
-                    g.gbps = entries
-                        .find(|e| e.0 == g.spec)
-                        .expect("a streaming activity's spec is in the active set")
-                        .1;
+                    g.gbps = sol
+                        .rate_of(g.id)
+                        .expect("a streaming activity's stream is in the active set");
                     g.bps = g.gbps * GB;
                     if g.bps > 0.0 {
                         next = next.min(now + g.min_left / g.bps);
@@ -491,8 +492,8 @@ impl<'f> Engine<'f> {
                     // Zero-length timed phases end where they start.
                     s.settle(now);
                     match (was_streaming, s.is_streaming()) {
-                        (false, true) => set.add(g.spec),
-                        (true, false) => set.remove(g.spec),
+                        (false, true) => set.add(g.id),
+                        (true, false) => set.remove(g.id),
                         _ => {}
                     }
                 }

@@ -3,9 +3,10 @@
 //!
 //! A [`Fabric`] is built once per [`Platform`]. The resource graph of
 //! `mc-topology` names the capacity-bearing nodes; the fabric is the one
-//! place that knows streams. It routes every [`StreamSpec`] the topology
-//! admits to the ordered node indices the stream occupies, once, into a
-//! path table keyed by the spec. Given the set of currently active
+//! place that knows streams. It numbers every [`StreamSpec`] the topology
+//! admits, in the specs' derived order (a [`StreamId`] each), and routes
+//! each to the ordered node indices the stream occupies, once, into a
+//! path table indexed by that number. Given the set of currently active
 //! streams (CPU cores writing to a NUMA node, NIC DMA into or out of a
 //! NUMA node, cores moving data through a CXL pool), it builds the
 //! resource capacities and flow requests, applies the platform quirks,
@@ -33,7 +34,6 @@ use std::sync::Arc;
 use mc_topology::graph::{CapacityRule, ResourceGraph};
 use mc_topology::{MachineTopology, NumaId, Platform, PoolId, SocketId};
 
-use crate::fxhash::FxMap;
 use crate::solver::{allocate_into, Allocation, FlowClass, FlowSet, SolverScratch};
 
 /// What kind of hardware component a resource index denotes.
@@ -46,10 +46,11 @@ pub use mc_topology::graph::ResourceKind;
 
 /// One active stream, as seen by the fabric.
 ///
-/// The derived ordering is what [`crate::delta::ActiveSet`] sorts by to
-/// canonicalise a stream multiset — any total order works, it only has to
-/// be consistent, but it fixes the canonical expansion a multiset is
-/// solved on and therefore the last bits of its rates.
+/// The derived ordering is the order [`Fabric::specs`] numbers the specs
+/// in, and so the order of a multiset's canonical expansion in
+/// [`crate::delta`] — any total order works, it only has to be
+/// consistent, but it fixes the expansion a multiset is solved on and
+/// therefore the last bits of its rates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StreamSpec {
     /// One computing core on socket 0 issuing non-temporal stores to
@@ -156,6 +157,19 @@ impl StreamSpec {
             StreamSpec::CxlWrite { pool, .. } | StreamSpec::CxlRead { pool, .. } => Some(pool),
             _ => None,
         }
+    }
+}
+
+/// The number of a stream spec a [`Fabric`] admits: its position in
+/// [`Fabric::specs`], which lists the specs in their derived order, so
+/// ids ascend exactly as their specs do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct StreamId(u32);
+
+impl StreamId {
+    /// The id as an index into per-id tables.
+    pub fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -288,8 +302,14 @@ pub struct Fabric {
     graph: ResourceGraph,
     /// Memory-controller resource index per NUMA node.
     ctrl: Vec<u32>,
-    /// The flow path of every stream spec the topology admits.
-    paths: FxMap<StreamSpec, SmallPath>,
+    /// Every stream spec the topology admits, strictly increasing: a
+    /// spec's index here is its [`StreamId`].
+    specs: Box<[StreamSpec]>,
+    /// NUMA nodes, sockets and CXL pools: the sizes of the blocks
+    /// `specs` falls into (see [`Fabric::stream_id`]).
+    dims: [usize; 3],
+    /// The flow path of each spec, by id.
+    paths: Box<[SmallPath]>,
 }
 
 impl Fabric {
@@ -307,7 +327,8 @@ impl Fabric {
     /// receive and send, and a CXL write and read per pool. The graph
     /// keeps the historical node order and the routes the historical hop
     /// orders, so solves on platforms without CXL pools stay
-    /// bit-identical to the old hardwired builder.
+    /// bit-identical to the old hardwired builder. The routed specs are
+    /// then numbered in their derived order ([`Fabric::specs`]).
     pub fn from_arc(platform: Arc<Platform>) -> Self {
         let topo = &platform.topology;
         let graph = ResourceGraph::for_topology(topo);
@@ -315,7 +336,7 @@ impl Fabric {
             .numa_ids()
             .map(|numa| node(&graph, ResourceKind::MemCtrl(numa)) as u32)
             .collect();
-        let mut paths = FxMap::default();
+        let mut routed = Vec::new();
         for numa in topo.numa_ids() {
             let fixed = [
                 StreamSpec::CpuWrite { numa },
@@ -333,14 +354,70 @@ impl Fabric {
                 ]
             });
             for spec in fixed.into_iter().chain(cpu).chain(cxl) {
-                paths.insert(spec, route(&graph, topo, spec));
+                routed.push((spec, route(&graph, topo, spec)));
             }
         }
+        Self::numbered(platform, graph, ctrl, routed)
+    }
+
+    /// The fabric over `routed`, its specs numbered in their derived
+    /// order.
+    fn numbered(
+        platform: Arc<Platform>,
+        graph: ResourceGraph,
+        ctrl: Vec<u32>,
+        mut routed: Vec<(StreamSpec, SmallPath)>,
+    ) -> Self {
+        routed.sort_unstable_by_key(|e| e.0);
+        let topo = &platform.topology;
+        let dims = [ctrl.len(), topo.sockets.len(), topo.cxl_pools.len()];
         Fabric {
             platform,
             graph,
             ctrl,
-            paths,
+            dims,
+            specs: routed.iter().map(|e| e.0).collect(),
+            paths: routed.iter().map(|e| e.1).collect(),
+        }
+    }
+
+    /// Every stream spec the topology admits, strictly increasing; the
+    /// spec at index `i` has [`StreamId`] `i`.
+    pub fn specs(&self) -> &[StreamSpec] {
+        &self.specs
+    }
+
+    /// The id of an admitted spec, in constant time.
+    ///
+    /// A topology's NUMA nodes, sockets and pools are numbered densely,
+    /// so with `n` nodes, `s` sockets and `p` pools the derived order
+    /// lays the specs out in blocks: `n` CPU writes, `s × n` CPU writes
+    /// by socket then node, `n` DMA receives, `n` DMA sends, then
+    /// `n × p` CXL writes and as many reads, by node then pool. The
+    /// spec's slot is read off its block and confirmed against
+    /// [`Fabric::specs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology does not admit `spec` (a NUMA node, socket
+    /// or pool the platform lacks).
+    pub fn stream_id(&self, spec: StreamSpec) -> StreamId {
+        let [n, s, p] = self.dims;
+        let m = spec.numa().index();
+        let slot = match spec {
+            StreamSpec::CpuWrite { .. } => m,
+            StreamSpec::CpuWriteFrom { socket, .. } => n + socket.index() * n + m,
+            StreamSpec::DmaRecv { .. } => (s + 1) * n + m,
+            StreamSpec::DmaSend { .. } => (s + 2) * n + m,
+            StreamSpec::CxlWrite { pool, .. } => (s + 3) * n + m * p + pool.index(),
+            StreamSpec::CxlRead { pool, .. } => (s + 3 + p) * n + m * p + pool.index(),
+        };
+        match self.specs.get(slot) {
+            Some(&at) if at == spec => StreamId(slot as u32),
+            _ => panic!(
+                "{spec:?} is not a stream of {}",
+                self.platform.topology.name
+            ),
         }
     }
 
@@ -428,7 +505,7 @@ impl Fabric {
         flows.clear();
 
         for s in streams {
-            let path = self.paths[s].as_slice();
+            let path = self.paths[self.stream_id(*s).index()].as_slice();
             match *s {
                 StreamSpec::CpuWrite { numa } | StreamSpec::CpuWriteFrom { numa, .. } => {
                     let local = s.cpu_socket().is_some_and(|c| topo.is_local(c, numa));
@@ -1021,7 +1098,7 @@ mod tests {
 
     /// The hops the fabric hands the solver for one stream.
     fn path_of(f: &Fabric, s: StreamSpec) -> Vec<u32> {
-        f.paths[&s].as_slice().to_vec()
+        f.paths[f.stream_id(s).index()].as_slice().to_vec()
     }
 
     #[test]
@@ -1162,24 +1239,69 @@ mod tests {
             }
             dma_send.push(send);
         }
-        let mut paths = FxMap::default();
+        let mut paths = Vec::new();
         for numa in topo.numa_ids() {
             let m = numa.index();
             // `CpuWrite` writes from socket 0: the first row.
-            paths.insert(StreamSpec::CpuWrite { numa }, cpu[m]);
+            paths.push((StreamSpec::CpuWrite { numa }, cpu[m]));
             for socket in topo.sockets.iter().map(|s| s.id) {
                 let path = cpu[socket.index() * n_numa + m];
-                paths.insert(StreamSpec::CpuWriteFrom { socket, numa }, path);
+                paths.push((StreamSpec::CpuWriteFrom { socket, numa }, path));
             }
-            paths.insert(StreamSpec::DmaRecv { numa }, dma_recv[m]);
-            paths.insert(StreamSpec::DmaSend { numa }, dma_send[m]);
+            paths.push((StreamSpec::DmaRecv { numa }, dma_recv[m]));
+            paths.push((StreamSpec::DmaSend { numa }, dma_send[m]));
         }
-        Fabric {
-            platform,
-            graph,
-            ctrl,
-            paths,
+        Fabric::numbered(platform, graph, ctrl, paths)
+    }
+
+    /// The ids number exactly the specs the topology admits — a CPU
+    /// write from socket 0 and from every socket, a DMA receive and send
+    /// per NUMA node, and a CXL write and read per node and pool — in
+    /// strictly increasing order, and `stream_id` inverts `specs`.
+    #[test]
+    fn ids_number_the_routed_specs_in_their_order_everywhere() {
+        for p in platforms::extended() {
+            let f = Fabric::new(&p);
+            let topo = &p.topology;
+            let mut expected = Vec::new();
+            for numa in topo.numa_ids() {
+                expected.extend([
+                    StreamSpec::CpuWrite { numa },
+                    StreamSpec::DmaRecv { numa },
+                    StreamSpec::DmaSend { numa },
+                ]);
+                for s in &topo.sockets {
+                    expected.push(StreamSpec::CpuWriteFrom { socket: s.id, numa });
+                }
+                for pool in &topo.cxl_pools {
+                    expected.push(StreamSpec::CxlWrite {
+                        numa,
+                        pool: pool.id,
+                    });
+                    expected.push(StreamSpec::CxlRead {
+                        numa,
+                        pool: pool.id,
+                    });
+                }
+            }
+            expected.sort_unstable();
+            let specs = f.specs();
+            assert!(specs.windows(2).all(|w| w[0] < w[1]), "{}", p.name());
+            assert_eq!(specs, expected.as_slice(), "{}", p.name());
+            for (i, &spec) in specs.iter().enumerate() {
+                assert_eq!(f.stream_id(spec).index(), i, "{}: {spec:?}", p.name());
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a stream of henri")]
+    fn a_spec_the_topology_lacks_has_no_id() {
+        let f = Fabric::new(&platforms::henri());
+        f.stream_id(StreamSpec::CxlRead {
+            numa: NumaId::new(0),
+            pool: PoolId::new(0),
+        });
     }
 
     #[test]
@@ -1191,9 +1313,9 @@ mod tests {
             assert_eq!(f.ctrl, l.ctrl, "{name}: ctrl");
             // Every DRAM and NIC spec the legacy builder knew; the fabric
             // adds only the CXL specs on top.
-            let cxl = f.paths.keys().filter(|s| s.pool().is_some()).count();
-            assert_eq!(f.paths.len(), l.paths.len() + cxl, "{name}: specs");
-            for (&spec, legacy) in &l.paths {
+            let cxl = f.specs.iter().filter(|s| s.pool().is_some()).count();
+            assert_eq!(f.specs.len(), l.specs.len() + cxl, "{name}: specs");
+            for (&spec, legacy) in l.specs.iter().zip(l.paths.iter()) {
                 assert_eq!(path_of(&f, spec), legacy.as_slice(), "{name}: {spec:?}");
             }
         }

@@ -52,7 +52,7 @@ pub mod solver;
 pub use cache::LlcSpec;
 pub use delta::{ActiveSet, DeltaSolver, DeltaStats, SolvedState};
 pub use engine::{Activity, ActivityReport, Engine, RunReport, SolverStats, TraceSample};
-pub use fabric::{Fabric, FabricScratch, ResourceKind, SolveResult, StreamSpec};
+pub use fabric::{Fabric, FabricScratch, ResourceKind, SolveResult, StreamId, StreamSpec};
 pub use faults::{inject, inject_all, EngineFault};
 pub use node::{JobFinish, JobLoad, NodeRun, NodeWorld};
 pub use noise::Noise;

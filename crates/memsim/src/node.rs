@@ -20,8 +20,8 @@
 //! A run's bookkeeping lives in buffers the node owns and resets at the
 //! start of every run: the phase list, the active phases (finished ones
 //! drop out in order) and the stream multiset, edited a whole phase at a
-//! time. Phases that share a `(spec, streams)` pair share one rate per
-//! segment, looked up and summed once.
+//! time. Phases that share a `(stream, streams)` pair share one rate per
+//! segment, looked up by the stream's id and summed once.
 //!
 //! Each job is the scheduler-level view of the paper's workload: a
 //! memory-bound compute phase (`cores` non-temporal writers on
@@ -33,7 +33,7 @@
 use mc_topology::{NumaId, Platform, PoolId};
 
 use crate::delta::{ActiveSet, DeltaSolver, DeltaStats};
-use crate::fabric::{Fabric, StreamSpec};
+use crate::fabric::{Fabric, StreamId, StreamSpec};
 
 /// One finite job placed on the node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,7 +99,7 @@ pub struct NodeWorld {
     /// Two phases per job of the current run, compute then
     /// communication.
     phases: Vec<Phase>,
-    /// The current run's distinct `(spec, streams)` pairs.
+    /// The current run's distinct `(stream, streams)` pairs.
     pairs: Vec<Pair>,
     /// Indices into `phases` of the phases still draining, ascending.
     active: Vec<usize>,
@@ -108,7 +108,7 @@ pub struct NodeWorld {
 }
 
 /// One phase of a job inside the event loop: `pairs[pair].streams`
-/// copies of `pairs[pair].spec` draining `left` bytes.
+/// copies of stream `pairs[pair].id` draining `left` bytes.
 #[derive(Debug, Clone, Copy)]
 struct Phase {
     pair: usize,
@@ -116,10 +116,10 @@ struct Phase {
     done: f64,
 }
 
-/// `streams` copies of `spec`, the shape of one or more phases.
+/// `streams` copies of stream `id`, the shape of one or more phases.
 #[derive(Debug, Clone, Copy)]
 struct Pair {
-    spec: StreamSpec,
+    id: StreamId,
     streams: usize,
     /// Phases of this shape still draining.
     live: usize,
@@ -180,14 +180,15 @@ impl NodeWorld {
             };
             let cpu = StreamSpec::CpuWrite { numa: j.comp_numa };
             for (spec, streams, left) in [(cpu, j.cores, compute), (comm, 1, j.comm_bytes)] {
+                let id = fabric.stream_id(spec);
                 let pair = match pairs
                     .iter()
-                    .position(|q| q.spec == spec && q.streams == streams)
+                    .position(|q| q.id == id && q.streams == streams)
                 {
                     Some(i) => i,
                     None => {
                         pairs.push(Pair {
-                            spec,
+                            id,
                             streams,
                             live: 0,
                             rate: 0.0,
@@ -198,7 +199,7 @@ impl NodeWorld {
                 if left > 0.0 {
                     pairs[pair].live += 1;
                     active.push(phases.len());
-                    set.add_n(spec, streams);
+                    set.add_n(id, streams);
                 }
                 phases.push(Phase {
                     pair,
@@ -215,7 +216,7 @@ impl NodeWorld {
             // The solver reports GB/s per stream; a phase's rate is the
             // sum over its streams, accumulated stream by stream.
             for q in pairs.iter_mut().filter(|q| q.live > 0) {
-                let rate = state.rate_of(q.spec).expect("active phase has streams");
+                let rate = state.rate_of(q.id).expect("active phase has streams");
                 q.rate = 0.0;
                 for _ in 0..q.streams {
                     q.rate += rate * 1e9;
@@ -248,7 +249,7 @@ impl NodeWorld {
                     p.left = 0.0;
                     p.done = now;
                     q.live -= 1;
-                    set.remove_n(q.spec, q.streams);
+                    set.remove_n(q.id, q.streams);
                 }
                 !drained
             });

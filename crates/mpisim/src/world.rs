@@ -11,7 +11,7 @@
 //! phenomenon the paper models.
 
 use mc_memsim::delta::{ActiveSet, DeltaSolver, DeltaStats};
-use mc_memsim::fabric::{Fabric, StreamSpec};
+use mc_memsim::fabric::{Fabric, StreamId, StreamSpec};
 use mc_netsim::protocol::ProtocolConfig;
 use mc_topology::{NumaId, Platform, PoolId};
 
@@ -36,8 +36,9 @@ struct PendingOp {
 enum TransferPhase {
     /// Handshake until the stored absolute time.
     Pre(f64),
-    /// Payload streaming; bytes left.
-    Streaming(f64),
+    /// Payload streaming; bytes left and the (receiver, sender)
+    /// streams' ids.
+    Streaming(f64, [StreamId; 2]),
     /// Wrap-up until the stored absolute time.
     Post(f64),
 }
@@ -68,7 +69,8 @@ struct Transfer {
 struct ActiveJob {
     id: JobId,
     rank: Rank,
-    numa: NumaId,
+    /// The id of each core's stream, a CPU write to the job's node.
+    stream: StreamId,
     cores: usize,
     left: f64,
     /// Bytes/s per core granted in the current step.
@@ -98,7 +100,8 @@ pub enum CommMode {
 }
 
 /// The per-endpoint streams a transfer occupies: `(sender side,
-/// receiver side)` as seen by each endpoint's own fabric.
+/// receiver side)` as seen by each endpoint's own fabric. Read once per
+/// transfer, when its streaming starts.
 fn transfer_specs(
     mode: CommMode,
     pool: Option<PoolId>,
@@ -142,9 +145,9 @@ struct NodeSets {
 }
 
 impl NodeSets {
-    /// Add (`add`) or remove `n` streams of `spec` on `node`: the one
+    /// Add (`add`) or remove `n` streams of `id` on `node`: the one
     /// place a set is edited.
-    fn edit(&mut self, node: Rank, spec: StreamSpec, n: usize, add: bool) {
+    fn edit(&mut self, node: Rank, id: StreamId, n: usize, add: bool) {
         self.transitions += n as u64;
         if !self.contended {
             return;
@@ -152,9 +155,9 @@ impl NodeSets {
         let set = &mut self.sets[node];
         if add {
             self.busy += u64::from(set.is_empty());
-            set.add_n(spec, n);
+            set.add_n(id, n);
         } else {
-            set.remove_n(spec, n);
+            set.remove_n(id, n);
             self.busy -= u64::from(set.is_empty());
         }
     }
@@ -592,18 +595,18 @@ impl World {
         };
         let id = JobId(self.jobs.insert(done_at));
         if done_at.is_none() {
+            let stream = self.fabric.stream_id(StreamSpec::CpuWrite { numa });
             self.active_jobs.push(ActiveJob {
                 id,
                 rank,
-                numa,
+                stream,
                 cores,
                 left: bytes_per_core as f64,
                 rate: 0.0,
                 seen: u64::MAX,
                 history_idx,
             });
-            self.nodes
-                .edit(rank, StreamSpec::CpuWrite { numa }, cores, true);
+            self.nodes.edit(rank, stream, cores, true);
         }
         Ok(id)
     }
@@ -694,20 +697,20 @@ impl World {
         }
     }
 
-    /// The rate one stream of `spec` gets on `node` right now. Contended:
+    /// The rate one stream `id` gets on `node` right now. Contended:
     /// the node's max-min solution, reused until the node's stream set
     /// changes and answered from the shared state cache across nodes.
     /// Baseline: the stream's memoized alone bandwidth.
-    fn stream_rate(&mut self, node: Rank, spec: StreamSpec) -> f64 {
+    fn stream_rate(&mut self, node: Rank, id: StreamId) -> f64 {
         if !self.nodes.contended {
             // Baseline mode: each stream solved in isolation gets its
             // alone bandwidth — no sharing anywhere.
-            return self.solver.alone_rate(&self.fabric, spec, 1.0);
+            return self.solver.alone_rate(&self.fabric, id, 1.0);
         }
         let set = &mut self.nodes.sets[node];
         let rate = match set.solution() {
-            Some(solution) => solution.rate_of(spec),
-            None => self.solver.solve(&self.fabric, set, 1.0).rate_of(spec),
+            Some(solution) => solution.rate_of(id),
+            None => self.solver.solve(&self.fabric, set, 1.0).rate_of(id),
         };
         rate.expect("an active entity's spec is in its node's stream set")
     }
@@ -730,13 +733,13 @@ impl World {
         let mut next = deadline;
         for i in 0..self.active_jobs.len() {
             let ActiveJob {
-                rank, numa, seen, ..
+                rank, stream, seen, ..
             } = self.active_jobs[i];
             let stamp = self.nodes.stamp(rank);
             if seen != stamp {
                 // All cores of a job are identical; the rate of one core
                 // stands for all of them (equal by max-min symmetry).
-                let rate = self.stream_rate(rank, StreamSpec::CpuWrite { numa }) * GB;
+                let rate = self.stream_rate(rank, stream) * GB;
                 let job = &mut self.active_jobs[i];
                 job.rate = rate;
                 job.seen = stamp;
@@ -748,20 +751,18 @@ impl World {
         }
         for i in 0..self.transfers.len() {
             let tr = &self.transfers[i];
-            let bytes = match tr.phase {
+            let (bytes, [dst_id, src_id]) = match tr.phase {
                 TransferPhase::Pre(t) | TransferPhase::Post(t) => {
                     next = next.min(t);
                     continue;
                 }
-                TransferPhase::Streaming(bytes) => bytes,
+                TransferPhase::Streaming(bytes, ids) => (bytes, ids),
             };
             let (src, dst) = (tr.src, tr.dst);
             let stamps = [self.nodes.stamp(dst), self.nodes.stamp(src)];
             if tr.seen != stamps {
-                let (src_spec, dst_spec) =
-                    transfer_specs(self.comm_mode, self.cxl_pool, tr.src_numa, tr.dst_numa);
-                let rate_in = self.stream_rate(dst, dst_spec);
-                let rate_out = self.stream_rate(src, src_spec);
+                let rate_in = self.stream_rate(dst, dst_id);
+                let rate_out = self.stream_rate(src, src_id);
                 let tr = &mut self.transfers[i];
                 tr.rate = rate_in.min(rate_out) * GB;
                 tr.seen = stamps;
@@ -789,6 +790,7 @@ impl World {
         let now = next;
         let (comm_mode, cxl_pool) = (self.comm_mode, self.cxl_pool);
         let Self {
+            fabric,
             statuses,
             jobs,
             active_jobs,
@@ -807,31 +809,26 @@ impl World {
             if job.history_idx != NO_HISTORY {
                 job_history[job.history_idx].finished_at = Some(now);
             }
-            nodes.edit(
-                job.rank,
-                StreamSpec::CpuWrite { numa: job.numa },
-                job.cores,
-                false,
-            );
+            nodes.edit(job.rank, job.stream, job.cores, false);
             false
         });
-        let specs = |tr: &Transfer| transfer_specs(comm_mode, cxl_pool, tr.src_numa, tr.dst_numa);
         transfers.retain_mut(|tr| {
             match tr.phase {
                 TransferPhase::Pre(t) if t <= now + EPS => {
-                    tr.phase = TransferPhase::Streaming(tr.payload);
-                    let (src_spec, dst_spec) = specs(tr);
-                    nodes.edit(tr.dst, dst_spec, 1, true);
-                    nodes.edit(tr.src, src_spec, 1, true);
+                    let (src_spec, dst_spec) =
+                        transfer_specs(comm_mode, cxl_pool, tr.src_numa, tr.dst_numa);
+                    let ids = [fabric.stream_id(dst_spec), fabric.stream_id(src_spec)];
+                    tr.phase = TransferPhase::Streaming(tr.payload, ids);
+                    nodes.edit(tr.dst, ids[0], 1, true);
+                    nodes.edit(tr.src, ids[1], 1, true);
                 }
-                TransferPhase::Streaming(bytes) => {
+                TransferPhase::Streaming(bytes, ids) => {
                     let bytes = (bytes - tr.rate * dt).max(0.0);
                     tr.phase = if bytes > 1.0 {
-                        TransferPhase::Streaming(bytes)
+                        TransferPhase::Streaming(bytes, ids)
                     } else {
-                        let (src_spec, dst_spec) = specs(tr);
-                        nodes.edit(tr.dst, dst_spec, 1, false);
-                        nodes.edit(tr.src, src_spec, 1, false);
+                        nodes.edit(tr.dst, ids[0], 1, false);
+                        nodes.edit(tr.src, ids[1], 1, false);
                         TransferPhase::Post(now + tr.post_len)
                     };
                 }
@@ -1439,33 +1436,39 @@ mod tests {
             return false;
         }
         let mut read = vec![false; w.n];
-        let mut rate = |w: &mut World, node: Rank, spec: StreamSpec| {
+        let mut rate = |w: &mut World, node: Rank, id: StreamId| {
             if !contended {
-                return w.solver.alone_rate(&w.fabric, spec, 1.0);
+                return w.solver.alone_rate(&w.fabric, id, 1.0);
             }
             if !read[node] {
                 read[node] = true;
                 w.node_steps += 1;
             }
-            w.stream_rate(node, spec)
+            w.stream_rate(node, id)
         };
         let mut job_rates = Vec::new();
         for i in 0..w.active_jobs.len() {
-            let ActiveJob { rank, numa, .. } = w.active_jobs[i];
-            job_rates.push(rate(w, rank, StreamSpec::CpuWrite { numa }));
+            let ActiveJob { rank, stream, .. } = w.active_jobs[i];
+            job_rates.push(rate(w, rank, stream));
         }
+        // A transfer's (receiver, sender) ids, read from its specs rather
+        // than from the ids its streaming phase keeps.
+        let ids = |w: &World, tr: &Transfer| {
+            let (src_spec, dst_spec) =
+                transfer_specs(w.comm_mode, w.cxl_pool, tr.src_numa, tr.dst_numa);
+            [w.fabric.stream_id(dst_spec), w.fabric.stream_id(src_spec)]
+        };
         let mut transfer_rates = Vec::new();
         for i in 0..w.transfers.len() {
             let tr = &w.transfers[i];
-            if !matches!(tr.phase, TransferPhase::Streaming(_)) {
+            if !matches!(tr.phase, TransferPhase::Streaming(..)) {
                 transfer_rates.push(0.0);
                 continue;
             }
             let (src, dst) = (tr.src, tr.dst);
-            let (src_spec, dst_spec) =
-                transfer_specs(w.comm_mode, w.cxl_pool, tr.src_numa, tr.dst_numa);
-            let rate_in = rate(w, dst, dst_spec);
-            let rate_out = rate(w, src, src_spec);
+            let [dst_id, src_id] = ids(w, tr);
+            let rate_in = rate(w, dst, dst_id);
+            let rate_out = rate(w, src, src_id);
             transfer_rates.push(rate_in.min(rate_out));
         }
 
@@ -1479,7 +1482,7 @@ mod tests {
         for (tr, &rate) in w.transfers.iter().zip(&transfer_rates) {
             match tr.phase {
                 TransferPhase::Pre(t) | TransferPhase::Post(t) => next = next.min(t),
-                TransferPhase::Streaming(bytes) => {
+                TransferPhase::Streaming(bytes, _) => {
                     let rate = rate * GB;
                     if rate > 0.0 {
                         next = next.min(w.time + bytes / rate);
@@ -1500,7 +1503,7 @@ mod tests {
             job.left = (job.left - rate * dt).max(0.0);
         }
         for (tr, &rate) in w.transfers.iter_mut().zip(&transfer_rates) {
-            if let TransferPhase::Streaming(ref mut bytes) = tr.phase {
+            if let TransferPhase::Streaming(ref mut bytes, _) = tr.phase {
                 let rate = rate * GB;
                 *bytes = (*bytes - rate * dt).max(0.0);
             }
@@ -1508,7 +1511,7 @@ mod tests {
         w.time = next;
 
         let now = w.time;
-        let (comm_mode, cxl_pool) = (w.comm_mode, w.cxl_pool);
+        let transfer_ids: Vec<[StreamId; 2]> = w.transfers.iter().map(|tr| ids(w, tr)).collect();
         let World {
             statuses,
             jobs,
@@ -1528,23 +1531,21 @@ mod tests {
             if job.history_idx != NO_HISTORY {
                 job_history[job.history_idx].finished_at = Some(now);
             }
-            node_sets[job.rank].remove_n(StreamSpec::CpuWrite { numa: job.numa }, job.cores);
+            node_sets[job.rank].remove_n(job.stream, job.cores);
             false
         });
         let mut finished = Vec::new();
-        for tr in transfers.iter_mut() {
-            let (src_spec, dst_spec) =
-                transfer_specs(comm_mode, cxl_pool, tr.src_numa, tr.dst_numa);
+        for (tr, &[dst_id, src_id]) in transfers.iter_mut().zip(&transfer_ids) {
             match tr.phase {
                 TransferPhase::Pre(t) if t <= now + EPS => {
-                    tr.phase = TransferPhase::Streaming(tr.payload);
-                    node_sets[tr.dst].add(dst_spec);
-                    node_sets[tr.src].add(src_spec);
+                    tr.phase = TransferPhase::Streaming(tr.payload, [dst_id, src_id]);
+                    node_sets[tr.dst].add(dst_id);
+                    node_sets[tr.src].add(src_id);
                 }
-                TransferPhase::Streaming(bytes) if bytes <= 1.0 => {
+                TransferPhase::Streaming(bytes, _) if bytes <= 1.0 => {
                     tr.phase = TransferPhase::Post(now + tr.post_len);
-                    node_sets[tr.dst].remove(dst_spec);
-                    node_sets[tr.src].remove(src_spec);
+                    node_sets[tr.dst].remove(dst_id);
+                    node_sets[tr.src].remove(src_id);
                 }
                 TransferPhase::Post(t) if t <= now + EPS => {
                     finished.push((tr.send_req, tr.recv_req));

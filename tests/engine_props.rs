@@ -176,7 +176,7 @@ mod reference {
             .collect();
         let mut set = ActiveSet::new();
         for a in acts.iter().filter(|a| a.streaming()) {
-            set.add(a.spec());
+            set.add(fabric.stream_id(a.spec()));
         }
         let before = solver.stats();
         let (mut now, mut events, mut trace) = (0.0_f64, 0_u64, Vec::new());
@@ -199,7 +199,8 @@ mod reference {
                         a.rate = match last {
                             Some((prev, rate)) if prev == spec => rate,
                             _ => {
-                                let rate = solution.as_ref().unwrap().rate_of(spec).unwrap();
+                                let id = fabric.stream_id(spec);
+                                let rate = solution.as_ref().unwrap().rate_of(id).unwrap();
                                 last = Some((spec, rate));
                                 rate
                             }
@@ -250,8 +251,8 @@ mod reference {
                 }
                 a.settle(now);
                 match (was_streaming, a.streaming()) {
-                    (false, true) => set.add(a.spec()),
-                    (true, false) => set.remove(a.spec()),
+                    (false, true) => set.add(fabric.stream_id(a.spec())),
+                    (true, false) => set.remove(fabric.stream_id(a.spec())),
                     _ => {}
                 }
             }
