@@ -9,6 +9,7 @@
 
 use std::time::Instant;
 
+use mc_cli::args::{at_most, MAX_SCHED_COUNT};
 use mc_cli::{Args, CliError};
 use mc_json::{obj, Json};
 use mc_model::{size_bytes, ModelRegistry, PhaseProfile};
@@ -187,8 +188,9 @@ fn mixed_queue(jobs: usize) -> Vec<JobSpec> {
 /// contention-aware speedup over the naive baselines and the node
 /// simulations' delta-solver counters.
 pub fn schedule(args: &Args) -> Result<Json, CliError> {
-    let jobs = args.count_or("jobs", 8)?;
-    let nodes = args.count_or("nodes", 4)?;
+    let (jobs, nodes) = (args.count_or("jobs", 8)?, args.count_or("nodes", 4)?);
+    let jobs = at_most("jobs", jobs, MAX_SCHED_COUNT, "jobs")?;
+    let nodes = at_most("nodes", nodes, MAX_SCHED_COUNT, "nodes")?;
     let max_slowdown = mc_cli::commands::max_slowdown(args)?;
     let seed: u64 = args.num_or("seed", 42)?;
     let platform = platform_or(args, "henri")?;

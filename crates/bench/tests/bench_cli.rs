@@ -190,6 +190,11 @@ fn usage_mistakes_exit_2() {
         &["loadgen", "--conns", "4"],
         // Past the thread ceiling, before any connection starts.
         &["loadgen", "--addr", "127.0.0.1:9", "--conns", "1025"],
+        // Past the schedule ceiling, before any job or node is built.
+        &["schedule", "--jobs", "4097"],
+        &["schedule", "--nodes", "4097"],
+        &["schedule", "--jobs", "18446744073709551616"],
+        &["schedule", "--nodes", "18446744073709551616"],
     ] {
         let out = bench(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

@@ -25,6 +25,12 @@ pub struct Args {
 /// to that many OS threads, so a typo must not ask for 100,000.
 pub const MAX_THREADS: usize = 1 << 10;
 
+/// The most nodes a `schedule` fleet may hold (`--nodes`, the sum of
+/// `--fleet`'s counts, `bench schedule --nodes`) and the most jobs `bench
+/// schedule --jobs` may generate: each node is a platform copy and each
+/// job a queue entry, so a typo must not ask for 10^12 of either.
+pub const MAX_SCHED_COUNT: usize = 1 << 12;
+
 /// Flags that may be given more than once. Everything else repeating is
 /// still a [`CliError::DuplicateFlag`] — last-wins would silently drop a
 /// value. `--warm` repeats because its value embeds a file path, and
@@ -292,12 +298,7 @@ impl Args {
     /// An optional thread count with a default: zero is a
     /// [`CliError::NonPositive`], more than [`MAX_THREADS`] a usage error.
     pub fn threads_or(&self, key: &'static str, default: usize) -> Result<usize, CliError> {
-        match self.count_or(key, default)? {
-            n if n <= MAX_THREADS => Ok(n),
-            n => Err(CliError::Usage(format!(
-                "--{key} must be at most {MAX_THREADS} threads, got {n}"
-            ))),
-        }
+        at_most(key, self.count_or(key, default)?, MAX_THREADS, "threads")
     }
 
     /// An optional yes/no option, off when absent: `yes`/`true`/`1` mean
@@ -374,6 +375,19 @@ impl Args {
     /// An optional numeric option with a default.
     pub fn num_or<T: FromStr>(&self, key: &'static str, default: T) -> Result<T, CliError> {
         Ok(self.num(key)?.unwrap_or(default))
+    }
+}
+
+/// The count `n` given for `--key`, if it is at most `max`; past it, a
+/// usage error saying what the count counts (`what`). Every count ceiling
+/// ([`MAX_THREADS`], [`MAX_SCHED_COUNT`]) is checked here.
+pub fn at_most(key: &str, n: usize, max: usize, what: &str) -> Result<usize, CliError> {
+    if n <= max {
+        Ok(n)
+    } else {
+        Err(CliError::Usage(format!(
+            "--{key} must be at most {max} {what}, got {n}"
+        )))
     }
 }
 

@@ -14,7 +14,7 @@ use mc_replay::report;
 use mc_topology::{platforms, NumaId, Platform};
 use mc_viz::TopologySketch;
 
-use crate::args::{Args, CliError};
+use crate::args::{at_most, Args, CliError, MAX_SCHED_COUNT};
 use crate::ops;
 
 /// Usage text. Its synopsis lines (`  memcontend COMMAND ...` and the
@@ -348,7 +348,7 @@ fn fleet_platforms(args: &Args) -> Result<Vec<Platform>, CliError> {
             "--fleet and --platform are mutually exclusive".into(),
         )),
         (Some(spec), None) => {
-            let mut out = Vec::new();
+            let mut parts = Vec::new();
             for part in spec.split(',') {
                 let part = part.trim();
                 let (name, count) = match part.split_once('*') {
@@ -366,13 +366,19 @@ fn fleet_platforms(args: &Args) -> Result<Vec<Platform>, CliError> {
                 }
                 let p = platforms::by_name(name)
                     .ok_or_else(|| CliError::UnknownPlatform(name.to_string()))?;
-                out.extend(std::iter::repeat_n(p, count));
+                parts.push((p, count));
             }
-            Ok(out)
+            let total = parts.iter().fold(0usize, |n, (_, c)| n.saturating_add(*c));
+            at_most("fleet", total, MAX_SCHED_COUNT, "nodes")?;
+            Ok(parts
+                .into_iter()
+                .flat_map(|(p, count)| std::iter::repeat_n(p, count))
+                .collect())
         }
         (None, _) => {
             let p = ops::platform(args)?;
-            Ok(vec![p; args.count_or("nodes", 2)?])
+            let nodes = args.count_or("nodes", 2)?;
+            Ok(vec![p; at_most("nodes", nodes, MAX_SCHED_COUNT, "nodes")?])
         }
     }
 }

@@ -365,6 +365,39 @@ fn out_of_range_queue_lines_exit_3_with_their_line_number() {
     }
 }
 
+/// A fleet of more than 2^12 nodes is a usage error, checked before any
+/// node is built or the queue is read: before, `--nodes` or a `--fleet`
+/// count of 10^12 reached an allocation abort.
+#[test]
+fn fleets_past_the_node_ceiling_exit_2() {
+    let over = [
+        &["--platform", "henri", "--nodes", "4097"][..],
+        &["--platform", "henri", "--nodes", "18446744073709551615"],
+        &["--fleet", "henri*4097"],
+        &["--fleet", "henri*4000,dahu*97"],
+        &["--fleet", "henri*18446744073709551615,dahu*1"],
+    ];
+    for fleet in over {
+        let args = [&["schedule", "--jobs", "absent.jsonl"][..], fleet].concat();
+        let out = memcontend(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("must be at most 4096 nodes"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    // 2^64 does not parse as a count at all.
+    for fleet in [
+        &["--platform", "henri", "--nodes", "18446744073709551616"][..],
+        &["--fleet", "henri*18446744073709551616"],
+    ] {
+        let args = [&["schedule", "--jobs", "absent.jsonl"][..], fleet].concat();
+        let out = memcontend(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+    }
+}
+
 #[test]
 fn misspelt_metrics_option_exits_2_and_writes_nothing() {
     let dir = tmp("metrcs");

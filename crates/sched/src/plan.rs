@@ -15,11 +15,19 @@
 //! The resulting finite stream multiset runs on the node's simulated
 //! fabric ([`NodeWorld`]); per-job *slowdown* is the finish time under
 //! co-location divided by the job's finish time with the node to
-//! itself. Node evaluations are memoized by (platform, job set) — the
-//! search layers revisit the same sets constantly, so an exhaustive
+//! itself. Node evaluations are memoized by (platform, shape sequence) —
+//! the search layers revisit the same sets constantly, so an exhaustive
 //! small-case sweep or a long anneal costs few distinct simulations —
 //! and each platform's [`NodeWorld`] memoizes the solver states its
 //! simulations reach, so a distinct set rarely runs a full solve.
+//!
+//! A job's *shape* is the first job in the queue whose profile has the
+//! same bits in every field the allocation reads (`compute_bytes`,
+//! `comm_bytes`, `max_cores`); names never reach a simulation. The key is
+//! the sorted set's shapes in slot order, not sorted again: slots decide
+//! NUMA homes, so one shape sequence is one allocation and one run, bit
+//! for bit, and `finish` stays per slot. A queue whose profiles are all
+//! distinct gets one shape per job and memoizes exactly as by job set.
 //!
 //! A memo entry keeps only what the searches read: finish times and the
 //! makespan. The allocation a simulation ran is rebuilt on demand
@@ -144,6 +152,17 @@ fn alloc_for(node: &FleetNode, jobs: &[JobSpec], set: &[u32], out: &mut Vec<JobL
     }));
 }
 
+/// What [`alloc_for`] reads of a job: two sizes' bits and the core cap.
+/// Jobs equal in it run identically in any slot.
+fn shape_of(job: &JobSpec) -> (u64, u64, usize) {
+    let prof = &job.profile;
+    (
+        prof.compute_bytes.to_bits(),
+        prof.comm_bytes.to_bits(),
+        prof.max_cores,
+    )
+}
+
 /// Memoizing evaluator shared by every policy and search over one
 /// (queue, fleet) pair.
 pub struct Evaluator<'a> {
@@ -155,8 +174,12 @@ pub struct Evaluator<'a> {
     worlds: Vec<NodeWorld>,
     /// Fleet node index → world index.
     node_world: Vec<usize>,
-    /// Node evaluations per world, keyed by sorted job set.
+    /// Job → shape: the first job with the same [`shape_of`].
+    shapes: Vec<u32>,
+    /// Node evaluations per world, keyed by the sorted set's shapes.
     cache: Vec<HashMap<Box<[u32]>, Rc<NodeEval>>>,
+    /// The shape sequence being looked up.
+    key: Vec<u32>,
     /// Solo finish time per (world, job), `world * jobs.len() + job`;
     /// `None` until first asked for.
     solo: Vec<Option<f64>>,
@@ -186,10 +209,18 @@ impl<'a> Evaluator<'a> {
                 }
             })
             .collect();
+        let mut first = HashMap::new();
+        let shapes = jobs
+            .iter()
+            .enumerate()
+            .map(|(j, job)| *first.entry(shape_of(job)).or_insert(j as u32))
+            .collect();
         Evaluator {
             jobs,
             fleet,
+            shapes,
             cache: worlds.iter().map(|_| HashMap::new()).collect(),
+            key: Vec::new(),
             solo: vec![None; worlds.len() * jobs.len()],
             worlds,
             node_world,
@@ -219,11 +250,14 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate one node's job set (`set` must be sorted ascending).
-    /// Memoized per (platform, set).
+    /// Memoized per (platform, shape sequence).
     pub fn node_eval(&mut self, node: usize, set: &[u32]) -> Rc<NodeEval> {
         debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set must be sorted");
         let world = self.node_world[node];
-        if let Some(hit) = self.cache[world].get(set) {
+        self.key.clear();
+        self.key
+            .extend(set.iter().map(|&j| self.shapes[j as usize]));
+        if let Some(hit) = self.cache[world].get(self.key.as_slice()) {
             return Rc::clone(hit);
         }
         alloc_for(&self.fleet.nodes[node], self.jobs, set, &mut self.allocs);
@@ -233,7 +267,7 @@ impl<'a> Evaluator<'a> {
             finish: run.jobs.iter().map(|j| j.finish()).collect(),
             makespan: run.makespan,
         });
-        self.cache[world].insert(set.into(), Rc::clone(&eval));
+        self.cache[world].insert(self.key.as_slice().into(), Rc::clone(&eval));
         eval
     }
 
@@ -379,6 +413,7 @@ mod tests {
     use super::*;
     use mc_model::{ModelRegistry, PhaseProfile};
     use mc_topology::platforms;
+    use proptest::prelude::*;
 
     fn fixture() -> (Vec<JobSpec>, Fleet) {
         let reg = ModelRegistry::new(4);
@@ -424,6 +459,130 @@ mod tests {
         let sims = ev.sims();
         ev.node_eval(1, &[0, 1]); // same platform, same set → cache hit
         assert_eq!(ev.sims(), sims);
+    }
+
+    /// A job named `name` with the given sizes (bytes) and core cap.
+    fn shaped(name: &str, compute_bytes: f64, comm_bytes: f64, max_cores: usize) -> JobSpec {
+        JobSpec {
+            name: name.into(),
+            profile: PhaseProfile {
+                compute_bytes,
+                comm_bytes,
+                max_cores,
+            },
+        }
+    }
+
+    #[test]
+    fn jobs_with_bit_identical_profiles_share_one_simulation() {
+        let (_, fleet) = fixture();
+        let jobs = vec![
+            shaped("left", 20e9, 8e9, 8),
+            shaped("right", 20e9, 8e9, 8),
+            shaped("other", 2e9, 12e9, 8),
+            shaped("late", 20e9, 8e9, 8),
+        ];
+        let mut ev = Evaluator::new(&jobs, &fleet);
+        let alone = ev.node_eval(0, &[0]);
+        assert_eq!(ev.sims(), 1);
+        assert!(Rc::ptr_eq(&alone, &ev.node_eval(1, &[3])));
+        // {0, 2} and {1, 2} both run (shape 0, shape 2) in slot order.
+        let pair = ev.node_eval(0, &[0, 2]);
+        assert_eq!(ev.sims(), 2);
+        assert!(Rc::ptr_eq(&pair, &ev.node_eval(0, &[1, 2])));
+        // {2, 3} runs (shape 2, shape 0): the same shapes in the other slots.
+        ev.node_eval(0, &[2, 3]);
+        assert_eq!(ev.sims(), 3);
+        // The plan reads the shared run per slot, under each job's name.
+        let plan = ev.plan("p", &[0, 1, 1, 0], 1.5);
+        // New: {0, 3} as (shape 0, shape 0) and shape 2 alone, for its
+        // slowdown.
+        assert_eq!(ev.sims(), 5);
+        assert_eq!(
+            plan.placements[1].finish.to_bits(),
+            pair.finish[0].to_bits()
+        );
+        assert_eq!(
+            plan.placements[2].finish.to_bits(),
+            pair.finish[1].to_bits()
+        );
+    }
+
+    #[test]
+    fn a_one_ulp_or_core_cap_difference_does_not_share() {
+        let (_, fleet) = fixture();
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let jobs = vec![
+            shaped("base", 20e9, 8e9, 8),
+            shaped("compute", ulp(20e9), 8e9, 8),
+            shaped("comm", 20e9, ulp(8e9), 8),
+            shaped("cores", 20e9, 8e9, 4),
+        ];
+        let mut ev = Evaluator::new(&jobs, &fleet);
+        for job in 0..jobs.len() as u32 {
+            ev.node_eval(0, &[job]);
+            assert_eq!(ev.sims(), job as usize + 1, "job {job} shared a run");
+        }
+        // The core cap reaches the run: alone on henri, 4 cores are slower.
+        assert!(ev.node_eval(0, &[3]).makespan > ev.node_eval(0, &[0]).makespan);
+    }
+
+    #[test]
+    fn the_same_shapes_on_two_platforms_do_not_share() {
+        let reg = ModelRegistry::new(4);
+        let fleet = Fleet::build(vec![platforms::henri(), platforms::dahu()], &reg).unwrap();
+        let jobs = vec![shaped("a", 20e9, 8e9, 8), shaped("b", 20e9, 8e9, 8)];
+        let mut ev = Evaluator::new(&jobs, &fleet);
+        let henri = ev.node_eval(0, &[0, 1]);
+        let dahu = ev.node_eval(1, &[0, 1]);
+        assert_eq!(ev.sims(), 2);
+        assert_ne!(henri.makespan.to_bits(), dahu.makespan.to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every memoized evaluation is the run a fresh node world gives
+        /// the set's allocation, and the memo simulates each (platform,
+        /// shape sequence) once.
+        #[test]
+        fn shape_memo_matches_fresh_runs(
+            profiles in proptest::collection::vec((1.0f64..30.0, 0.5f64..12.0, 0usize..9), 3..5),
+            picks in proptest::collection::vec(0usize..4, 12),
+            queries in proptest::collection::vec((0usize..3, 1u32..4096), 1..24),
+        ) {
+            let reg = ModelRegistry::new(4);
+            let fleet = Fleet::build(
+                vec![platforms::henri(), platforms::dahu(), platforms::henri()],
+                &reg,
+            )
+            .unwrap();
+            let jobs: Vec<JobSpec> = picks
+                .iter()
+                .enumerate()
+                .map(|(j, &pick)| {
+                    let (comp, comm, cores) = profiles[pick % profiles.len()];
+                    shaped(&format!("j{j}"), comp * 1e9, comm * 1e9, cores)
+                })
+                .collect();
+            let mut ev = Evaluator::new(&jobs, &fleet);
+            let mut seen = std::collections::HashSet::new();
+            let mut allocs = Vec::new();
+            for (node, mask) in queries {
+                // At most four jobs, ascending.
+                let set: Vec<u32> = (0..12u32).filter(|j| mask >> j & 1 == 1).take(4).collect();
+                let eval = ev.node_eval(node, &set);
+                alloc_for(&fleet.nodes[node], &jobs, &set, &mut allocs);
+                let run = NodeWorld::new(&fleet.nodes[node].platform).run(&allocs);
+                let want: Vec<u64> = run.jobs.iter().map(|j| j.finish().to_bits()).collect();
+                let got: Vec<u64> = eval.finish.iter().map(|f| f.to_bits()).collect();
+                prop_assert_eq!(got, want, "node {} set {:?}", node, set);
+                prop_assert_eq!(eval.makespan.to_bits(), run.makespan.to_bits());
+                let shapes: Vec<_> = set.iter().map(|&j| shape_of(&jobs[j as usize])).collect();
+                seen.insert((fleet.nodes[node].platform.name().to_string(), shapes));
+                prop_assert_eq!(ev.sims(), seen.len());
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! A counting global allocator tallies the allocations of all three
 //! policies and their plans on `bench schedule`'s mixed queue (32 jobs on
 //! 12 henri nodes), twice on one `Evaluator`. The first pass misses the
-//! memo 6,404 times; the second repeats the same searches and hits every
+//! memo 3,322 times (once per distinct shape sequence; the queue's 32
+//! jobs have 6 profiles); the second repeats the same searches and hits every
 //! time, so the difference between the two passes is what the misses
 //! allocated: node simulations, memo entries and the solver's new states.
 //!
 //! A miss allocates four blocks: its memo key, the `Rc<NodeEval>`, the
 //! finish-time slice in it and the `NodeRun`'s per-job `Vec`. The node
 //! world's phase list, active list and stream multiset and the
-//! evaluator's allocation buffer are reused from miss to miss. The rest
+//! evaluator's allocation and key buffers are reused from miss to miss. The rest
 //! of the count is the solver's 756 new states (four blocks each: the
 //! `Rc`, its per-id counts and rates, and a bucket) and the growth of the
 //! tables that hold them.
@@ -94,11 +95,11 @@ fn a_miss_allocates_a_fixed_handful() {
     let cold = allocations_of_a_pass(&mut ev);
     let misses = ev.sims();
     let warm = allocations_of_a_pass(&mut ev);
-    assert_eq!(misses, 6_404);
+    assert_eq!(misses, 3_322);
     assert_eq!(ev.sims(), misses, "the second pass must hit every time");
     let of_misses = cold - warm;
     assert_eq!(
-        of_misses, 28_720,
+        of_misses, 16_394,
         "{misses} misses cost {of_misses} allocations ({cold} cold, {warm} warm)"
     );
 }

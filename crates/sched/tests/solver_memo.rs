@@ -62,11 +62,11 @@ fn mixed_queue_runs_few_full_solves() {
         assert_eq!(plan.violations, violations, "{name}");
     }
     let stats = ev.solver_stats();
-    assert_eq!(ev.sims(), 6_404);
-    assert_eq!(stats.requests, 58_858, "{stats:?}");
+    assert_eq!(ev.sims(), 3_322);
+    assert_eq!(stats.requests, 39_831, "{stats:?}");
     assert_eq!(stats.full_solves, 756, "{stats:?}");
-    assert_eq!(stats.reuse_hits, 3_622, "{stats:?}");
-    assert_eq!(stats.state_hits, 54_480, "{stats:?}");
+    assert_eq!(stats.reuse_hits, 2_623, "{stats:?}");
+    assert_eq!(stats.state_hits, 36_452, "{stats:?}");
     assert_eq!(
         stats.requests,
         stats.reuse_hits + stats.state_hits + stats.full_solves,
