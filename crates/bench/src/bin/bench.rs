@@ -14,11 +14,14 @@
 use std::process::ExitCode;
 
 use mc_bench::scenario::{self, USAGE};
-use mc_cli::Args;
+use mc_cli::{Args, CliError};
 use mc_json::Json;
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv = match mc_cli::args::argv() {
+        Ok(argv) => argv,
+        Err(e) => return fail(&e),
+    };
     if matches!(
         argv.first().map(String::as_str),
         Some("-h" | "--help" | "help")
@@ -36,12 +39,14 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("bench: {e}");
-            if e.is_usage() {
-                eprintln!("\n{USAGE}");
-            }
-            ExitCode::from(e.exit_code())
-        }
+        Err(e) => fail(&e),
     }
+}
+
+fn fail(e: &CliError) -> ExitCode {
+    eprintln!("bench: {e}");
+    if e.is_usage() {
+        eprintln!("\n{USAGE}");
+    }
+    ExitCode::from(e.exit_code())
 }

@@ -239,7 +239,10 @@ fn run(args: &Args) -> Result<(), CliError> {
 }
 
 fn main() -> ExitCode {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut argv = match mc_cli::args::argv() {
+        Ok(argv) => argv,
+        Err(e) => return fail(&e),
+    };
     if matches!(argv.first().map(String::as_str), Some("-h" | "--help")) {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
@@ -255,12 +258,14 @@ fn main() -> ExitCode {
     });
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro: {e}");
-            if e.is_usage() {
-                eprintln!("{USAGE}");
-            }
-            ExitCode::from(e.exit_code())
-        }
+        Err(e) => fail(&e),
     }
+}
+
+fn fail(e: &CliError) -> ExitCode {
+    eprintln!("repro: {e}");
+    if e.is_usage() {
+        eprintln!("{USAGE}");
+    }
+    ExitCode::from(e.exit_code())
 }

@@ -22,7 +22,7 @@
 //! exit 1.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -237,20 +237,29 @@ fn admin_request(addr: &str, request: &str) -> Option<Json> {
 /// Run the load against `--addr` and summarise it.
 pub fn run(args: &Args) -> Result<Json, CliError> {
     let addr = args.require("addr")?;
+    if addr.to_socket_addrs().is_err() {
+        return Err(CliError::BadValue("addr", addr.to_string()));
+    }
     let conns = args.threads_or("conns", 8)?;
     let tenants = args.count_or("tenants", 8)?;
     let batch = args.count_or("batch", 1)?;
     let rate: f64 = args.num_or("rate", 200.0)?;
     let duration_s: f64 = args.num_or("duration-s", 5.0)?;
-    // Both must be positive and give a schedule a `Duration` can hold.
+    // Both must be positive, finite and give a schedule a `Duration`
+    // can hold.
     let seconds = |key: &'static str, value: f64, secs: f64| match Duration::try_from_secs_f64(secs)
     {
-        Ok(d) if value > 0.0 => Ok(d),
+        Ok(d) if value > 0.0 && value.is_finite() => Ok(d),
         _ => Err(CliError::BadValue(key, value.to_string())),
     };
     let interval = seconds("rate", rate, conns as f64 / rate)?;
     let deadline = seconds("duration-s", duration_s, duration_s)?;
     let zipf_s: f64 = args.num_or("zipf", 1.0)?;
+    // A skew below 0 would make the last tenant the hottest.
+    if !(zipf_s.is_finite() && zipf_s >= 0.0) {
+        let raw = args.get("zipf").unwrap_or_default();
+        return Err(CliError::BadValue("zipf", raw.to_string()));
+    }
     let seed: u64 = args.num_or("seed", 42)?;
     let shutdown = args.flag("shutdown")?;
 

@@ -327,38 +327,13 @@ impl Args {
     }
 
     /// [`Args::only`] with the options that `usage` declares for this
-    /// command. Its synopsis is the first line whose first two words are
-    /// `program` and the command (or a placeholder that starts with a
-    /// capital, like `TARGET[,TARGET]...`), plus the lines it continues
-    /// with a trailing `\`; the `--name` tokens on them are the known
-    /// options. A command without a synopsis is a [`CliError::UnknownCommand`].
+    /// command ([`synopsis_options`]). A command without a synopsis is a
+    /// [`CliError::UnknownCommand`].
     pub fn only_as_in(&self, usage: &str, program: &str) -> Result<(), CliError> {
-        let is_synopsis = |line: &&str| {
-            let mut words = line.split_whitespace();
-            let placeholder = |w: &str| w.starts_with(|c: char| c.is_ascii_uppercase());
-            words.next() == Some(program)
-                && words
-                    .next()
-                    .is_some_and(|w| w == self.command || placeholder(w))
-        };
-        let mut lines = usage
-            .lines()
-            .skip_while(|line| !is_synopsis(line))
-            .peekable();
-        if lines.peek().is_none() {
-            return Err(CliError::UnknownCommand(self.command.clone()));
+        match synopsis_options(usage, program, &self.command) {
+            Some(known) => self.only(&known),
+            None => Err(CliError::UnknownCommand(self.command.clone())),
         }
-        let not_name = |c: char| !c.is_ascii_alphanumeric() && c != '-';
-        let mut known = Vec::new();
-        for line in lines {
-            for rest in line.split("--").skip(1) {
-                known.extend(rest.split(not_name).next());
-            }
-            if !line.trim_end().ends_with('\\') {
-                break;
-            }
-        }
-        self.only(&known)
     }
 
     /// A numeric option, if given.
@@ -376,6 +351,49 @@ impl Args {
     pub fn num_or<T: FromStr>(&self, key: &'static str, default: T) -> Result<T, CliError> {
         Ok(self.num(key)?.unwrap_or(default))
     }
+}
+
+/// The options that `usage` declares for `command` of `program`, or
+/// `None` when it has no synopsis. Its synopsis is the first line whose
+/// first two words are `program` and the command (or a placeholder that
+/// starts with a capital, like `TARGET[,TARGET]...`), plus the lines it
+/// continues with a trailing `\`; the `--name` tokens on them are the
+/// options.
+pub fn synopsis_options<'u>(usage: &'u str, program: &str, command: &str) -> Option<Vec<&'u str>> {
+    let is_synopsis = |line: &&str| {
+        let mut words = line.split_whitespace();
+        let placeholder = |w: &str| w.starts_with(|c: char| c.is_ascii_uppercase());
+        words.next() == Some(program)
+            && words.next().is_some_and(|w| w == command || placeholder(w))
+    };
+    let mut lines = usage
+        .lines()
+        .skip_while(|line| !is_synopsis(line))
+        .peekable();
+    lines.peek()?;
+    let not_name = |c: char| !c.is_ascii_alphanumeric() && c != '-';
+    let mut known = Vec::new();
+    for line in lines {
+        for rest in line.split("--").skip(1) {
+            known.extend(rest.split(not_name).next());
+        }
+        if !line.trim_end().ends_with('\\') {
+            break;
+        }
+    }
+    Some(known)
+}
+
+/// The process's arguments after the program name. An argument that is
+/// not UTF-8 is a usage error (`std::env::args` would panic on it).
+pub fn argv() -> Result<Vec<String>, CliError> {
+    std::env::args_os()
+        .skip(1)
+        .map(|arg| {
+            arg.into_string()
+                .map_err(|arg| CliError::Usage(format!("argument {arg:?} is not UTF-8")))
+        })
+        .collect()
 }
 
 /// The count `n` given for `--key`, if it is at most `max`; past it, a

@@ -26,7 +26,10 @@ fn fail(e: &CliError) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv = match mc_cli::args::argv() {
+        Ok(argv) => argv,
+        Err(e) => return fail(&e),
+    };
     if argv.is_empty() || argv[0] == "-h" || argv[0] == "--help" {
         println!("{}", mc_cli::commands::USAGE);
         return ExitCode::SUCCESS;

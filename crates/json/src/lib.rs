@@ -14,23 +14,19 @@
 //! * [`visit_members`] walks the top-level object and hands each member
 //!   to a callback as a [`Scalar`] — a number, a string borrowed from the
 //!   input, or `Other` — without building anything. The trace readers
-//!   use it, so a trace line costs no allocation.
+//!   use it for the lines they do not decode themselves, so such a line
+//!   costs no allocation.
 //!
 //! Both run on the same scanner, so they accept the same texts and fail
-//! with the same [`JsonError`]. The scan is linear. A string is one run
-//! of bytes up to its closing `"`, borrowed from the input; only an
-//! escape makes it decode into an owned copy. An integer of up to 15
-//! digits is converted exactly without the general `f64` parser.
-//!
-//! Object members take a *flat path* first: an escape-free key, `:`,
-//! and an unsigned integer or an escape-free string, with no whitespace,
-//! read in one byte scan. Every member of a trace line has that form. At
-//! the first byte that does not fit, the general path resumes at that
-//! byte with what was read so far, never from the start of the member or
-//! the line, so each member is read once and every error is the general
-//! path's. The scanner's small methods are `#[inline]`: without it a
-//! crate built with the default release profile calls them out of line
-//! from its own copy of the generic [`visit_members`].
+//! with the same [`JsonError`]. The scan is linear, and an object member
+//! has one way through it: whitespace, the key, whitespace, `:`,
+//! whitespace, the value. A string is one run of bytes up to its closing
+//! `"`, borrowed from the input; only an escape makes it decode into an
+//! owned copy. An integer of up to 15 digits is converted exactly
+//! without the general `f64` parser. The scanner's small methods are
+//! `#[inline]`: without it a crate built with the default release
+//! profile calls them out of line from its own copy of the generic
+//! [`visit_members`].
 //!
 //! [`Lines`] is the line cursor under [`parse_lines`]: it skips
 //! blank and `#` lines and lends each content line where it lies in one
@@ -43,9 +39,8 @@
 //!
 //! Two safety properties hold by construction:
 //!
-//! * **Bounded recursion.** Nesting beyond [`MAX_DEPTH`] (or an explicit
-//!   limit given to [`Json::parse_with_depth`]) is a *typed* error
-//!   ([`JsonErrorKind::TooDeep`]) instead of a stack overflow, so a
+//! * **Bounded recursion.** Nesting beyond [`MAX_DEPTH`] is a *typed*
+//!   error ([`JsonErrorKind::TooDeep`]) instead of a stack overflow, so a
 //!   hostile or corrupt input line can never take the process down.
 //! * **Round-trip stability.** `parse(render(v)) == v` for every finite
 //!   value, asserted by a property test over generated values.
@@ -57,7 +52,7 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::BufRead;
 
-/// Deepest nesting [`Json::parse`] accepts. Far beyond anything the serve
+/// Deepest nesting every parser in this crate accepts. Far beyond anything the serve
 /// protocol or a trace line legitimately contains, far below what
 /// overflows a thread stack.
 pub const MAX_DEPTH: usize = 128;
@@ -112,16 +107,10 @@ impl std::error::Error for JsonError {}
 
 impl Json {
     /// Parse one JSON document; trailing non-whitespace is an error.
-    /// Nesting is bounded by [`MAX_DEPTH`].
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        Json::parse_with_depth(text, MAX_DEPTH)
-    }
-
-    /// Parse with an explicit nesting limit: a value nested more than
-    /// `max_depth` containers deep fails with
+    /// A value nested more than [`MAX_DEPTH`] containers deep fails with
     /// [`JsonErrorKind::TooDeep`].
-    pub fn parse_with_depth(text: &str, max_depth: usize) -> Result<Json, JsonError> {
-        Parser::new(text, max_depth).document(Parser::value)
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
+        Parser::new(text).document(Parser::value)
     }
 
     /// Member lookup on an object; `None` for absent keys or non-objects.
@@ -288,7 +277,7 @@ impl Scalar<'_> {
 /// Walk one JSON document and hand each member of its top-level object
 /// to `visit`, in input order and duplicates included, so the last call
 /// for a key carries the value [`Json::get`] would return. This runs on
-/// the parser behind [`Json::parse_with_depth`] and accepts and rejects
+/// the parser behind [`Json::parse`] and accepts and rejects
 /// exactly the same texts with the same errors, but builds no tree:
 /// keys and strings without escapes are borrowed from `text`, nested
 /// containers are checked and skipped. A valid document that is not an
@@ -296,23 +285,9 @@ impl Scalar<'_> {
 /// members before the error.
 pub fn visit_members<'a>(
     text: &'a str,
-    max_depth: usize,
-    mut visit: impl FnMut(Cow<'a, str>, Scalar<'a>),
+    visit: impl FnMut(Cow<'a, str>, Scalar<'a>),
 ) -> Result<(), JsonError> {
-    Parser::new(text, max_depth).document(|p| {
-        if p.peek() == Some(b'{') {
-            p.object(|p, key, flat| {
-                let value = match flat {
-                    Some(leaf) => leaf.into(),
-                    None => p.scalar()?,
-                };
-                visit(key, value);
-                Ok(())
-            })
-        } else {
-            p.scalar().map(drop)
-        }
-    })
+    Parser::new(text).members(visit)
 }
 
 /// The end of the string run starting at `start`: the first `"`, `\` or
@@ -369,12 +344,21 @@ impl<'a> From<Leaf<'a>> for Scalar<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(text: &'a str, max_depth: usize) -> Self {
+    fn new(text: &'a str) -> Self {
         Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
-            depth_left: max_depth,
+            depth_left: MAX_DEPTH,
+        }
+    }
+
+    /// A parser whose nesting limit is `depth`, for tests of the limit.
+    #[cfg(test)]
+    fn with_depth(text: &'a str, depth: usize) -> Self {
+        Parser {
+            depth_left: depth,
+            ..Parser::new(text)
         }
     }
 
@@ -391,6 +375,21 @@ impl<'a> Parser<'a> {
             return Err(self.err("trailing characters"));
         }
         Ok(value)
+    }
+
+    /// The whole input as [`visit_members`] walks it.
+    fn members(self, mut visit: impl FnMut(Cow<'a, str>, Scalar<'a>)) -> Result<(), JsonError> {
+        self.document(|p| {
+            if p.peek() == Some(b'{') {
+                p.object(|p, key| {
+                    let value = p.scalar()?;
+                    visit(key, value);
+                    Ok(())
+                })
+            } else {
+                p.scalar().map(drop)
+            }
+        })
     }
 
     fn err(&self, message: &'static str) -> JsonError {
@@ -455,11 +454,8 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => {
                 let mut members = Vec::new();
-                self.object(|p, key, flat| {
-                    let value = match flat {
-                        Some(leaf) => leaf.into(),
-                        None => p.value()?,
-                    };
+                self.object(|p, key| {
+                    let value = p.value()?;
                     members.push((key.into_owned(), value));
                     Ok(())
                 })?;
@@ -483,10 +479,7 @@ impl<'a> Parser<'a> {
     fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
         Ok(match self.peek() {
             Some(b'{') => {
-                self.object(|p, _, flat| match flat {
-                    Some(_) => Ok(()),
-                    None => p.scalar().map(drop),
-                })?;
+                self.object(|p, _| p.scalar().map(drop))?;
                 Scalar::Other
             }
             Some(b'[') => {
@@ -510,12 +503,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parse an object. `member` gets each key and, when the flat path
-    /// of [`member_head`](Self::member_head) has read the value already,
-    /// that value; otherwise it parses the value itself.
+    /// Parse an object; `member` gets each key and parses its value.
     fn object(
         &mut self,
-        mut member: impl FnMut(&mut Self, Cow<'a, str>, Option<Leaf<'a>>) -> Result<(), JsonError>,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
         self.descend()?;
         self.expect(b'{', "expected '{'")?;
@@ -526,8 +517,12 @@ impl<'a> Parser<'a> {
             return Ok(());
         }
         loop {
-            let (key, flat) = self.member_head()?;
-            member(self, key, flat)?;
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':', "expected ':'")?;
+            self.skip_ws();
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -539,100 +534,6 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
-    }
-
-    /// Read one object member up to its value: the key and the `:`, and
-    /// the value too when the member is *flat*. A flat member is an
-    /// escape-free key, `:` and then either an integer of 1–15 digits
-    /// (`0`, or no leading zero) with no `.`, `e`, `E`, `+` or `-` after
-    /// it, or an escape-free string, all without whitespace. Every member
-    /// of a trace line is flat, and the flat path reads it in one byte
-    /// scan, with no detour through [`scalar`](Self::scalar) or
-    /// [`value`](Self::value).
-    ///
-    /// At the first byte the flat form does not allow, the general path
-    /// resumes *at that byte* with what is read so far: an escape or a
-    /// control byte in the key or the string goes on in
-    /// [`string_rest`](Self::string_rest), a longer or non-integer number
-    /// in [`number_rest`](Self::number_rest), whitespace or another kind
-    /// of value in the general whitespace skip, and the caller then
-    /// parses the value (`None`). Nothing is read twice, so each member
-    /// is read once, in input order, and an error is the general path's,
-    /// with its offset, message and kind.
-    #[inline(always)]
-    fn member_head(&mut self) -> Result<(Cow<'a, str>, Option<Leaf<'a>>), JsonError> {
-        let (text, bytes) = (self.text, self.bytes);
-        let at = |i: usize| bytes.get(i).copied();
-        let mut i = self.pos;
-        if at(i) != Some(b'"') {
-            self.skip_ws();
-            let key = self.string()?;
-            return self.colon(key);
-        }
-        i += 1;
-        let key_start = i;
-        i = run_end(bytes, i);
-        if at(i) != Some(b'"') {
-            self.pos = i;
-            let key = self.string_rest(key_start)?;
-            return self.colon(key);
-        }
-        let key = Cow::Borrowed(&text[key_start..i]);
-        i += 1;
-        if at(i) != Some(b':') {
-            self.pos = i;
-            return self.colon(key);
-        }
-        i += 1;
-        let value = match at(i) {
-            Some(b'"') => {
-                i += 1;
-                let start = i;
-                i = run_end(bytes, i);
-                if at(i) != Some(b'"') {
-                    self.pos = i;
-                    return Ok((key, Some(Leaf::Str(self.string_rest(start)?))));
-                }
-                i += 1;
-                Leaf::Str(Cow::Borrowed(&text[start..i - 1]))
-            }
-            Some(first @ b'0'..=b'9') => {
-                let start = i;
-                let mut int = u64::from(first - b'0');
-                i += 1;
-                if first != b'0' {
-                    while let Some(d @ b'0'..=b'9') = at(i) {
-                        int = int.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
-                        i += 1;
-                    }
-                }
-                if i - start > 15
-                    || matches!(at(i), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    self.pos = i;
-                    return Ok((key, Some(Leaf::Num(self.number_rest(start)?))));
-                }
-                // At most 15 digits: below 2^53, so the signed conversion
-                // (one instruction) is exact.
-                Leaf::Num(int as i64 as f64)
-            }
-            _ => {
-                self.pos = i;
-                self.skip_ws();
-                return Ok((key, None));
-            }
-        };
-        self.pos = i;
-        Ok((key, Some(value)))
-    }
-
-    /// The general path from just after a member's key: the `:` and the
-    /// whitespace around it. The caller parses the value.
-    fn colon(&mut self, key: Cow<'a, str>) -> Result<(Cow<'a, str>, Option<Leaf<'a>>), JsonError> {
-        self.skip_ws();
-        self.expect(b':', "expected ':'")?;
-        self.skip_ws();
-        Ok((key, None))
     }
 
     /// Parse an array; `item` parses each element.
@@ -670,20 +571,13 @@ impl<'a> Parser<'a> {
     #[inline]
     fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"', "expected '\"'")?;
-        let start = self.pos;
+        let mut start = self.pos;
         self.pos = run_end(self.bytes, start);
         if self.peek() == Some(b'"') {
             self.pos += 1;
             return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
         }
-        self.string_rest(start)
-    }
-
-    /// Finish a string whose first run `start..pos` stopped short of the
-    /// closing `"`: at a `\`, a control byte or the end of input.
-    fn string_rest(&mut self, start: usize) -> Result<Cow<'a, str>, JsonError> {
         let mut out = String::new();
-        let mut start = start;
         loop {
             // A run ends at an ASCII byte or the end of input, so it is
             // a whole UTF-8 slice.
@@ -763,13 +657,8 @@ impl<'a> Parser<'a> {
             let n = int as i64 as f64;
             return Ok(if negative { -n } else { n });
         }
-        self.number_rest(start)
-    }
-
-    /// Finish the number that starts at `start`, read up to `pos` so far:
-    /// take the rest of its digit and exponent characters and convert
-    /// the whole with `str::parse`.
-    fn number_rest(&mut self, start: usize) -> Result<f64, JsonError> {
+        // Any other number: take the rest of its digit and exponent
+        // characters and convert the whole with `str::parse`.
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
@@ -1051,7 +940,6 @@ fn not_utf8(mut line: &[u8]) -> std::io::Error {
 /// [`parse_lines`].
 pub struct ParsedLines<R> {
     lines: Lines<R>,
-    max_depth: usize,
 }
 
 impl<R: BufRead> Iterator for ParsedLines<R> {
@@ -1059,7 +947,7 @@ impl<R: BufRead> Iterator for ParsedLines<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         Some(self.lines.next_line()?.and_then(|(line, text)| {
-            Json::parse_with_depth(text, self.max_depth)
+            Json::parse(text)
                 .map(|v| (line, v))
                 .map_err(|error| LineError::Json { line, error })
         }))
@@ -1074,14 +962,8 @@ impl<R: BufRead> Iterator for ParsedLines<R> {
 /// bombs stay [`JsonErrorKind::TooDeep`]); iteration can continue past
 /// a failed line.
 pub fn parse_lines<R: BufRead>(reader: R) -> ParsedLines<R> {
-    parse_lines_with_depth(reader, MAX_DEPTH)
-}
-
-/// [`parse_lines`] with an explicit per-line nesting limit.
-pub fn parse_lines_with_depth<R: BufRead>(reader: R, max_depth: usize) -> ParsedLines<R> {
     ParsedLines {
         lines: Lines::new(reader),
-        max_depth,
     }
 }
 
@@ -1285,13 +1167,9 @@ mod tests {
     #[test]
     fn strings_borrow_unless_escaped() {
         let mut seen = Vec::new();
-        visit_members(
-            r#"{"plain":"a b","r\u0061nk":"x\ty","":""}"#,
-            MAX_DEPTH,
-            |k, v| {
-                seen.push((k, v));
-            },
-        )
+        visit_members(r#"{"plain":"a b","r\u0061nk":"x\ty","":""}"#, |k, v| {
+            seen.push((k, v));
+        })
         .unwrap();
         assert!(matches!(
             &seen[0],
@@ -1327,7 +1205,7 @@ mod tests {
     fn visitor_sees_members_in_order_and_skips_containers() {
         let text = r#" {"a":1,"b":[{"c":2}],"a":"x","d":null,"e":{}} "#;
         let mut seen = Vec::new();
-        visit_members(text, MAX_DEPTH, |k, v| seen.push((k.into_owned(), v))).unwrap();
+        visit_members(text, |k, v| seen.push((k.into_owned(), v))).unwrap();
         let want = [
             ("a", Scalar::Num(1.0)),
             ("b", Scalar::Other),
@@ -1342,11 +1220,11 @@ mod tests {
         // Non-objects visit nothing; errors are those of the tree parser.
         for text in ["42", "[1,{\"a\":2}]", "\"s\"", "null"] {
             let mut calls = 0;
-            visit_members(text, MAX_DEPTH, |_, _| calls += 1).unwrap();
+            visit_members(text, |_, _| calls += 1).unwrap();
             assert_eq!(calls, 0, "{text}");
         }
         let deep = format!("{{\"a\":{}", "[".repeat(200));
-        let e = visit_members(&deep, MAX_DEPTH, |_, _| {}).unwrap_err();
+        let e = visit_members(&deep, |_, _| {}).unwrap_err();
         assert_eq!(e, Json::parse(&deep).unwrap_err());
         assert_eq!(e.kind, JsonErrorKind::TooDeep);
     }
@@ -1355,14 +1233,17 @@ mod tests {
     /// its error.
     fn visited(text: &str) -> Result<Vec<(String, Scalar<'_>)>, JsonError> {
         let mut seen = Vec::new();
-        visit_members(text, MAX_DEPTH, |k, v| seen.push((k.into_owned(), v)))?;
+        visit_members(text, |k, v| seen.push((k.into_owned(), v)))?;
         Ok(seen)
     }
 
     #[test]
     fn flat_members_hand_over_to_the_general_path_mid_line() {
+        // Trace-like lines with one member in another form, probing the
+        // points where a member leaves the written form: the visitor must
+        // hand over what the tree parser builds, or fail with its error.
         let cases = [
-            // Integers at and past the flat path's 15 digits.
+            // Integers at and past the integer fast path's 15 digits.
             r#"{"rank":3,"bytes":123456789012345,"tag":0}"#,
             r#"{"rank":3,"bytes":1234567890123456,"tag":0}"#,
             r#"{"rank":3,"bytes":9007199254740993,"tag":0}"#,
@@ -1377,7 +1258,7 @@ mod tests {
             r#"{"a":0.5,"b":-3}"#,
             r#"{"a":12x}"#,
             r#"{"a":1-2}"#,
-            // Escapes in the middle of an otherwise flat line.
+            // Escapes in the middle of an otherwise plain line.
             r#"{"rank":0,"ev\u0065nt":"wait","tag":1}"#,
             r#"{"rank":0,"event":"wa\u0069t","tag":1}"#,
             r#"{"rank":0,"event":"a\"b\\c","tag":1}"#,
@@ -1394,7 +1275,7 @@ mod tests {
             r#"{"a":1,}"#,
             r#"{}"#,
             r#"{"a":1,"a":"x","a":2,"a":null}"#,
-            // Other values between flat members.
+            // Other values between plain members.
             r#"{"a":1,"b":null,"c":[1,{"d":2}],"e":{"f":"g"},"h":true,"i":2}"#,
             // A control byte inside a key or a string.
             "{\"a\":\"x\u{1}y\",\"b\":1}",
@@ -1433,8 +1314,7 @@ mod tests {
                 (seen, want) => assert_eq!(seen.err(), want.err(), "{text}"),
             }
         }
-        // The flat path reads `01` as the general path does, and `-0`
-        // keeps its sign.
+        // `01` reads as 1, and `-0` keeps its sign.
         assert_eq!(visited(r#"{"a":01}"#).unwrap()[0].1, Scalar::Num(1.0));
         let zero = visited(r#"{"a":-0}"#).unwrap().remove(0).1;
         assert!(matches!(zero, Scalar::Num(n) if n.to_bits() == (-0.0f64).to_bits()));
@@ -1543,13 +1423,14 @@ mod tests {
     fn depth_limit_is_exact() {
         // depth d value: d nested arrays around a scalar.
         let nested = |d: usize| format!("{}1{}", "[".repeat(d), "]".repeat(d));
-        assert!(Json::parse_with_depth(&nested(3), 3).is_ok());
-        let e = Json::parse_with_depth(&nested(4), 3).unwrap_err();
+        let parse = |text: &str, depth| Parser::with_depth(text, depth).document(Parser::value);
+        assert!(parse(&nested(3), 3).is_ok());
+        let e = parse(&nested(4), 3).unwrap_err();
         assert_eq!(e.kind, JsonErrorKind::TooDeep);
         // Scalars never descend: limit 0 still parses them.
-        assert_eq!(Json::parse_with_depth("42", 0).unwrap(), Json::Num(42.0));
+        assert_eq!(parse("42", 0).unwrap(), Json::Num(42.0));
         // Siblings do not accumulate: the budget is per-path, not global.
-        assert!(Json::parse_with_depth("[[1],[2],[3]]", 2).is_ok());
+        assert!(parse("[[1],[2],[3]]", 2).is_ok());
     }
 }
 
@@ -1796,8 +1677,9 @@ mod proptests {
             }
             let depth = 1 + rng.below(4);
             let mut seen = Vec::new();
-            let visited = visit_members(&text, depth, |k, v| seen.push((k.into_owned(), v)));
-            match Json::parse_with_depth(&text, depth) {
+            let visited =
+                Parser::with_depth(&text, depth).members(|k, v| seen.push((k.into_owned(), v)));
+            match Parser::with_depth(&text, depth).document(Parser::value) {
                 Ok(tree) => {
                     prop_assert_eq!(visited, Ok(()));
                     let want: Vec<(String, Scalar<'_>)> = match &tree {

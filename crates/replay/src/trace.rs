@@ -26,7 +26,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use mc_json::{visit_members, write_num, JsonError, LineError, Lines, Scalar, MAX_DEPTH};
+use mc_json::{visit_members, write_num, JsonError, LineError, Lines, Scalar};
 use mc_model::ErrorCategory;
 use mc_topology::NumaId;
 
@@ -284,7 +284,7 @@ impl<'a> TraceLine<'a> {
             line,
             ..TraceLine::default()
         };
-        visit_members(text, MAX_DEPTH, |key, value| match key.as_bytes() {
+        visit_members(text, |key, value| match key.as_bytes() {
             b"rank" => {
                 m.rank_or_event = true;
                 m.rank = value.as_u64();

@@ -579,9 +579,9 @@ fn pick<'a>(rng: &mut TestRng, options: &[&'a str]) -> &'a str {
 }
 
 /// Number and non-number spellings a numeric member may take instead of
-/// a plain integer. Those around the parser's flat path (15 and 16
-/// digits, zeros, fractions, exponents, a control byte in a string) hand
-/// over to its general path in the middle of a line.
+/// a plain integer. Those around the written form's bounds (15 and 16
+/// digits, zeros, fractions, exponents, a control byte in a string) send
+/// a line that is written-form up to them to the general parser.
 const ODD_VALUES: &[&str] = &[
     "123456789012345",
     "0",
